@@ -11,17 +11,17 @@ import (
 
 // Line is one cache frame. State is protocol-defined; the array only cares
 // about Valid and the LRU stamp. L2 directory lines additionally use the
-// Sharers and Owner fields.
+// Sharers and Owner fields. The two flags sit together at the end so the
+// frame packs into 64 bytes.
 type Line struct {
 	Addr    msg.Addr
-	Valid   bool
 	State   int
 	Payload msg.Payload
 	Sharers Bitset
 	Owner   msg.NodeID
+	lru     uint64
+	Valid   bool
 	Dirty   bool
-
-	lru uint64
 }
 
 // Reset prepares the frame for a new address, clearing all content.
@@ -29,9 +29,13 @@ func (l *Line) Reset(addr msg.Addr) {
 	*l = Line{Addr: addr, Valid: true}
 }
 
-// Array is a set-associative cache indexed by line address.
+// Array is a set-associative cache indexed by line address. Its frames are
+// one flat slice, set s occupying lines[s*ways:(s+1)*ways], allocated by the
+// first Victim call: an array that is never filled costs only its header,
+// which matters to the model checker, whose small workloads touch a handful
+// of lines yet rebuild every cache of the system once per explored path.
 type Array struct {
-	sets     [][]Line
+	lines    []Line
 	numSets  int
 	ways     int
 	lineSize int
@@ -51,12 +55,7 @@ func NewArray(sizeBytes, ways, lineSize int) (*Array, error) {
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", numSets)
 	}
-	sets := make([][]Line, numSets)
-	backing := make([]Line, numSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	return &Array{sets: sets, numSets: numSets, ways: ways, lineSize: lineSize}, nil
+	return &Array{numSets: numSets, ways: ways, lineSize: lineSize}, nil
 }
 
 // LineSize returns the line size in bytes.
@@ -73,10 +72,19 @@ func (a *Array) setOf(addr msg.Addr) int {
 	return int(uint64(addr) / uint64(a.lineSize) % uint64(a.numSets))
 }
 
+// set returns the ways of addr's set; empty before the first fill.
+func (a *Array) set(addr msg.Addr) []Line {
+	if a.lines == nil {
+		return nil
+	}
+	base := a.setOf(addr) * a.ways
+	return a.lines[base : base+a.ways : base+a.ways]
+}
+
 // Lookup returns the frame holding addr, or nil on miss. It does not update
 // LRU state; call Touch when the access actually uses the line.
 func (a *Array) Lookup(addr msg.Addr) *Line {
-	set := a.sets[a.setOf(addr)]
+	set := a.set(addr)
 	for i := range set {
 		if set[i].Valid && set[i].Addr == addr {
 			return &set[i]
@@ -95,9 +103,13 @@ func (a *Array) Touch(l *Line) {
 // otherwise the least-recently-used way for which canEvict returns true.
 // It returns nil when every way is pinned (callers must then stall or pick
 // another course). The returned frame still holds the victim's contents;
-// the caller evicts it and then calls Reset.
+// the caller evicts it and then calls Reset. The first call allocates the
+// array's frames.
 func (a *Array) Victim(addr msg.Addr, canEvict func(*Line) bool) *Line {
-	set := a.sets[a.setOf(addr)]
+	if a.lines == nil {
+		a.lines = make([]Line, a.numSets*a.ways)
+	}
+	set := a.set(addr)
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -116,11 +128,9 @@ func (a *Array) Victim(addr msg.Addr, canEvict func(*Line) bool) *Line {
 
 // ForEach visits every valid line. Used by the invariant checker.
 func (a *Array) ForEach(fn func(*Line)) {
-	for s := range a.sets {
-		for i := range a.sets[s] {
-			if a.sets[s][i].Valid {
-				fn(&a.sets[s][i])
-			}
+	for i := range a.lines {
+		if a.lines[i].Valid {
+			fn(&a.lines[i])
 		}
 	}
 }
@@ -128,6 +138,10 @@ func (a *Array) ForEach(fn func(*Line)) {
 // Count returns the number of valid lines.
 func (a *Array) Count() int {
 	n := 0
-	a.ForEach(func(*Line) { n++ })
+	for i := range a.lines {
+		if a.lines[i].Valid {
+			n++
+		}
+	}
 	return n
 }

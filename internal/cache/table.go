@@ -13,6 +13,9 @@ import "repro/internal/msg"
 // that is indistinguishable from a fresh allocation, while a custom reset
 // (NewTableReset) can preserve capacity-carrying fields — slices, timers,
 // prepared callbacks — across lives of the same slot.
+//
+// The entry map is created by the first Alloc; Get, Free, Len and ForEach
+// work on the nil map, so a table that is never used costs only its header.
 type Table[E any] struct {
 	entries  map[msg.Addr]*E
 	free     []*E
@@ -36,11 +39,7 @@ func NewTableReset[E any](capacity int, reset func(*E)) *Table[E] {
 	if reset == nil {
 		reset = func(e *E) { var zero E; *e = zero }
 	}
-	return &Table[E]{
-		entries:  make(map[msg.Addr]*E, capacity),
-		reset:    reset,
-		capacity: capacity,
-	}
+	return &Table[E]{reset: reset, capacity: capacity}
 }
 
 // Get returns the entry for addr, or nil.
@@ -57,6 +56,9 @@ func (t *Table[E]) Alloc(addr msg.Addr) *E {
 	}
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
 		return nil
+	}
+	if t.entries == nil {
+		t.entries = make(map[msg.Addr]*E, t.capacity)
 	}
 	var e *E
 	if n := len(t.free); n > 0 {

@@ -132,6 +132,7 @@ func (e *Engine) stepChoice() bool {
 	} else {
 		ev.fn(ev.arg, ev.tick)
 	}
+	e.maybeCompact()
 	return true
 }
 
@@ -154,32 +155,7 @@ func (h *eventHeap) removeAt(i int) event {
 // fix restores the heap property around index i after its value changed:
 // sift down first, then up if the element did not move.
 func (h *eventHeap) fix(i int) {
-	q := *h
-	n := len(q)
-	j := i
-	for {
-		left := 2*j + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, j) {
-			break
-		}
-		q[j], q[least] = q[least], q[j]
-		j = least
-	}
-	if j == i {
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !q.less(i, parent) {
-				break
-			}
-			q[i], q[parent] = q[parent], q[i]
-			i = parent
-		}
+	if h.siftDown(i) == i {
+		h.siftUp(i)
 	}
 }

@@ -12,9 +12,12 @@
 // values. Scheduling is allocation-free in steady state: events are stored
 // by value (no container/heap interface boxing), popped slots are recycled
 // in place, and the backing array stops growing once it reaches the
-// simulation's peak queue depth. Callers that would otherwise allocate a
-// closure per event can use ScheduleCall, which carries a pointer-shaped
-// argument and a tick through the event instead of capturing them.
+// simulation's peak queue depth. That depth counts live events only: the
+// timer events a re-arm or Stop leaves behind are compacted out of the
+// queue once they make up half of it (see compact). Callers that would
+// otherwise allocate a closure per event can use ScheduleCall, which
+// carries a pointer-shaped argument and a tick through the event instead
+// of capturing them.
 //
 // Besides the raw event queue the package provides the two utilities the
 // protocols build their behaviour from: Timer, a restartable one-shot
@@ -50,10 +53,12 @@ var ErrLimitReached = errors.New("sim: cycle limit reached")
 
 // event is a scheduled callback. fn is always set; arg and tick are the
 // ScheduleCall payload (nil/zero for plain closures, which travel in arg).
-// choice marks the event as a model-checking decision point (see choice.go):
-// key identifies its ordered channel, info carries an opaque payload for the
-// chooser, and dropFn is the alternative callback fired when the chooser
-// decides to lose the event instead of delivering it.
+// timer marks a Timer firing (arg is the *Timer, tick its arming epoch), so
+// compaction can recognise superseded ones. choice marks the event as a
+// model-checking decision point (see choice.go): key identifies its ordered
+// channel, info carries an opaque payload for the chooser, and dropFn is
+// the alternative callback fired when the chooser decides to lose the event
+// instead of delivering it.
 type event struct {
 	at     uint64
 	seq    uint64
@@ -61,6 +66,7 @@ type event struct {
 	arg    any
 	tick   uint64
 	choice bool
+	timer  bool
 	key    uint64
 	info   uint64
 	dropFn func(arg any, tick uint64)
@@ -90,14 +96,17 @@ func (h *eventHeap) push(ev event) {
 		heapGrows.Add(1)
 	}
 	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
+	h.siftUp(len(*h) - 1)
+}
+
+// siftUp moves the element at i up until its parent is not larger.
+func (h eventHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !h.less(i, parent) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
@@ -113,24 +122,30 @@ func (h *eventHeap) pop() event {
 	q[n] = event{}
 	q = q[:n]
 	*h = q
-	// Sift the moved element down to its place.
-	i := 0
+	q.siftDown(0)
+	return ev
+}
+
+// siftDown moves the element at i down until neither child is smaller and
+// returns its final index.
+func (h eventHeap) siftDown(i int) int {
+	n := len(h)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			break
 		}
 		least := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := left + 1; right < n && h.less(right, left) {
 			least = right
 		}
-		if !q.less(least, i) {
+		if !h.less(least, i) {
 			break
 		}
-		q[i], q[least] = q[least], q[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	return ev
+	return i
 }
 
 // Engine is a deterministic discrete-event simulator clocked in cycles.
@@ -140,6 +155,9 @@ type Engine struct {
 	now    uint64
 	seq    uint64
 	events uint64
+	// stale counts the dead timer events still in pq: firings whose timer
+	// was re-armed or stopped after they were scheduled.
+	stale int
 
 	// Model-checking hooks (see choice.go). chooser is nil in normal runs;
 	// halted latches once a chooser returns Halt. The scratch fields are
@@ -153,7 +171,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{pq: make(eventHeap, 0, 1024)}
+	return &Engine{}
 }
 
 // Now returns the current simulation time in cycles.
@@ -186,8 +204,8 @@ func (e *Engine) ScheduleAt(at uint64, fn func()) {
 // needs no closure: fn is typically a package-level function and arg a
 // long-lived (often pooled) object, so scheduling allocates nothing —
 // pointer-shaped args box into the event's interface field without a heap
-// allocation. tick rides along untouched; timers use it to detect stale
-// firings.
+// allocation. tick rides along untouched (a Timer's own firings use it
+// for the arming epoch).
 func (e *Engine) ScheduleCall(delay uint64, fn func(arg any, tick uint64), arg any, tick uint64) {
 	e.seq++
 	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: fn, arg: arg, tick: tick})
@@ -219,7 +237,55 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.events++
 	ev.fn(ev.arg, ev.tick)
+	e.maybeCompact()
 	return true
+}
+
+// compactMin is the number of dead timer events below which the queue is
+// never compacted: a filter pass over a small queue costs more than the
+// dead pops it saves.
+const compactMin = 64
+
+// superseded records that an armed timer's pending firing just went dead.
+func (e *Engine) superseded() {
+	e.stale++
+	e.maybeCompact()
+}
+
+// maybeCompact compacts the queue once at least compactMin dead timer
+// events make up half of it, which bounds the queue at twice its live
+// events plus compactMin.
+func (e *Engine) maybeCompact() {
+	if e.stale >= compactMin && 2*e.stale >= len(e.pq) {
+		e.compact()
+	}
+}
+
+// compact removes every dead timer event — exactly the events timerFire
+// would ignore — and rebuilds the heap. Live events keep their (at, seq)
+// keys, which order them totally, so the firing sequence is unchanged;
+// only the no-op executions of dead events disappear. The rebuild is the
+// bottom-up heapify, sift-down only from the last parent to the root. (The
+// single-element fix would be wrong here: its sift-up swaps a survivor with
+// a parent not yet processed, stranding that parent above smaller
+// children.)
+func (e *Engine) compact() {
+	q := e.pq
+	n := 0
+	for i := range q {
+		if q[i].timer && q[i].arg.(*Timer).dead(q[i].tick) {
+			continue
+		}
+		q[n] = q[i]
+		n++
+	}
+	clear(q[n:])
+	q = q[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		q.siftDown(i)
+	}
+	e.pq = q
+	e.stale = 0
 }
 
 // Run executes events until the queue drains, the engine halts, or the

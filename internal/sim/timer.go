@@ -1,8 +1,13 @@
 package sim
 
 // Timer implements a restartable, cancelable timeout on top of Engine using
-// epoch counters: each Start invalidates previously scheduled firings, so no
-// explicit queue removal is needed. This is the mechanism used for the
+// epoch counters: each arming schedules one firing event tagged with the
+// new epoch, and Start, Restart or Stop bump the epoch, which turns the
+// pending firing into a dead event that executes as a no-op. Dead events
+// are not removed one by one; the timer reports each to its engine, which
+// compacts them out of the queue in bulk once they make up half of it
+// (Engine.compact), so cancellation stays O(1) and the queue stays
+// proportional to the live timeouts. This is the mechanism used for the
 // protocol's fault-detection timeouts (lost request, lost unblock, lost
 // backup deletion acknowledgment).
 //
@@ -40,7 +45,8 @@ func (t *Timer) Bind(engine *Engine) { t.engine = engine }
 // was scheduled under.
 func timerFire(arg any, epoch uint64) {
 	t := arg.(*Timer)
-	if t.epoch != epoch || !t.armed {
+	if t.dead(epoch) {
+		t.engine.stale-- // this dead event has left the queue
 		return
 	}
 	t.armed = false
@@ -51,15 +57,27 @@ func timerFire(arg any, epoch uint64) {
 	t.fire()
 }
 
+// dead reports whether a firing scheduled under epoch has been superseded.
+func (t *Timer) dead(epoch uint64) bool { return t.epoch != epoch || !t.armed }
+
+// supersede invalidates the pending firing, if any, by advancing the epoch
+// and disarming, and tells the engine the firing's event is now dead.
+func (t *Timer) supersede() {
+	t.epoch++
+	if t.armed {
+		t.armed = false
+		t.engine.superseded()
+	}
+}
+
 // Start arms the timer to call fire after delay cycles. Any previously armed
 // firing is cancelled. The callback runs only if the timer has not been
 // stopped or restarted in the meantime.
 func (t *Timer) Start(delay uint64, fire func()) {
-	t.epoch++
-	t.armed = true
+	t.supersede()
 	t.fire = fire
 	t.fn, t.arg = nil, nil
-	t.engine.ScheduleCall(delay, timerFire, t, t.epoch)
+	t.arm(delay)
 }
 
 // StartCall arms the timer to call fn(arg) after delay cycles. It is the
@@ -67,11 +85,10 @@ func (t *Timer) Start(delay uint64, fire func()) {
 // function and arg is typically the pooled entry owning the timer, so no
 // closure is built per arm.
 func (t *Timer) StartCall(delay uint64, fn func(arg any), arg any) {
-	t.epoch++
-	t.armed = true
+	t.supersede()
 	t.fire = nil
 	t.fn, t.arg = fn, arg
-	t.engine.ScheduleCall(delay, timerFire, t, t.epoch)
+	t.arm(delay)
 }
 
 // Restart re-arms the timer with the fire function of the previous Start.
@@ -80,16 +97,20 @@ func (t *Timer) Restart(delay uint64) {
 	if t.fire == nil && t.fn == nil {
 		panic("sim: Timer.Restart before Start")
 	}
-	t.epoch++
+	t.supersede()
+	t.arm(delay)
+}
+
+// arm schedules the firing for the current epoch.
+func (t *Timer) arm(delay uint64) {
 	t.armed = true
-	t.engine.ScheduleCall(delay, timerFire, t, t.epoch)
+	e := t.engine
+	e.seq++
+	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: timerFire, arg: t, tick: t.epoch, timer: true})
 }
 
 // Stop cancels any armed firing.
-func (t *Timer) Stop() {
-	t.epoch++
-	t.armed = false
-}
+func (t *Timer) Stop() { t.supersede() }
 
 // Armed reports whether the timer is currently armed.
 func (t *Timer) Armed() bool { return t.armed }

@@ -70,15 +70,15 @@ func lineFingerprint(v proto.LineView) uint64 {
 // progress and the memory image. Per-agent line hashes are combined by
 // commutative addition (InspectLines order varies run to run); the
 // per-agent sums are then folded in the deterministic agent construction
-// order, so state at L1 0 and state at L1 1 do not cancel.
+// order, so state at L1 0 and state at L1 1 do not cancel. The per-line
+// accumulator (fpLine, summing into fpSum) is bound once by New, so a
+// fingerprint builds no closure per agent.
 func (s *System) StateFingerprint() uint64 {
 	h := uint64(fnvOffset64)
 	for _, a := range s.agents {
-		var sum uint64
-		a.InspectLines(func(v proto.LineView) {
-			sum += lineFingerprint(v)
-		})
-		h = fnvMix(h, sum)
+		s.fpSum = 0
+		a.InspectLines(s.fpLine)
+		h = fnvMix(h, s.fpSum)
 	}
 	for _, c := range s.cores {
 		progress := c.Completed() << 1

@@ -5,9 +5,11 @@
 package system
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -226,6 +228,20 @@ type System struct {
 	ftL1s   []*core.L1
 	ftL2s   []*core.L2
 	memByID map[msg.NodeID]*core.Mem
+
+	// Per-line accumulators bound once by New, so fingerprinting builds no
+	// closure per agent: fpLine adds one line's hash to fpSum, imageLine
+	// appends an owner view to image (reused scratch, see memoryImage).
+	fpSum     uint64
+	fpLine    func(proto.LineView)
+	image     []imageEntry
+	imageLine func(proto.LineView)
+}
+
+// imageEntry is one owner view of a line: its address and version.
+type imageEntry struct {
+	addr    msg.Addr
+	version uint64
 }
 
 // maxMidRunErrs caps the mid-run violation log; a broken protocol can fail
@@ -283,6 +299,12 @@ func New(cfg Config) (*System, error) {
 		engine: engine,
 		net:    net,
 		run:    run,
+	}
+	s.fpLine = func(v proto.LineView) { s.fpSum += lineFingerprint(v) }
+	s.imageLine = func(v proto.LineView) {
+		if v.Owner {
+			s.image = append(s.image, imageEntry{v.Addr, v.Payload.Version})
+		}
 	}
 	if cfg.CheckIntegrity {
 		s.integrity = NewIntegrity(cfg.Tiles())
@@ -735,38 +757,50 @@ func (s *System) MidRunViolations() []error { return s.midRunErrs }
 // racing pair may differ under fault-perturbed timing); value correctness
 // is the data-integrity oracle's job.
 func (s *System) MemoryImage() map[msg.Addr]uint64 {
-	img := make(map[msg.Addr]uint64)
+	entries := s.memoryImage()
+	img := make(map[msg.Addr]uint64, len(entries))
+	for _, e := range entries {
+		img[e.addr] = e.version
+	}
+	return img
+}
+
+// memoryImage gathers the memory image into the reused s.image scratch:
+// one entry per line, the highest owner version, sorted by address. The
+// result is valid until the next call.
+func (s *System) memoryImage() []imageEntry {
+	s.image = s.image[:0]
 	for _, a := range s.agents {
 		if s.deadNodes[a.NodeID()] {
 			// A dead agent's ownership was re-established elsewhere by the
 			// reconstruction flush; its frozen views no longer count.
 			continue
 		}
-		a.InspectLines(func(v proto.LineView) {
-			if v.Owner {
-				if cur, ok := img[v.Addr]; !ok || v.Payload.Version > cur {
-					img[v.Addr] = v.Payload.Version
-				}
-			}
-		})
+		a.InspectLines(s.imageLine)
 	}
-	return img
+	slices.SortFunc(s.image, func(a, b imageEntry) int {
+		return cmp.Or(cmp.Compare(a.addr, b.addr), cmp.Compare(a.version, b.version))
+	})
+	// Keep the last, highest-version, entry of each address.
+	out := s.image[:0]
+	for i, e := range s.image {
+		if i+1 < len(s.image) && s.image[i+1].addr == e.addr {
+			continue
+		}
+		out = append(out, e)
+	}
+	s.image = out
+	return out
 }
 
 // MemoryImageHash condenses MemoryImage into one FNV-1a hash over the
 // sorted (address, version) pairs, for cheap cross-run comparison.
 func (s *System) MemoryImageHash() uint64 {
-	img := s.MemoryImage()
-	addrs := make([]msg.Addr, 0, len(img))
-	for a := range img {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	h := fnv.New64a()
 	var buf [16]byte
-	for _, a := range addrs {
-		put64(buf[:8], uint64(a))
-		put64(buf[8:], img[a])
+	for _, e := range s.memoryImage() {
+		put64(buf[:8], uint64(e.addr))
+		put64(buf[8:], e.version)
 		h.Write(buf[:])
 	}
 	return h.Sum64()

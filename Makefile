@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check serve-check trace-check load-check
+.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -49,6 +49,14 @@ tile-check:
 mc-check:
 	$(GO) test -race ./internal/mc
 	$(GO) run ./cmd/ftcheck -interleave
+
+# sim-fuzz fuzzes the simulation engine's event queue for 20 s: decoded
+# schedules at delays on both sides of the bucket ring's horizon, timer
+# re-arms and stops, and chooser picks out of the ring and the overflow
+# heap must fire exactly as a sorted-list reference model does. CI runs it
+# in the mc job, beside the model checker that relies on the choice points.
+sim-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
 
 # serve-check builds the ftserve binary and runs the experiment-serving
 # e2e suite under the race detector: concurrent duplicate submissions

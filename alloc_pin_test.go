@@ -43,7 +43,7 @@ func TestFig3QuickAllocsPin(t *testing.T) {
 // executed path on the quick handoff gate at fault budget 1. Every path
 // re-executes its decision prefix on a freshly built system, so per-system
 // setup is paid once per path: with cache frames allocated on first fill
-// and no fixed-size event heap, a path costs ~64 KB. Building the caches
+// and no fixed-size event queue, a path costs ~64 KB. Building the caches
 // eagerly raises that to ~190 KB, which the 128 KB bound rejects.
 func TestInterleavePathBytesPin(t *testing.T) {
 	cfg := quickInterleaveConfig()

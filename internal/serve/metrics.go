@@ -137,7 +137,7 @@ type renderInfo struct {
 	msgGets    uint64 // msg.PoolStats: messages requested
 	msgMisses  uint64 // msg.PoolStats: requests the freelist could not satisfy
 	simPushes  uint64 // sim.HeapStats: events scheduled
-	simGrows   uint64 // sim.HeapStats: pushes that grew a heap's backing array
+	simGrows   uint64 // sim.HeapStats: pushes that grew an engine's slab
 }
 
 // hitRatio renders the freelist hit rate (gets-misses)/gets as a decimal;
@@ -246,13 +246,13 @@ func (m *metrics) render(w io.Writer, info renderInfo) {
 	fmt.Fprintln(w, "# HELP ftserve_pool_msg_hit_ratio Freelist hit rate for simulator messages (1 = fully recycled).")
 	fmt.Fprintln(w, "# TYPE ftserve_pool_msg_hit_ratio gauge")
 	fmt.Fprintf(w, "ftserve_pool_msg_hit_ratio %s\n", hitRatio(info.msgGets, info.msgMisses))
-	fmt.Fprintln(w, "# HELP ftserve_pool_sim_event_pushes_total Simulation events scheduled (event-heap pushes).")
+	fmt.Fprintln(w, "# HELP ftserve_pool_sim_event_pushes_total Simulation events scheduled (event-queue pushes).")
 	fmt.Fprintln(w, "# TYPE ftserve_pool_sim_event_pushes_total counter")
 	fmt.Fprintf(w, "ftserve_pool_sim_event_pushes_total %d\n", info.simPushes)
-	fmt.Fprintln(w, "# HELP ftserve_pool_sim_event_grows_total Event-heap pushes that grew a backing array instead of reusing a slot.")
+	fmt.Fprintln(w, "# HELP ftserve_pool_sim_event_grows_total Event-queue pushes that grew an engine's slab instead of reusing a free slot.")
 	fmt.Fprintln(w, "# TYPE ftserve_pool_sim_event_grows_total counter")
 	fmt.Fprintf(w, "ftserve_pool_sim_event_grows_total %d\n", info.simGrows)
-	fmt.Fprintln(w, "# HELP ftserve_pool_sim_event_hit_ratio Slot-reuse rate for the event heap (1 = allocation-free steady state).")
+	fmt.Fprintln(w, "# HELP ftserve_pool_sim_event_hit_ratio Slot-reuse rate for the event queue (1 = allocation-free steady state).")
 	fmt.Fprintln(w, "# TYPE ftserve_pool_sim_event_hit_ratio gauge")
 	fmt.Fprintf(w, "ftserve_pool_sim_event_hit_ratio %s\n", hitRatio(info.simPushes, info.simGrows))
 

@@ -18,16 +18,19 @@
 //
 // Time under a chooser stays monotone but becomes an abstraction: the
 // chosen event fires at the timestamp of the earliest pending choice
-// (the heap minimum), not at its own nominal arrival time. Non-choice
+// (the queue minimum), not at its own nominal arrival time. Non-choice
 // events (timers, core issue slots, intermediate hops) still fire in
-// timestamp order when they are the heap minimum, so a timeout only fires
+// timestamp order when they are the queue minimum, so a timeout only fires
 // on paths where every earlier-timed delivery choice has been consumed —
 // bounded-delay network semantics. Arbitrarily late delivery beyond a
 // timeout is modeled explicitly as a dropped message (Decision.Drop)
 // followed by the protocol's reissue path.
 package sim
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Choice is one eligible decision at a choice point: the head event of one
 // ordered channel. Key identifies the channel, Info is the opaque payload
@@ -77,85 +80,98 @@ func (e *Engine) ScheduleChoiceAt(at uint64, fn, dropFn func(arg any, tick uint6
 		e.ScheduleCallAt(at, fn, arg, tick) // panics with the standard message
 		return
 	}
-	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, fn: fn, arg: arg, tick: tick, choice: true, key: key, info: info, dropFn: dropFn})
+	s := e.schedule(at, fn, arg, tick)
+	s.choice, s.key, s.info, s.dropFn = true, key, info, dropFn
 }
 
-// stepChoice resolves one choice point: gather the per-channel head events,
-// present them to the chooser in deterministic order, and fire (or drop)
-// the chosen one at the heap minimum's timestamp.
-func (e *Engine) stepChoice() bool {
-	q := e.pq
-	if e.headScratch == nil {
-		e.headScratch = make(map[uint64]int)
-	}
-	heads := e.headScratch
-	for k := range heads {
-		delete(heads, k)
-	}
-	for i := range q {
-		if !q[i].choice {
-			continue
-		}
-		if j, ok := heads[q[i].key]; !ok || q.less(i, j) {
-			heads[q[i].key] = i
-		}
-	}
-	idxs := e.idxScratch[:0]
-	for _, i := range heads {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return q.less(idxs[a], idxs[b]) })
-	choices := e.choiceScratch[:0]
-	for _, i := range idxs {
-		choices = append(choices, Choice{Key: q[i].key, Info: q[i].info, At: q[i].at, CanDrop: q[i].dropFn != nil})
-	}
-	e.idxScratch, e.choiceScratch = idxs, choices
+// channelHead is the earliest queued choice event of one channel: the
+// channel's key, the event's slot, and its index in the overflow heap (-1
+// when it sits in the ring).
+type channelHead struct {
+	key  uint64
+	slot int32
+	hidx int32
+}
 
-	minAt := q[0].at
+// before reports whether slot i precedes slot j in (at, seq) order.
+func (e *Engine) before(i, j int32) bool {
+	a, b := &e.slab[i], &e.slab[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// offerHead records queued choice event i (at overflow index hidx, or -1)
+// in heads, replacing its channel's entry if i comes earlier. Channels are
+// few at any choice point, so a linear scan beats a map.
+func (e *Engine) offerHead(heads []channelHead, i, hidx int32) []channelHead {
+	key := e.slab[i].key
+	for j := range heads {
+		if heads[j].key == key {
+			if e.before(i, heads[j].slot) {
+				heads[j].slot, heads[j].hidx = i, hidx
+			}
+			return heads
+		}
+	}
+	return append(heads, channelHead{key, i, hidx})
+}
+
+// stepChoice resolves one choice point at minAt, the earliest queued
+// event's cycle: gather the per-channel head events from the ring and the
+// overflow heap, present them to the chooser in deterministic (at, seq)
+// order, and fire (or drop) the chosen one at minAt.
+func (e *Engine) stepChoice(minAt uint64) stepResult {
+	heads := e.headScratch[:0]
+	for occ := e.occ; occ != 0; occ &= occ - 1 {
+		tail := e.tails[bits.TrailingZeros64(occ)]
+		for i := e.slab[tail].next; ; i = e.slab[i].next {
+			if e.slab[i].choice {
+				heads = e.offerHead(heads, i, -1)
+			}
+			if i == tail {
+				break
+			}
+		}
+	}
+	for h, k := range e.overflow {
+		if e.slab[k.slot].choice {
+			heads = e.offerHead(heads, k.slot, int32(h))
+		}
+	}
+	slices.SortFunc(heads, func(a, b channelHead) int {
+		if e.before(a.slot, b.slot) {
+			return -1
+		}
+		return 1
+	})
+	choices := e.choiceScratch[:0]
+	for _, h := range heads {
+		s := &e.slab[h.slot]
+		choices = append(choices, Choice{Key: s.key, Info: s.info, At: s.at, CanDrop: s.dropFn != nil})
+	}
+	e.headScratch, e.choiceScratch = heads, choices
+
 	d := e.chooser.Choose(minAt, choices)
 	if d.Halt {
 		e.halted = true
-		return false
+		return stepIdle
 	}
-	if d.Index < 0 || d.Index >= len(idxs) {
+	if d.Index < 0 || d.Index >= len(heads) {
 		panic("sim: chooser decision index out of range")
 	}
-	ev := e.pq.removeAt(idxs[d.Index])
-	e.now = minAt
-	e.events++
+	h := heads[d.Index]
+	s := &e.slab[h.slot]
+	fn, arg, tick := s.fn, s.arg, s.tick
 	if d.Drop {
-		if ev.dropFn == nil {
+		if s.dropFn == nil {
 			panic("sim: chooser drop decision for an undroppable choice")
 		}
-		ev.dropFn(ev.arg, ev.tick)
-	} else {
-		ev.fn(ev.arg, ev.tick)
+		fn = s.dropFn
 	}
+	e.unlink(h.slot, h.hidx)
+	e.release(h.slot)
+	e.now = minAt
+	e.events++
+	fn(arg, tick)
 	e.maybeCompact()
-	return true
-}
-
-// removeAt removes and returns the event at heap index i, restoring the
-// heap property. The vacated slot is cleared like pop's.
-func (h *eventHeap) removeAt(i int) event {
-	q := *h
-	n := len(q) - 1
-	ev := q[i]
-	q[i] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if i < n {
-		h.fix(i)
-	}
-	return ev
-}
-
-// fix restores the heap property around index i after its value changed:
-// sift down first, then up if the element did not move.
-func (h *eventHeap) fix(i int) {
-	if h.siftDown(i) == i {
-		h.siftUp(i)
-	}
+	return stepFired
 }

@@ -23,11 +23,18 @@ type refEvent struct {
 	at, seq uint64
 	id      int
 	timer   int // owning timer index, -1 for plain and choice events
+	choice  bool
+	key     uint64 // a choice event's channel
 }
 
 func (r *refQueue) add(at uint64, id, timer int) {
 	r.seq++
 	r.entries = append(r.entries, refEvent{at: at, seq: r.seq, id: id, timer: timer})
+}
+
+func (r *refQueue) addChoice(at uint64, id int, key uint64) {
+	r.add(at, id, -1)
+	r.entries[len(r.entries)-1].choice, r.entries[len(r.entries)-1].key = true, key
 }
 
 // cancel removes timer's live entry and reports whether it had one.
@@ -41,19 +48,58 @@ func (r *refQueue) cancel(timer int) bool {
 	return false
 }
 
+func (a refEvent) before(b refEvent) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// min returns the index of the earliest entry; the queue must not be empty.
+func (r *refQueue) min() int {
+	best := 0
+	for i, ev := range r.entries {
+		if ev.before(r.entries[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// remove deletes and returns entry i.
+func (r *refQueue) remove(i int) refEvent {
+	ev := r.entries[i]
+	r.entries = append(r.entries[:i], r.entries[i+1:]...)
+	return ev
+}
+
 func (r *refQueue) pop() (refEvent, bool) {
 	if len(r.entries) == 0 {
 		return refEvent{}, false
 	}
-	best := 0
-	for i, ev := range r.entries {
-		if ev.at < r.entries[best].at || ev.at == r.entries[best].at && ev.seq < r.entries[best].seq {
-			best = i
+	return r.remove(r.min()), true
+}
+
+// heads returns the earliest choice event of each channel, in (at, seq)
+// order: what a chooser must be offered.
+func (r *refQueue) heads() []refEvent {
+	var heads []refEvent
+	for _, ev := range r.entries {
+		if !ev.choice {
+			continue
+		}
+		j := slices.IndexFunc(heads, func(h refEvent) bool { return h.key == ev.key })
+		switch {
+		case j < 0:
+			heads = append(heads, ev)
+		case ev.before(heads[j]):
+			heads[j] = ev
 		}
 	}
-	ev := r.entries[best]
-	r.entries = append(r.entries[:best], r.entries[best+1:]...)
-	return ev, true
+	slices.SortFunc(heads, func(a, b refEvent) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	return heads
 }
 
 // compactHarness drives an engine and the reference model with the same
@@ -203,70 +249,94 @@ func TestCompactionMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestCompactionRebuildsHeap is the re-heapify regression: after the dead
-// events are filtered out, survivors must move up past parents that have
-// not been processed yet. Each layout is a valid heap before filtering; the
-// first defeats a top-down sift-down pass, the second a bottom-up pass of
-// the single-element fix (sift down, else sift up), whose sift-up strands
-// the displaced parent above smaller children.
+// TestCompactionRebuildsHeap is the re-heapify regression for the overflow
+// heap: after the dead events are filtered out, survivors must move up past
+// parents that have not been processed yet. Each layout is a valid heap
+// before filtering; the first defeats a top-down sift-down pass, the second
+// a bottom-up pass of the single-element fix (sift down, else sift up),
+// whose sift-up strands the displaced parent above smaller children. All
+// events lie beyond the ring's horizon, so they sit in the overflow heap.
 func TestCompactionRebuildsHeap(t *testing.T) {
-	e := NewEngine()
-	tm := &Timer{engine: e, epoch: 2, armed: true}
-	nop := func(any, uint64) {}
-	live := func(at uint64) event { return event{at: at, seq: at, fn: nop} }
-	dead := func(at uint64) event { return event{at: at, seq: at, fn: timerFire, arg: tm, tick: 1, timer: true} }
+	const base = 10 * ringSize
+	var order []uint64
+	record := func(arg any, _ uint64) { order = append(order, arg.(uint64)) }
+	type ev struct {
+		at   uint64
+		dead bool
+	}
+	live := func(at uint64) ev { return ev{base + at, false} }
+	dead := func(at uint64) ev { return ev{base + at, true} }
+	// install places the events in the overflow heap in exactly the given
+	// layout; the dead ones are firings of a timer re-armed since.
+	install := func(e *Engine, layout []ev) {
+		tm := &Timer{engine: e, epoch: 2, armed: true}
+		for i, x := range layout {
+			s := slot{at: x.at, seq: x.at, fn: record, arg: x.at}
+			if x.dead {
+				s = slot{at: x.at, seq: x.at, fn: timerFire, arg: tm, tick: 1, timer: true}
+				e.stale++
+			}
+			e.slab = append(e.slab, s)
+			e.overflow = append(e.overflow, overflowKey{at: s.at, seq: s.seq, slot: int32(i)})
+			e.queued++
+		}
+	}
 	for _, c := range []struct {
-		heap eventHeap
-		want []uint64
+		layout []ev
+		want   []uint64
 	}{
-		{eventHeap{dead(1), live(20), dead(2), live(21), live(22), dead(3), live(5)}, []uint64{5, 20, 21, 22}},
-		{eventHeap{dead(1), live(10), live(3), dead(12), dead(13), live(6), live(4),
+		{[]ev{dead(1), live(20), dead(2), live(21), live(22), dead(3), live(5)}, []uint64{5, 20, 21, 22}},
+		{[]ev{dead(1), live(10), live(3), dead(12), dead(13), live(6), live(4),
 			dead(14), dead(15), dead(16), dead(17), dead(18), dead(19), live(5)}, []uint64{3, 4, 5, 6, 10}},
 	} {
-		e.pq = c.heap
-		assertHeap(t, e.pq)
-		e.stale = len(c.heap) - len(c.want)
+		e := NewEngine()
+		install(e, c.layout)
+		assertHeap(t, e.overflow)
 		e.compact()
-		if len(e.pq) != len(c.want) || e.stale != 0 {
-			t.Fatalf("after compaction: %d events, stale %d; want %d and 0", len(e.pq), e.stale, len(c.want))
+		if e.Pending() != len(c.want) || len(e.overflow) != len(c.want) || e.stale != 0 {
+			t.Fatalf("after compaction: %d events (%d in the heap), stale %d; want %d and 0",
+				e.Pending(), len(e.overflow), e.stale, len(c.want))
 		}
-		assertHeap(t, e.pq)
-		var order []uint64
-		for len(e.pq) > 0 {
-			order = append(order, e.pq.pop().at)
+		assertHeap(t, e.overflow)
+		order = order[:0]
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
 		}
-		if !slices.Equal(order, c.want) {
-			t.Fatalf("pop order after compaction = %v, want %v", order, c.want)
+		want := make([]uint64, len(c.want))
+		for i, at := range c.want {
+			want[i] = base + at
+		}
+		if !slices.Equal(order, want) {
+			t.Fatalf("firing order after compaction = %v, want %v", order, want)
 		}
 	}
 
-	// Randomised: any heap with any subset of dead timer events compacts
-	// into a valid heap of exactly the live events.
+	// Randomised: any overflow heap with any subset of dead timer events
+	// compacts into a valid heap of exactly the live events.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
-		var h eventHeap
+		e := NewEngine()
+		tm := NewTimer(e)
 		liveN := 0
 		for i, n := 0, rng.Intn(300); i < n; i++ {
-			at := uint64(rng.Intn(50))
-			ev := live(at)
+			at := uint64(ringSize + rng.Intn(50))
 			if rng.Intn(2) == 0 {
-				ev = dead(at)
+				e.schedule(at, timerFire, tm, 1).timer = true
+				e.stale++
 			} else {
+				e.schedule(at, record, at, 0)
 				liveN++
 			}
-			ev.seq = uint64(i)
-			h.push(ev)
 		}
-		e.pq = h
 		e.compact()
-		if len(e.pq) != liveN {
-			t.Fatalf("trial %d: %d events survive, want %d live", trial, len(e.pq), liveN)
+		if e.Pending() != liveN || len(e.overflow) != liveN {
+			t.Fatalf("trial %d: %d events survive (%d in the heap), want %d live", trial, e.Pending(), len(e.overflow), liveN)
 		}
-		assertHeap(t, e.pq)
+		assertHeap(t, e.overflow)
 	}
 }
 
-func assertHeap(t *testing.T, h eventHeap) {
+func assertHeap(t *testing.T, h overflowHeap) {
 	t.Helper()
 	for i := 1; i < len(h); i++ {
 		if h.less(i, (i-1)/2) {

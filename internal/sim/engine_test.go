@@ -316,16 +316,75 @@ func TestRNGBoolProbability(t *testing.T) {
 	}
 }
 
+// engineMix draws n delays in the mix a Table-4 FtDirCMP sweep schedules:
+// about 21% at 2–3 cycles, 70% at 4–7, 0.6% at 8–255 (memory and far
+// hops), and the rest Table 3 timer re-arms at 1,024–4,095 cycles.
+func engineMix(n int) []uint64 {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]uint64, n)
+	for i := range out {
+		switch p := rng.Intn(1000); {
+		case p < 210:
+			out[i] = 2 + uint64(rng.Intn(2))
+		case p < 910:
+			out[i] = 4 + uint64(rng.Intn(4))
+		case p < 916:
+			out[i] = 8 + uint64(rng.Intn(248))
+		default:
+			out[i] = 1024 + uint64(rng.Intn(3072))
+		}
+	}
+	return out
+}
+
+// BenchmarkEngineScheduleRun: one scheduled event (or timer re-arm) and
+// one step per iteration, in the measured delay mix, with 96 armed timers
+// standing in for the ~95 events FtDirCMP keeps queued on average.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
-	src := rand.New(rand.NewSource(1))
+	mix := engineMix(4096)
+	call := func(any, uint64) {}
+	fire := func(any) {}
+	timers := make([]Timer, 96)
+	for i := range timers {
+		timers[i].Bind(e)
+		timers[i].StartCall(mix[i]%3072+1024, fire, nil)
+	}
+	for _, d := range mix[:32] {
+		e.ScheduleCall(d%8, call, nil, 0)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(uint64(src.Intn(64)), func() {})
-		if e.Pending() > 1024 {
-			for e.Pending() > 0 {
-				e.Step()
-			}
+		if d := mix[i&4095]; d >= 1024 {
+			timers[i%len(timers)].Restart(d)
+		} else {
+			e.ScheduleCall(d, call, nil, 0)
+		}
+		e.Step()
+	}
+}
+
+// BenchmarkTimerRestartStop: re-arming and stopping Table 3 timers, three
+// re-arms per Stop, with no event firing in between — the cost of
+// superseding an armed firing, compaction of the dead events included.
+func BenchmarkTimerRestartStop(b *testing.B) {
+	e := NewEngine()
+	mix := engineMix(4096)
+	fire := func(any) {}
+	timers := make([]Timer, 96)
+	for i := range timers {
+		timers[i].Bind(e)
+		timers[i].StartCall(1024, fire, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm := &timers[i%len(timers)]
+		if i%4 == 3 {
+			tm.Stop()
+		} else {
+			tm.Restart(mix[i&4095]%3072 + 1024)
 		}
 	}
 }

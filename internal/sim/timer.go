@@ -105,8 +105,7 @@ func (t *Timer) Restart(delay uint64) {
 func (t *Timer) arm(delay uint64) {
 	t.armed = true
 	e := t.engine
-	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: timerFire, arg: t, tick: t.epoch, timer: true})
+	e.schedule(e.now+delay, timerFire, t, t.epoch).timer = true
 }
 
 // Stop cancels any armed firing.

@@ -1,8 +1,9 @@
 package system
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/proto"
@@ -41,7 +42,7 @@ func (s *System) CheckCoherence() []error {
 			views = append(views, agentView{node: id, v: v})
 		})
 	}
-	sort.SliceStable(views, func(i, j int) bool { return views[i].v.Addr < views[j].v.Addr })
+	slices.SortStableFunc(views, func(a, b agentView) int { return cmp.Compare(a.v.Addr, b.v.Addr) })
 
 	expectTokens := 0
 	if s.cfg.Protocol.tokenBased() {

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz serve-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -57,6 +57,15 @@ mc-check:
 # in the mc job, beside the model checker that relies on the choice points.
 sim-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
+
+# serve-fuzz fuzzes the experiment request body for 20 s, the boundary
+# where client-supplied configuration enters the simulator: resolveRequest
+# must never panic, a body and its field-reordered re-encoding must resolve
+# to the same cache key (or both fail), and an accepted run body of at most
+# 64 tiles, executed with one operation per core, must end in a Result or
+# an error within 2 s. CI runs it in the serve job.
+serve-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzResolveRequest -fuzztime 20s ./internal/serve
 
 # serve-check builds the ftserve binary and runs the experiment-serving
 # e2e suite under the race detector: concurrent duplicate submissions

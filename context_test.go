@@ -126,3 +126,41 @@ func TestCompareContextCancelled(t *testing.T) {
 		t.Fatalf("CompareContext error %v does not wrap context.Canceled", err)
 	}
 }
+
+// TestRunRejectsUnusableFaultParams checks that configurations which used
+// to crash or hang a run are refused up front: a zero serial-number width
+// panicked in FtDirCMP and silently zeroed every FtTokenCMP serial number,
+// and any zero Table 3 timeout re-armed a zero-delay timer forever at a
+// fixed cycle, which only context cancellation could stop. Each must now
+// fail validation, promptly and without touching the deadline.
+func TestRunRejectsUnusableFaultParams(t *testing.T) {
+	cases := []struct {
+		name     string
+		protocol Protocol
+		edit     func(*Config)
+	}{
+		{"FtDirCMP zero serial bits", FtDirCMP, func(c *Config) { c.SerialNumberBits = 0 }},
+		{"FtTokenCMP zero serial bits", FtTokenCMP, func(c *Config) { c.SerialNumberBits = 0 }},
+		{"FtDirCMP zero lost-request timeout", FtDirCMP, func(c *Config) { c.LostRequestTimeout = 0 }},
+		{"FtDirCMP zero lost-unblock timeout", FtDirCMP, func(c *Config) { c.LostUnblockTimeout = 0 }},
+		{"FtDirCMP zero lost-AckBD timeout", FtDirCMP, func(c *Config) { c.LostAckBDTimeout = 0 }},
+		{"FtDirCMP zero backup timeout", FtDirCMP, func(c *Config) { c.BackupTimeout = 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := QuickConfig()
+			cfg.Protocol = c.protocol
+			cfg.OpsPerCore = 200
+			c.edit(&cfg)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			res, err := RunContext(ctx, cfg, "uniform")
+			if err == nil {
+				t.Fatalf("run accepted the configuration (%d cycles)", res.Cycles)
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("run was only stopped by the 1 s deadline: %v", err)
+			}
+		})
+	}
+}

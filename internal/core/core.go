@@ -1,10 +1,24 @@
-// Package core implements FtDirCMP, the paper's primary contribution: a
-// directory-based MOESI cache coherence protocol that guarantees correct
-// program execution even when the interconnection network loses messages
-// due to transient faults (§3 of the paper).
+// Package core implements the directory-based MOESI cache coherence
+// protocols: FtDirCMP, the paper's primary contribution, which guarantees
+// correct program execution even when the interconnection network loses
+// messages due to transient faults (§3 of the paper), and DirCMP, the
+// baseline it extends (§2).
 //
-// FtDirCMP extends the DirCMP baseline (package dircmp) with four
-// mechanisms:
+// Both share one directory organisation. The L2 is shared, physically
+// distributed (one bank per tile, line-interleaved homes) and
+// non-inclusive; each bank is the directory for the L1s. Per-line busy
+// states serialize transactions: the directory attends one request per
+// line and queues the rest until the Unblock/UnblockEx (or the writeback
+// data) closes the transaction. Writebacks are three-phase (Put → WbAck →
+// WbData/WbNoData), and a migratory-sharing optimization turns
+// read-modify-write sharing into exclusive grants.
+//
+// DirCMP is FtDirCMP with its four mechanisms switched off: the
+// controllers take an ft flag, and with ft false they keep no backups,
+// arm no timers, send every serial number as 0 and release memory as soon
+// as fetched data arrives. DirCMP assumes a reliable network: losing any
+// message deadlocks it, which is exactly the property the evaluation
+// demonstrates. The four mechanisms are:
 //
 //  1. Reliable ownership transference (§3.1). Whenever owned data moves
 //     between nodes, the sender keeps a backup copy (Backup state) until an
@@ -43,13 +57,15 @@
 //     (waiting for memory's AckBD) the line can still move between L1s; it
 //     only cannot be written back to memory.
 //
-// The controllers never assume a message arrives: every handler tolerates
-// duplicates from reissues and discards stale serial numbers.
+// With ft set, the controllers never assume a message arrives: every
+// handler tolerates duplicates from reissues and discards stale serial
+// numbers.
 package core
 
 import (
 	"fmt"
 
+	"repro/internal/msg"
 	"repro/internal/proto"
 )
 
@@ -139,10 +155,18 @@ func permOf(s int) proto.Permission {
 	}
 }
 
-// protocolPanic reports a broken internal invariant. Unlike DirCMP, the
-// fault-tolerant controllers only panic on states that are impossible even
-// under arbitrary message loss — anything a fault can cause is handled or
-// counted instead.
+// nextSN draws a fresh serial number from s, or 0 when the controller runs
+// without serial numbers (DirCMP, s nil).
+func nextSN(s *msg.SerialSpace) msg.SerialNumber {
+	if s == nil {
+		return 0
+	}
+	return s.Next()
+}
+
+// protocolPanic reports a broken internal invariant. The controllers only
+// panic on states that are impossible even under arbitrary message loss —
+// anything a fault can cause is handled or counted instead.
 func protocolPanic(format string, args ...any) {
 	panic("core: protocol invariant violated: " + fmt.Sprintf(format, args...))
 }

@@ -116,9 +116,11 @@ type blockedEntry struct {
 	deferred map[msg.NodeID]msg.Message
 }
 
-// L1 is an FtDirCMP level-1 cache controller.
+// L1 is a level-1 cache controller: FtDirCMP when ft is set, DirCMP
+// otherwise.
 type L1 struct {
 	id     msg.NodeID
+	ft     bool
 	topo   proto.Topology
 	params proto.Params
 	engine *sim.Engine
@@ -130,7 +132,7 @@ type L1 struct {
 	wb      *cache.Table[l1WB]
 	backups *cache.Table[backupEntry]
 	blocked *cache.Table[blockedEntry]
-	serial  *msg.SerialSpace
+	serial  *msg.SerialSpace // nil without ft: every serial number is 0
 	tids    proto.TIDSource
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
@@ -148,15 +150,16 @@ type L1 struct {
 var _ proto.L1Port = (*L1)(nil)
 var _ proto.Inspectable = (*L1)(nil)
 
-// NewL1 builds an FtDirCMP L1 controller. onWrite may be nil.
+// NewL1 builds an L1 controller; ft selects FtDirCMP. onWrite may be nil.
 func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
-	net proto.Sender, run *stats.Run, onWrite proto.WriteObserver) (*L1, error) {
+	net proto.Sender, run *stats.Run, onWrite proto.WriteObserver, ft bool) (*L1, error) {
 	arr, err := cache.NewArray(params.L1Size, params.L1Ways, params.LineSize)
 	if err != nil {
 		return nil, err
 	}
 	l := &L1{
 		id:      id,
+		ft:      ft,
 		topo:    topo,
 		params:  params,
 		engine:  engine,
@@ -167,9 +170,11 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		wb:      cache.NewTableReset[l1WB](0, resetL1WB),
 		backups: cache.NewTableReset[backupEntry](0, resetBackup),
 		blocked: cache.NewTableReset[blockedEntry](0, resetBlocked),
-		serial:  msg.NewSerialSpace(params.SerialBits),
 		tids:    proto.NewTIDSource(id),
 		onWrite: onWrite,
+	}
+	if ft {
+		l.serial = msg.NewSerialSpace(params.SerialBits)
 	}
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.mshr.Get(c.Addr) == nil && l.wb.Get(c.Addr) == nil && l.blocked.Get(c.Addr) == nil
@@ -317,7 +322,7 @@ func (l *L1) defer_(addr msg.Addr, retry func()) bool {
 }
 
 // startMiss allocates an MSHR, picks a serial number and issues the
-// request, arming the lost-request timeout.
+// request, arming the lost-request timeout (FtDirCMP).
 func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.AccessResult)) {
 	e := l.mshr.Alloc(addr)
 	if e == nil {
@@ -337,15 +342,17 @@ func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.
 	e.issuedAt = l.engine.Now()
 	e.done = done
 	e.tid = l.tids.Next()
-	e.sn = l.serial.Next()
+	e.sn = nextSN(l.serial)
 	e.snHistory = append(e.snHistory, e.sn)
 	e.reqType = msg.GetS
 	if write {
 		e.reqType = msg.GetX
 	}
-	e.timer.Bind(l.engine)
 	l.send(&msg.Message{Type: e.reqType, Dst: l.homeL2(addr), Addr: addr, SN: e.sn, TID: e.tid})
-	l.armLostRequest(addr, e)
+	if l.ft {
+		e.timer.Bind(l.engine)
+		l.armLostRequest(addr, e)
+	}
 }
 
 // armLostRequest starts (or restarts) the lost-request timeout: when it
@@ -545,9 +552,17 @@ func (l *L1) handleFwd(m *msg.Message) {
 	l.stale(false)
 }
 
-// sendOwned transmits owned data in response to a forwarded request and
-// installs the backup entry that guards the transfer.
+// sendOwned transmits owned data in response to a forwarded request and,
+// in FtDirCMP, installs the backup entry that guards the transfer. DirCMP
+// hands the ownership over outright.
 func (l *L1) sendOwned(addr msg.Addr, m *msg.Message, payload msg.Payload, dirty bool) {
+	if !l.ft {
+		l.send(&msg.Message{
+			Type: msg.DataEx, Dst: m.Requestor, Addr: addr, SN: m.SN, TID: m.TID,
+			Payload: payload, Dirty: true, AckCount: m.AckCount,
+		})
+		return
+	}
 	b := l.backups.Get(addr)
 	if b == nil {
 		b = l.backups.Alloc(addr)
@@ -612,8 +627,17 @@ func (l *L1) handleWbAck(m *msg.Message) {
 }
 
 // sendWbData transmits the writeback data and arms the backup timer: the
-// entry is now the backup for an ownership transfer to the L2.
+// entry is now the backup for an ownership transfer to the L2. In DirCMP
+// the data hands the ownership over outright and the entry is freed.
 func (l *L1) sendWbData(addr msg.Addr, w *l1WB, sn msg.SerialNumber) {
+	if !l.ft {
+		l.send(&msg.Message{
+			Type: msg.WbData, Dst: l.homeL2(addr), Addr: addr, SN: sn, TID: w.tid,
+			Payload: w.payload, Dirty: w.dirty,
+		})
+		l.freeWB(addr, w)
+		return
+	}
 	w.sentData = true
 	w.sn = sn
 	l.obs.BackupCreated("l1", l.id, addr, w.tid, l.homeL2(addr))
@@ -828,10 +852,10 @@ func (l *L1) tryComplete(addr msg.Addr, e *l1Miss) {
 	e.timer.Stop()
 
 	// Ownership moved to us on any DataEx that carried the data (a
-	// dataless grant means we already owned the line): enter the
-	// blocked-ownership state and acknowledge (§3.1).
+	// dataless grant means we already owned the line): in FtDirCMP, enter
+	// the blocked-ownership state and acknowledge (§3.1).
 	home := l.homeL2(addr)
-	transfer := e.exclusive && !e.noPayload
+	transfer := l.ft && e.exclusive && !e.noPayload
 	if transfer {
 		b := l.blocked.Alloc(addr)
 		b.owner = l
@@ -948,10 +972,10 @@ func (l *L1) install(addr msg.Addr, state int, payload msg.Payload, dirty bool, 
 }
 
 // evict starts a three-phase writeback for owned lines (with the Put
-// guarded by the lost-request timeout); shared lines drop silently. cause is
-// the transaction whose placement forced the eviction: the silent drop is
-// attributed to it, while an owned eviction starts a new writeback
-// transaction with its own TID.
+// guarded by the lost-request timeout in FtDirCMP); shared lines drop
+// silently. cause is the transaction whose placement forced the eviction:
+// the silent drop is attributed to it, while an owned eviction starts a
+// new writeback transaction with its own TID.
 func (l *L1) evict(line *cache.Line, cause msg.TID) {
 	if !ownerState(line.State) {
 		line.Valid = false
@@ -968,12 +992,14 @@ func (l *L1) evict(line *cache.Line, cause msg.TID) {
 	w.payload = line.Payload
 	w.dirty = line.Dirty || line.State == StateM
 	w.tid = l.tids.Next()
-	w.sn = l.serial.Next()
-	w.putTimer.Bind(l.engine)
+	w.sn = nextSN(l.serial)
 	l.obs.StateChange("l1", l.id, addr, w.tid, stateName(line.State), "WB")
 	l.run.Proto.Writebacks++
 	l.send(&msg.Message{Type: msg.Put, Dst: l.homeL2(addr), Addr: addr, SN: w.sn, TID: w.tid})
-	l.armPutTimer(addr, w)
+	if l.ft {
+		w.putTimer.Bind(l.engine)
+		l.armPutTimer(addr, w)
+	}
 	line.Valid = false
 }
 
@@ -1076,12 +1102,14 @@ func (l *L1) InspectLines(fn func(proto.LineView)) {
 			State: "backup", SN: b.sn})
 	})
 	l.wb.ForEach(func(addr msg.Addr, w *l1WB) {
-		if w.transferred {
+		if w.transferred && l.ft {
+			// The transfer's backup entry stands for the line; without
+			// backups the entry itself is the Put still waiting for WbAck.
 			return
 		}
 		fn(proto.LineView{
 			Addr:      addr,
-			Owner:     !w.sentData,
+			Owner:     !w.sentData && !w.transferred,
 			Backup:    w.sentData,
 			Transient: true,
 			Payload:   w.payload,

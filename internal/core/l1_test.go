@@ -64,7 +64,7 @@ func testL1(t *testing.T) (*L1, *fakeNet, *sim.Engine) {
 	engine := sim.NewEngine()
 	net := &fakeNet{}
 	run := stats.NewRun("FtDirCMP", "unit")
-	l1, err := NewL1(topo.L1(0), topo, testParams(), engine, net, run, nil)
+	l1, err := NewL1(topo.L1(0), topo, testParams(), engine, net, run, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

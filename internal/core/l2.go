@@ -23,7 +23,9 @@ func l2StateName(s int) string {
 	}
 }
 
-// Transaction phases for the per-line FtDirCMP L2 MSHR.
+// Transaction phases for the per-line L2 MSHR. DirCMP uses only
+// phaseWaitUnblock, phaseWaitWbData, phaseWaitMemData, phaseWaitRecall and
+// phaseWaitMemWbAck, with no timer armed in any of them.
 const (
 	phaseIdle = iota
 	// phaseWaitUnblock: a response or forward went to an L1; waiting for
@@ -182,16 +184,18 @@ func resetL2Trans(t *l2Trans) {
 	}
 }
 
-// migInfo is the migratory-sharing detector state (identical to DirCMP's).
+// migInfo is the migratory-sharing detector state.
 type migInfo struct {
 	lastReader  msg.NodeID
 	lastWasRead bool
 	migratory   bool
 }
 
-// L2 is an FtDirCMP shared-L2 bank plus its slice of the directory.
+// L2 is a shared-L2 bank plus its slice of the directory: FtDirCMP when ft
+// is set, DirCMP otherwise.
 type L2 struct {
 	id     msg.NodeID
+	ft     bool
 	topo   proto.Topology
 	params proto.Params
 	engine *sim.Engine
@@ -202,7 +206,7 @@ type L2 struct {
 	trans  *cache.Table[l2Trans]
 	ext    *cache.Table[extBlock]
 	mig    map[msg.Addr]migInfo
-	serial *msg.SerialSpace
+	serial *msg.SerialSpace // nil without ft: every serial number is 0
 	tids   proto.TIDSource
 	obs    *obs.Recorder
 
@@ -218,15 +222,16 @@ type L2 struct {
 
 var _ proto.Inspectable = (*L2)(nil)
 
-// NewL2 builds an FtDirCMP L2 bank controller.
+// NewL2 builds an L2 bank controller; ft selects FtDirCMP.
 func NewL2(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
-	net proto.Sender, run *stats.Run) (*L2, error) {
+	net proto.Sender, run *stats.Run, ft bool) (*L2, error) {
 	arr, err := cache.NewArray(params.L2Size, params.L2Ways, params.LineSize)
 	if err != nil {
 		return nil, err
 	}
 	l := &L2{
 		id:     id,
+		ft:     ft,
 		topo:   topo,
 		params: params,
 		engine: engine,
@@ -236,8 +241,10 @@ func NewL2(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		trans:  cache.NewTableReset[l2Trans](0, resetL2Trans),
 		ext:    cache.NewTableReset[extBlock](0, resetExtBlock),
 		mig:    make(map[msg.Addr]migInfo),
-		serial: msg.NewSerialSpace(params.SerialBits),
 		tids:   proto.NewTIDSource(id),
+	}
+	if ft {
+		l.serial = msg.NewSerialSpace(params.SerialBits)
 	}
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.trans.Get(c.Addr) == nil && l.ext.Get(c.Addr) == nil
@@ -329,11 +336,11 @@ func (l *L2) Handle(m *msg.Message) {
 	}
 }
 
-// handleRequest starts, queues, or recognizes as reissued an L1 request.
-// Reissue detection (§3.2): same requester and address with a different
-// serial number means the previous attempt's response may be lost, so the
-// current response is re-sent with the new serial number instead of
-// queueing the request behind itself.
+// handleRequest starts, queues, or (FtDirCMP) recognizes as reissued an L1
+// request. Reissue detection (§3.2): same requester and address with a
+// different serial number means the previous attempt's response may be
+// lost, so the current response is re-sent with the new serial number
+// instead of queueing the request behind itself.
 func (l *L2) handleRequest(m *msg.Message) {
 	req := pendingReq{typ: m.Type, from: m.Src, tid: m.TID, sn: m.SN}
 	t := l.trans.Get(m.Addr)
@@ -345,19 +352,21 @@ func (l *L2) handleRequest(m *msg.Message) {
 		l.service(m.Addr, t)
 		return
 	}
-	if t.req.from == m.Src && t.req.typ == m.Type {
-		if t.req.sn == m.SN {
-			return // duplicate delivery of the same attempt
-		}
-		t.req.sn = m.SN
-		l.resendResponse(m.Addr, t)
-		return
-	}
-	// Reissue of a queued request updates its serial number in place.
-	for i := range t.queue {
-		if t.queue[i].from == m.Src && t.queue[i].typ == m.Type {
-			t.queue[i].sn = m.SN
+	if l.ft {
+		if t.req.from == m.Src && t.req.typ == m.Type {
+			if t.req.sn == m.SN {
+				return // duplicate delivery of the same attempt
+			}
+			t.req.sn = m.SN
+			l.resendResponse(m.Addr, t)
 			return
+		}
+		// Reissue of a queued request updates its serial number in place.
+		for i := range t.queue {
+			if t.queue[i].from == m.Src && t.queue[i].typ == m.Type {
+				t.queue[i].sn = m.SN
+				return
+			}
 		}
 	}
 	t.queue = append(t.queue, req)
@@ -385,17 +394,15 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 		if line.State == L2StateS {
 			if line.Sharers.Empty() {
 				t.respKind = respDataEx
-				t.sentDataExTo = r.from
 				t.ackCount = 0
 				l.send(&msg.Message{
 					Type: msg.DataEx, Dst: r.from, Addr: addr, TID: r.tid, SN: r.sn,
 					Payload: line.Payload, Dirty: line.Dirty,
 				})
 				l.obs.StateChange("l2", l.id, addr, r.tid, "S", "M")
-				l.obs.BackupCreated("l2", l.id, addr, r.tid, r.from)
+				l.keepBackup(addr, t, r.from)
 				line.State = L2StateM
 				line.Owner = r.from
-				l.armBackup(addr, t)
 			} else {
 				t.respKind = respData
 				l.send(&msg.Message{
@@ -449,16 +456,14 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 		l.sendInvs(addr, t)
 		if line.State == L2StateS {
 			t.respKind = respDataEx
-			t.sentDataExTo = r.from
 			l.send(&msg.Message{
 				Type: msg.DataEx, Dst: r.from, Addr: addr, TID: r.tid, SN: r.sn,
 				Payload: line.Payload, Dirty: line.Dirty, AckCount: t.ackCount,
 			})
 			l.obs.StateChange("l2", l.id, addr, r.tid, "S", "M")
-			l.obs.BackupCreated("l2", l.id, addr, r.tid, r.from)
+			l.keepBackup(addr, t, r.from)
 			line.State = L2StateM
 			line.Owner = r.from
-			l.armBackup(addr, t)
 		} else if line.Owner == r.from {
 			t.respKind = respNoPayload
 			l.send(&msg.Message{
@@ -548,9 +553,12 @@ func (l *L2) resendResponse(addr msg.Addr, t *l2Trans) {
 	}
 }
 
-// enterWaitUnblock arms the lost-unblock timeout (§3.3).
+// enterWaitUnblock arms the lost-unblock timeout (§3.3) in FtDirCMP.
 func (l *L2) enterWaitUnblock(addr msg.Addr, t *l2Trans) {
 	t.phase = phaseWaitUnblock
+	if !l.ft {
+		return
+	}
 	t.unblockTimer.Bind(l.engine)
 	l.armUnblockTimer(addr, t)
 }
@@ -577,9 +585,13 @@ func l2UnblockFired(arg any) {
 	l.armUnblockTimer(addr, t)
 }
 
-// enterWaitWbData arms the writeback flavour of the lost-unblock timeout.
+// enterWaitWbData arms the writeback flavour of the lost-unblock timeout
+// in FtDirCMP.
 func (l *L2) enterWaitWbData(addr msg.Addr, t *l2Trans) {
 	t.phase = phaseWaitWbData
+	if !l.ft {
+		return
+	}
 	t.unblockTimer.Bind(l.engine)
 	l.armWbPingTimer(addr, t)
 }
@@ -602,6 +614,17 @@ func l2WbPingFired(arg any) {
 	l.obs.TimeoutFired("l2", l.id, addr, t.tid, obs.TimeoutLostUnblock)
 	l.send(&msg.Message{Type: msg.WbPing, Dst: t.req.from, Addr: addr, TID: t.tid, SN: t.req.sn})
 	l.armWbPingTimer(addr, t)
+}
+
+// keepBackup makes the line's payload the in-chip backup for the DataEx
+// just sent to an L1 (FtDirCMP); DirCMP hands the ownership over outright.
+func (l *L2) keepBackup(addr msg.Addr, t *l2Trans, to msg.NodeID) {
+	if !l.ft {
+		return
+	}
+	t.sentDataExTo = to
+	l.obs.BackupCreated("l2", l.id, addr, t.tid, to)
+	l.armBackup(addr, t)
 }
 
 // armBackup guards the in-chip backup held after sending DataEx to an L1.
@@ -667,7 +690,7 @@ func (l *L2) maybeCloseRequest(addr msg.Addr, t *l2Trans) {
 	if !t.unblockReceived {
 		return
 	}
-	if t.respKind == respDataEx && !t.backupCleared {
+	if t.sentDataExTo != 0 && !t.backupCleared {
 		return
 	}
 	if t.owedMem {
@@ -722,8 +745,8 @@ func extAckBDFired(arg any) {
 }
 
 // handleWbData absorbs a writeback's data: ownership moved from the L1 to
-// this bank, so acknowledge it and hold the transaction open until the
-// L1's backup is deleted (AckBD).
+// this bank, so (FtDirCMP) acknowledge it and hold the transaction open
+// until the L1's backup is deleted (AckBD).
 func (l *L2) handleWbData(m *msg.Message) {
 	t := l.trans.Get(m.Addr)
 	if t == nil || t.phase != phaseWaitWbData || m.Src != t.req.from {
@@ -743,6 +766,10 @@ func (l *L2) handleWbData(m *msg.Message) {
 	line.Owner = 0
 	line.Payload = m.Payload
 	line.Dirty = m.Dirty
+	if !l.ft {
+		l.finish(m.Addr, t)
+		return
+	}
 	l.sendAckO(m.Addr, t, m.Src, m.SN, nil)
 }
 
@@ -813,9 +840,14 @@ func (l *L2) handleData(m *msg.Message) {
 		l.run.Proto.L2Misses++
 		t.fetched = m.Payload
 		t.fetchedDirty = m.Dirty
-		// The UnblockEx+AckO to memory is deferred until the requesting
-		// L1's own AckO arrives (§3.1.1); remember the serial number.
-		t.owedMem = true
+		if l.ft {
+			// The UnblockEx+AckO to memory is deferred until the requesting
+			// L1's own AckO arrives (§3.1.1); remember the serial number.
+			t.owedMem = true
+		} else {
+			// DirCMP releases memory at once; the frame may come later.
+			l.send(&msg.Message{Type: msg.UnblockEx, Dst: m.Src, Addr: m.Addr, TID: t.tid})
+		}
 		l.install(m.Addr, t)
 	case phaseWaitRecall:
 		if m.SN != t.recallSN {
@@ -843,7 +875,8 @@ func (l *L2) handleRecallAck(m *msg.Message) {
 }
 
 // tryFinishRecall proceeds once all L1 copies are collected: acknowledge
-// the recalled owner's backup (if data moved) and then write back.
+// the recalled owner's backup (FtDirCMP, if data moved) and then write
+// back.
 func (l *L2) tryFinishRecall(addr msg.Addr, t *l2Trans) {
 	if t.pendingAcks > 0 || (t.needData && !t.gotData) {
 		return
@@ -860,12 +893,14 @@ func (l *L2) tryFinishRecall(addr msg.Addr, t *l2Trans) {
 		line.Owner = 0
 		line.Payload = t.recalled
 		line.Dirty = true
-		// The old owner holds a backup for the transfer; release it and
-		// only then move the data off-chip (never two backups).
-		l.sendAckO(addr, t, t.recallFrom, t.recallSN, func() {
-			l.evictToMem(addr, t, l.array.Lookup(addr))
-		})
-		return
+		if l.ft {
+			// The old owner holds a backup for the transfer; release it
+			// and only then move the data off-chip (never two backups).
+			l.sendAckO(addr, t, t.recallFrom, t.recallSN, func() {
+				l.evictToMem(addr, t, l.array.Lookup(addr))
+			})
+			return
+		}
 	}
 	l.evictToMem(addr, t, line)
 }
@@ -885,14 +920,16 @@ func (l *L2) evictToMem(addr msg.Addr, t *l2Trans, line *cache.Line) {
 		l.obs.StateChange("l2", l.id, addr, t.tid, l2StateName(line.State), "I")
 	}
 	t.phase = phaseWaitMemWbAck
-	t.memSN = l.serial.Next()
+	t.memSN = nextSN(l.serial)
 	l.send(&msg.Message{Type: msg.Put, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: t.memSN})
-	l.armMemTimer(addr, t, msg.Put)
+	if l.ft {
+		l.armMemTimer(addr, t, msg.Put)
+	}
 }
 
 // armMemTimer reissues a memory-facing request (GetX fetch or Put) whose
 // response never arrived — the L2 plays the requester role toward memory,
-// so it runs its own lost-request timeout (§3.5).
+// so FtDirCMP runs its own lost-request timeout (§3.5).
 func (l *L2) armMemTimer(addr msg.Addr, t *l2Trans, typ msg.Type) {
 	t.memTyp = typ
 	t.memTimer.Bind(l.engine)
@@ -923,8 +960,8 @@ func l2MemTimerFired(arg any) {
 }
 
 // handleMemWbAck sends the eviction's data to memory (or WbNoData when the
-// line was clean). Sending WbData makes this bank the backup until
-// memory's AckO.
+// line was clean). In FtDirCMP, sending WbData makes this bank the backup
+// until memory's AckO; DirCMP hands the ownership over outright.
 func (l *L2) handleMemWbAck(m *msg.Message) {
 	t := l.trans.Get(m.Addr)
 	if t == nil || t.phase != phaseWaitMemWbAck || m.SN != t.memSN {
@@ -933,6 +970,14 @@ func (l *L2) handleMemWbAck(m *msg.Message) {
 	}
 	t.memTimer.Stop()
 	if m.WantData && t.wbDirty {
+		if !l.ft {
+			l.send(&msg.Message{
+				Type: msg.WbData, Dst: m.Src, Addr: m.Addr, TID: t.tid, SN: m.SN,
+				Payload: t.wbPayload, Dirty: true,
+			})
+			l.finish(m.Addr, t)
+			return
+		}
 		t.phase = phaseWaitMemAckO
 		l.obs.BackupCreated("l2", l.id, m.Addr, t.tid, m.Src)
 		l.send(&msg.Message{
@@ -1141,13 +1186,15 @@ func (l *L2) handleNackO(m *msg.Message) {
 	}
 }
 
-// startFetch requests the line from memory with ownership, guarded by the
-// L2's own lost-request timeout.
+// startFetch requests the line from memory with ownership, guarded in
+// FtDirCMP by the L2's own lost-request timeout.
 func (l *L2) startFetch(addr msg.Addr, t *l2Trans) {
 	t.phase = phaseWaitMemData
-	t.memSN = l.serial.Next()
+	t.memSN = nextSN(l.serial)
 	l.send(&msg.Message{Type: msg.GetX, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: t.memSN})
-	l.armMemTimer(addr, t, msg.GetX)
+	if l.ft {
+		l.armMemTimer(addr, t, msg.GetX)
+	}
 }
 
 // install places fetched data into the array, evicting a victim if needed,
@@ -1194,7 +1241,7 @@ func (l *L2) startEvict(line *cache.Line, onDone func()) {
 	if line.State == L2StateM || !line.Sharers.Empty() {
 		l.run.Proto.L2Recalls++
 		t.needData = line.State == L2StateM
-		t.recallSN = l.serial.Next()
+		t.recallSN = nextSN(l.serial)
 		l.sendRecall(line.Addr, t, line)
 		return
 	}
@@ -1202,7 +1249,8 @@ func (l *L2) startEvict(line *cache.Line, onDone func()) {
 }
 
 // sendRecall (re)issues the recall: invalidations to sharers, a forwarded
-// GetX to the owner if the data must come back.
+// GetX to the owner if the data must come back. FtDirCMP guards it with
+// the recall timer.
 func (l *L2) sendRecall(addr msg.Addr, t *l2Trans, line *cache.Line) {
 	t.phase = phaseWaitRecall
 	t.gotData = false
@@ -1221,8 +1269,10 @@ func (l *L2) sendRecall(addr msg.Addr, t *l2Trans, line *cache.Line) {
 			Forwarded: true, Requestor: l.id,
 		})
 	}
-	t.recallTimer.Bind(l.engine)
-	l.armRecallTimer(addr, t)
+	if l.ft {
+		t.recallTimer.Bind(l.engine)
+		l.armRecallTimer(addr, t)
+	}
 }
 
 // armRecallTimer reissues the recall when responses are lost.

@@ -20,7 +20,7 @@ func testL2(t *testing.T) (*L2, *fakeNet, *sim.Engine, proto.Topology) {
 	engine := sim.NewEngine()
 	net := &fakeNet{}
 	run := stats.NewRun("FtDirCMP", "unit")
-	l2, err := NewL2(topo.L2(0), topo, testParams(), engine, net, run)
+	l2, err := NewL2(topo.L2(0), topo, testParams(), engine, net, run, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,12 +96,15 @@ func resetMemTrans(t *memTrans) {
 	*t = memTrans{queue: t.queue[:0], pingTimer: t.pingTimer, ackBDTimer: t.ackBDTimer}
 }
 
-// Mem is an FtDirCMP memory controller: the same directory role as the
-// DirCMP one, plus reissue detection, the lost-unblock timeout toward the
+// Mem is a memory controller. It serializes transactions per line and
+// tracks which lines the on-chip L2 currently owns, so that evicted lines
+// can be re-fetched and dirty data lands back in the store. With ft set
+// (FtDirCMP) it adds reissue detection, the lost-unblock timeout toward the
 // L2, and the ownership-acknowledgment handshake on both transfer
 // directions.
 type Mem struct {
 	id     msg.NodeID
+	ft     bool
 	topo   proto.Topology
 	params proto.Params
 	engine *sim.Engine
@@ -111,7 +114,7 @@ type Mem struct {
 	store  *memctrl.Store
 	owned  map[msg.Addr]bool
 	trans  *cache.Table[memTrans]
-	serial *msg.SerialSpace
+	serial *msg.SerialSpace // nil without ft
 	obs    *obs.Recorder
 
 	// domains is the structural-fault failure detector (nil without
@@ -126,11 +129,13 @@ type Mem struct {
 
 var _ proto.Inspectable = (*Mem)(nil)
 
-// NewMem builds an FtDirCMP memory controller over the given store.
+// NewMem builds a memory controller over the given store; ft selects
+// FtDirCMP.
 func NewMem(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
-	net proto.Sender, run *stats.Run, store *memctrl.Store) *Mem {
+	net proto.Sender, run *stats.Run, store *memctrl.Store, ft bool) *Mem {
 	c := &Mem{
 		id:     id,
+		ft:     ft,
 		topo:   topo,
 		params: params,
 		engine: engine,
@@ -139,7 +144,9 @@ func NewMem(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim
 		store:  store,
 		owned:  make(map[msg.Addr]bool),
 		trans:  cache.NewTableReset[memTrans](0, resetMemTrans),
-		serial: msg.NewSerialSpace(params.SerialBits),
+	}
+	if ft {
+		c.serial = msg.NewSerialSpace(params.SerialBits)
 	}
 	c.sendDelayed = func(arg any, _ uint64) { c.net.Send(arg.(*msg.Message)) }
 	return c
@@ -186,12 +193,13 @@ func (c *Mem) Handle(m *msg.Message) {
 	}
 }
 
-// handleRequest starts, queues or re-answers (reissue) an L2 request.
+// handleRequest starts, queues or (FtDirCMP) re-answers a reissued L2
+// request.
 func (c *Mem) handleRequest(m *msg.Message) {
 	req := pendingReq{typ: m.Type, from: m.Src, tid: m.TID, sn: m.SN}
 	t := c.trans.Get(m.Addr)
 	if t == nil {
-		if m.Type == msg.GetX && c.owned[m.Addr] {
+		if c.ft && m.Type == msg.GetX && c.owned[m.Addr] {
 			// A superseded fetch attempt arriving after the whole exchange
 			// completed: answer with a stale-serial response the L2 will
 			// discard, changing nothing.
@@ -209,18 +217,20 @@ func (c *Mem) handleRequest(m *msg.Message) {
 		c.service(m.Addr, t)
 		return
 	}
-	if t.req.from == m.Src && t.req.typ == m.Type {
-		if t.req.sn == m.SN {
+	if c.ft {
+		if t.req.from == m.Src && t.req.typ == m.Type {
+			if t.req.sn == m.SN {
+				return
+			}
+			t.req.sn = m.SN
+			c.resendResponse(m.Addr, t)
 			return
 		}
-		t.req.sn = m.SN
-		c.resendResponse(m.Addr, t)
-		return
-	}
-	for i := range t.queue {
-		if t.queue[i].from == m.Src && t.queue[i].typ == m.Type {
-			t.queue[i].sn = m.SN
-			return
+		for i := range t.queue {
+			if t.queue[i].from == m.Src && t.queue[i].typ == m.Type {
+				t.queue[i].sn = m.SN
+				return
+			}
 		}
 	}
 	t.queue = append(t.queue, req)
@@ -240,14 +250,18 @@ func (c *Mem) service(addr msg.Addr, t *memTrans) {
 		pm.Payload = c.store.Read(addr)
 		pm.Src = c.id
 		c.engine.ScheduleCall(c.params.MemLatency, c.sendDelayed, pm, 0)
-		c.armPing(addr, t, msg.UnblockPing)
+		if c.ft {
+			c.armPing(addr, t, msg.UnblockPing)
+		}
 	case msg.Put:
 		t.phase = memWaitWbData
 		c.send(&msg.Message{
 			Type: msg.WbAck, Dst: t.req.from, Addr: addr, TID: t.req.tid, SN: t.req.sn,
 			WantData: c.owned[addr],
 		})
-		c.armPing(addr, t, msg.WbPing)
+		if c.ft {
+			c.armPing(addr, t, msg.WbPing)
+		}
 	default:
 		protocolPanic("mem %d cannot service %v", c.id, t.req.typ)
 	}
@@ -316,7 +330,7 @@ func (c *Mem) handleUnblock(m *msg.Message) {
 }
 
 // handleWbData stores the written-back data; ownership moved to memory, so
-// acknowledge and wait for the L2's backup deletion.
+// (FtDirCMP) acknowledge and wait for the L2's backup deletion.
 func (c *Mem) handleWbData(m *msg.Message) {
 	t := c.trans.Get(m.Addr)
 	if t == nil || t.phase != memWaitWbData || m.Src != t.req.from {
@@ -329,6 +343,10 @@ func (c *Mem) handleWbData(m *msg.Message) {
 		c.obs.StateChange("mem", c.id, m.Addr, m.TID, "chip", "mem")
 	}
 	c.owned[m.Addr] = false
+	if !c.ft {
+		c.finish(m.Addr, t)
+		return
+	}
 	t.phase = memWaitAckBD
 	t.ackOSN = m.SN
 	c.run.Proto.AcksOSent++
@@ -453,8 +471,8 @@ func (c *Mem) send(m *msg.Message) {
 }
 
 // InspectLines implements proto.Inspectable. Memory owns every line the
-// chip has not claimed; while a DataEx it sent is unacknowledged, it
-// reports itself as the (off-chip) backup.
+// chip has not claimed; in FtDirCMP, while a DataEx it sent is
+// unacknowledged, it reports itself as the (off-chip) backup.
 func (c *Mem) InspectLines(fn func(proto.LineView)) {
 	seen := make(map[msg.Addr]bool, len(c.owned))
 	emit := func(addr msg.Addr) {
@@ -463,7 +481,7 @@ func (c *Mem) InspectLines(fn func(proto.LineView)) {
 		}
 		seen[addr] = true
 		t := c.trans.Get(addr)
-		backup := t != nil && t.phase == memWaitUnblock
+		backup := c.ft && t != nil && t.phase == memWaitUnblock
 		state := "chip"
 		if !c.owned[addr] {
 			state = "mem"

@@ -18,7 +18,7 @@ func testMem(t *testing.T) (*Mem, *fakeNet, *sim.Engine, proto.Topology) {
 	engine := sim.NewEngine()
 	net := &fakeNet{}
 	run := stats.NewRun("FtDirCMP", "unit")
-	m := NewMem(topo.Mem(0), topo, testParams(), engine, net, run, memctrl.NewStore())
+	m := NewMem(topo.Mem(0), topo, testParams(), engine, net, run, memctrl.NewStore(), true)
 	return m, net, engine, topo
 }
 

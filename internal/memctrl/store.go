@@ -1,6 +1,6 @@
 // Package memctrl provides the off-chip memory backing store shared by the
-// protocol-specific memory controllers (core.Mem, dircmp.Mem and the token
-// protocols' home nodes).
+// protocol-specific memory controllers (core.Mem, for DirCMP and FtDirCMP,
+// and the token protocols' home nodes).
 //
 // The store is a sparse line-granular memory image holding msg.Payload
 // values — a (value, version) pair rather than raw bytes, which is what

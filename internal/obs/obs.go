@@ -3,8 +3,8 @@
 // firings, request reissues, backup lifecycle, pings, fault injections,
 // recoveries) with a metrics registry derived from the event stream.
 //
-// The protocol controllers (internal/core, internal/dircmp, internal/token)
-// emit into a Recorder through nil-safe methods, so an unobserved run pays
+// The protocol controllers (internal/core for DirCMP and FtDirCMP,
+// internal/token for TokenCMP and FtTokenCMP) emit into a Recorder through nil-safe methods, so an unobserved run pays
 // only a nil check per event. The network feeds the Recorder too (it
 // implements the noc.Recorder hook set): message drops become fault.inject
 // events and recovery-ping traffic becomes ping/cancel events, without any

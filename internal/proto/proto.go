@@ -1,6 +1,8 @@
-// Package proto holds the definitions shared by the DirCMP baseline and the
-// FtDirCMP protocol: node numbering and home-bank interleaving, protocol
-// parameters, and the inspection interfaces used by the invariant checker.
+// Package proto holds the definitions shared by every coherence protocol
+// (the directory controllers of internal/core, running DirCMP or FtDirCMP,
+// and the token controllers of internal/token): node numbering and
+// home-bank interleaving, protocol parameters, and the inspection
+// interfaces used by the invariant checker.
 package proto
 
 import (
@@ -105,7 +107,8 @@ type Params struct {
 	// MigratoryOpt enables the migratory-sharing optimization (paper §2).
 	MigratoryOpt bool
 
-	// Fault tolerance (ignored by DirCMP).
+	// Fault tolerance: used by FtDirCMP and FtTokenCMP, validated for every
+	// protocol.
 	SerialBits         int
 	LostRequestTimeout uint64
 	LostUnblockTimeout uint64
@@ -154,7 +157,11 @@ func (p Params) TokenLostTimeout() uint64 {
 	return 8 * p.LostRequestTimeout
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. The serial-number width and the Table 3
+// timeouts are checked for every protocol, although only the
+// fault-tolerant ones use them: a zero width would panic in
+// msg.NewSerialSpace (or silently mask every token serial number to 0),
+// and a zero timeout re-arms itself forever at the same cycle.
 func (p Params) Validate() error {
 	if p.LineSize <= 0 || p.LineSize&(p.LineSize-1) != 0 {
 		return fmt.Errorf("proto: line size %d not a power of two", p.LineSize)
@@ -162,8 +169,21 @@ func (p Params) Validate() error {
 	if p.L1Size <= 0 || p.L2Size <= 0 || p.L1Ways <= 0 || p.L2Ways <= 0 {
 		return fmt.Errorf("proto: invalid cache geometry")
 	}
-	if p.SerialBits < 0 || p.SerialBits > 16 {
-		return fmt.Errorf("proto: serial bits %d out of range", p.SerialBits)
+	if p.SerialBits < 1 || p.SerialBits > 16 {
+		return fmt.Errorf("proto: serial number bits %d out of range [1,16]", p.SerialBits)
+	}
+	for _, to := range []struct {
+		name  string
+		value uint64
+	}{
+		{"lost-request", p.LostRequestTimeout},
+		{"lost-unblock", p.LostUnblockTimeout},
+		{"lost-AckBD", p.LostAckBDTimeout},
+		{"backup", p.BackupTimeout},
+	} {
+		if to.value == 0 {
+			return fmt.Errorf("proto: %s timeout must be positive", to.name)
+		}
 	}
 	return nil
 }

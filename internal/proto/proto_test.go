@@ -130,18 +130,40 @@ func TestTileOfPanicsOnMem(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	good := Params{LineSize: 64, L1Size: 1024, L1Ways: 2, L2Size: 4096, L2Ways: 4, SerialBits: 8}
+	good := Params{
+		LineSize: 64, L1Size: 1024, L1Ways: 2, L2Size: 4096, L2Ways: 4, SerialBits: 8,
+		LostRequestTimeout: 2000, LostUnblockTimeout: 3000, LostAckBDTimeout: 3000, BackupTimeout: 4000,
+	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good params rejected: %v", err)
 	}
-	bad := []Params{
-		{LineSize: 63, L1Size: 1024, L1Ways: 2, L2Size: 4096, L2Ways: 4},
-		{LineSize: 64, L1Size: 0, L1Ways: 2, L2Size: 4096, L2Ways: 4},
-		{LineSize: 64, L1Size: 1024, L1Ways: 2, L2Size: 4096, L2Ways: 4, SerialBits: 20},
+	for _, bits := range []int{1, 16} {
+		p := good
+		p.SerialBits = bits
+		if err := p.Validate(); err != nil {
+			t.Errorf("serial bits %d rejected: %v", bits, err)
+		}
 	}
-	for i, p := range bad {
+	cases := []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"line size not a power of two", func(p *Params) { p.LineSize = 63 }},
+		{"empty L1", func(p *Params) { p.L1Size = 0 }},
+		{"zero serial bits", func(p *Params) { p.SerialBits = 0 }},
+		{"negative serial bits", func(p *Params) { p.SerialBits = -1 }},
+		{"17 serial bits", func(p *Params) { p.SerialBits = 17 }},
+		{"20 serial bits", func(p *Params) { p.SerialBits = 20 }},
+		{"zero lost-request timeout", func(p *Params) { p.LostRequestTimeout = 0 }},
+		{"zero lost-unblock timeout", func(p *Params) { p.LostUnblockTimeout = 0 }},
+		{"zero lost-AckBD timeout", func(p *Params) { p.LostAckBDTimeout = 0 }},
+		{"zero backup timeout", func(p *Params) { p.BackupTimeout = 0 }},
+	}
+	for _, c := range cases {
+		p := good
+		c.edit(&p)
 		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
+			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }

@@ -189,7 +189,11 @@ func resolveRequest(body []byte) (*resolved, error) {
 	return res, nil
 }
 
-// strictUnmarshal decodes JSON rejecting unknown fields and trailing data.
+// strictUnmarshal decodes JSON rejecting unknown fields, trailing data and
+// duplicate member names. encoding/json matches names to fields without
+// regard to case and keeps the last duplicate, so {"type":"run",
+// "TYPE":"sweep"} would otherwise resolve differently from the same members
+// in another order.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -199,7 +203,83 @@ func strictUnmarshal(data []byte, v any) error {
 	if dec.More() {
 		return fmt.Errorf("trailing data after JSON value")
 	}
+	return checkMemberNames(data)
+}
+
+// maxMembers bounds the members of one request object. No request type has
+// this many fields, so a larger object repeats or invents names either way;
+// the bound keeps the pairwise name comparison below cheap.
+const maxMembers = 256
+
+// checkMemberNames fails on an object in the first JSON value of data with
+// two member names encoding/json would match to the same field (the rule
+// of bytes.EqualFold). data must start with a value Decode accepted, so the
+// scan can skip strings and scalars without validating them, and stops at
+// the end of that value.
+func checkMemberNames(data []byte) error {
+	data = bytes.TrimLeft(data, " \t\r\n")
+	if len(data) == 0 || (data[0] != '{' && data[0] != '[') {
+		return nil
+	}
+	var namesBuf [32][]byte
+	names := namesBuf[:0] // member names of the open objects, innermost last
+	var opensBuf [8]int
+	opens := opensBuf[:0] // per open container: its first index in names, or -1 for an array
+	expectName := false
+	for i := 0; i < len(data); i++ {
+		switch data[i] {
+		case '{':
+			opens = append(opens, len(names))
+			expectName = true
+		case '[':
+			opens = append(opens, -1)
+		case '}', ']':
+			if first := opens[len(opens)-1]; first >= 0 {
+				names = names[:first]
+			}
+			opens = opens[:len(opens)-1]
+			if len(opens) == 0 {
+				return nil
+			}
+		case ',':
+			expectName = opens[len(opens)-1] >= 0
+		case '"':
+			j := i + 1
+			for data[j] != '"' {
+				if data[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			if expectName {
+				expectName = false
+				name := memberName(data[i : j+1])
+				first := opens[len(opens)-1]
+				if len(names)-first >= maxMembers {
+					return fmt.Errorf("object has more than %d members", maxMembers)
+				}
+				for _, prev := range names[first:] {
+					if bytes.EqualFold(prev, name) {
+						return fmt.Errorf("duplicate member %q", name)
+					}
+				}
+				names = append(names, name)
+			}
+			i = j
+		}
+	}
 	return nil
+}
+
+// memberName returns the name a quoted JSON member name denotes, unescaping
+// only when it holds an escape.
+func memberName(quoted []byte) []byte {
+	if bytes.IndexByte(quoted, '\\') < 0 {
+		return quoted[1 : len(quoted)-1]
+	}
+	var name string
+	json.Unmarshal(quoted, &name) // the decoder already accepted it
+	return []byte(name)
 }
 
 // Job states. A job is content-addressed: its ID is the cache key of its

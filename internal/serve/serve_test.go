@@ -120,6 +120,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"coverage params on run", `{"type":"run","coverage":{"seed":1}}`},
 		{"tile_death params on run", `{"type":"run","tile_death":{"include_links":true}}`},
 		{"trailing data", `{"type":"run"} {"x":1}`},
+		{"duplicate member", `{"type":"run","TYPE":"compare","quick":true}`},
+		{"duplicate config member", `{"type":"run","config":{"OpsPerCore":1,"opspercore":2}}`},
 	}
 	for _, tc := range cases {
 		code, _, _ := postJSON(t, ts, tc.body)

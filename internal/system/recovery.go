@@ -117,10 +117,10 @@ func (s *System) armStructural() error {
 			s.recovery.DeclaredCycle = s.engine.Now()
 			s.engine.Schedule(0, s.reconstruct)
 		})
-		for _, l1 := range s.ftL1s {
+		for _, l1 := range s.l1s {
 			l1.SetDomains(s.domains)
 		}
-		for _, l2 := range s.ftL2s {
+		for _, l2 := range s.l2s {
 			l2.SetDomains(s.domains)
 		}
 		for _, m := range s.memByID {
@@ -149,8 +149,8 @@ func (s *System) killTile() {
 		s.cores[t].Kill()
 	}
 	if s.cfg.Protocol == FtDirCMP {
-		s.ftL1s[t].Halt()
-		s.ftL2s[t].Halt()
+		s.l1s[t].Halt()
+		s.l2s[t].Halt()
 		s.domains.Kill(t)
 	}
 	s.cfg.Obs.TileDeath(s.topo.L2(t))
@@ -180,16 +180,16 @@ func (s *System) reconstruct() {
 			set[a] = true
 		}
 	}
-	s.ftL1s[t].ForEachLine(add)
-	s.ftL2s[t].ForEachLine(add)
-	for i, l1 := range s.ftL1s {
+	s.l1s[t].ForEachLine(add)
+	s.l2s[t].ForEachLine(add)
+	for i, l1 := range s.l1s {
 		if i == t {
 			continue
 		}
 		l1.RefsDead(dead, add)
 		l1.ForEachLine(homeScan)
 	}
-	for i, l2 := range s.ftL2s {
+	for i, l2 := range s.l2s {
 		if i == t {
 			continue
 		}
@@ -212,7 +212,7 @@ func (s *System) reconstruct() {
 	for _, a := range addrs {
 		home := s.memByID[s.topo.HomeMem(a)]
 		best := home.StorePayload(a)
-		for i, l1 := range s.ftL1s {
+		for i, l1 := range s.l1s {
 			if i == t {
 				continue
 			}
@@ -220,7 +220,7 @@ func (s *System) reconstruct() {
 				best = p
 			}
 		}
-		for i, l2 := range s.ftL2s {
+		for i, l2 := range s.l2s {
 			if i == t {
 				continue
 			}
@@ -229,10 +229,10 @@ func (s *System) reconstruct() {
 			}
 		}
 		var deadMax uint64
-		if p, ok := s.ftL1s[t].BestPayload(a); ok && p.Version > deadMax {
+		if p, ok := s.l1s[t].BestPayload(a); ok && p.Version > deadMax {
 			deadMax = p.Version
 		}
-		if p, ok := s.ftL2s[t].BestPayload(a); ok && p.Version > deadMax {
+		if p, ok := s.l2s[t].BestPayload(a); ok && p.Version > deadMax {
 			deadMax = p.Version
 		}
 		if deadMax > best.Version {
@@ -243,12 +243,12 @@ func (s *System) reconstruct() {
 			}
 		}
 		home.Reconstruct(a, best)
-		for i, l2 := range s.ftL2s {
+		for i, l2 := range s.l2s {
 			if i != t {
 				l2.DropLine(a)
 			}
 		}
-		for i, l1 := range s.ftL1s {
+		for i, l1 := range s.l1s {
 			if i != t {
 				l1.DropLine(a)
 			}

@@ -1,7 +1,9 @@
 // Package system assembles a complete tiled-CMP simulation: cores, L1s, L2
-// banks and memory controllers attached to the mesh, running either the
-// DirCMP baseline or the FtDirCMP fault-tolerant protocol, with fault
-// injection, a data-integrity oracle and a coherence invariant checker.
+// banks and memory controllers attached to the mesh, running the DirCMP
+// baseline or the FtDirCMP fault-tolerant protocol (both on the
+// internal/core controllers, DirCMP with the four mechanisms off) or one of
+// the token protocols, with fault injection, a data-integrity oracle and a
+// coherence invariant checker.
 package system
 
 import (
@@ -13,7 +15,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dircmp"
 	"repro/internal/fault"
 	"repro/internal/memctrl"
 	"repro/internal/msg"
@@ -224,9 +225,10 @@ type System struct {
 	reconstructed bool
 	recovery      RecoveryReport
 
-	// Typed controller handles for the FtDirCMP reconstruction flush.
-	ftL1s   []*core.L1
-	ftL2s   []*core.L2
+	// Typed directory-protocol controller handles, used only by the
+	// FtDirCMP reconstruction flush.
+	l1s     []*core.L1
+	l2s     []*core.L2
 	memByID map[msg.NodeID]*core.Mem
 
 	// Per-line accumulators bound once by New, so fingerprinting builds no
@@ -318,13 +320,14 @@ func New(cfg Config) (*System, error) {
 	store := memctrl.NewStore()
 
 	switch cfg.Protocol {
-	case DirCMP:
+	case DirCMP, FtDirCMP:
+		ft := cfg.Protocol == FtDirCMP
 		for i := 0; i < cfg.Tiles(); i++ {
-			l1, err := dircmp.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite)
+			l1, err := core.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite, ft)
 			if err != nil {
 				return nil, err
 			}
-			l2, err := dircmp.NewL2(topo.L2(i), topo, cfg.Params, engine, net, run)
+			l2, err := core.NewL2(topo.L2(i), topo, cfg.Params, engine, net, run, ft)
 			if err != nil {
 				return nil, err
 			}
@@ -336,43 +339,14 @@ func New(cfg Config) (*System, error) {
 			}
 			s.ports = append(s.ports, l1)
 			s.agents = append(s.agents, l1, l2)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L2 bank %d", l2.NodeID()), l2.NodeID(), l2.Quiesced})
-		}
-		for i := 0; i < cfg.Mems; i++ {
-			mc := dircmp.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, store)
-			if err := attach(net, mc.NodeID(), memRouter(cfg, i), mc.Handle); err != nil {
-				return nil, err
-			}
-			s.agents = append(s.agents, mc)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("memory %d", mc.NodeID()), mc.NodeID(), mc.Quiesced})
-		}
-	case FtDirCMP:
-		for i := 0; i < cfg.Tiles(); i++ {
-			l1, err := core.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite)
-			if err != nil {
-				return nil, err
-			}
-			l2, err := core.NewL2(topo.L2(i), topo, cfg.Params, engine, net, run)
-			if err != nil {
-				return nil, err
-			}
-			if err := attach(net, l1.NodeID(), i, l1.Handle); err != nil {
-				return nil, err
-			}
-			if err := attach(net, l2.NodeID(), i, l2.Handle); err != nil {
-				return nil, err
-			}
-			s.ports = append(s.ports, l1)
-			s.agents = append(s.agents, l1, l2)
-			s.ftL1s = append(s.ftL1s, l1)
-			s.ftL2s = append(s.ftL2s, l2)
+			s.l1s = append(s.l1s, l1)
+			s.l2s = append(s.l2s, l2)
 			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
 			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L2 bank %d", l2.NodeID()), l2.NodeID(), l2.Quiesced})
 		}
 		s.memByID = make(map[msg.NodeID]*core.Mem, cfg.Mems)
 		for i := 0; i < cfg.Mems; i++ {
-			mc := core.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, store)
+			mc := core.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, store, ft)
 			if err := attach(net, mc.NodeID(), memRouter(cfg, i), mc.Handle); err != nil {
 				return nil, err
 			}

@@ -110,7 +110,9 @@ type Config struct {
 	// MigratoryOpt enables the migratory-sharing optimization.
 	MigratoryOpt bool
 
-	// Fault tolerance parameters (FtDirCMP only; paper §3.6 and Table 4).
+	// Fault tolerance parameters (paper §3.6 and Table 4). Only the
+	// fault-tolerant protocols use them, but every run requires them
+	// valid: SerialNumberBits in [1,16] and every timeout positive.
 	SerialNumberBits   int
 	LostRequestTimeout uint64
 	LostUnblockTimeout uint64

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz serve-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz serve-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -57,6 +57,14 @@ mc-check:
 # in the mc job, beside the model checker that relies on the choice points.
 sim-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
+
+# obs-fuzz fuzzes the obs recorder's event ring for 20 s: capacities on
+# both sides of a storage chunk, with event counts below, at and far past
+# the capacity, must retain exactly the events (and answer LastEventFor
+# exactly as) an eagerly allocated reference ring does. CI runs it in the
+# mc job, beside sim-fuzz.
+obs-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzRecorderRing -fuzztime 20s ./internal/obs
 
 # serve-fuzz fuzzes the experiment request body for 20 s, the boundary
 # where client-supplied configuration enters the simulator: resolveRequest

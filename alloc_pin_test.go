@@ -68,3 +68,36 @@ func TestInterleavePathBytesPin(t *testing.T) {
 		t.Errorf("quick interleave gate: %d B per executed path, want <= %d", perPath, maxBytes)
 	}
 }
+
+// TestCoverageRunBytesPin pins the bytes allocated per run of a quick
+// FtDirCMP single-loss campaign (uniform, 20 ops/core, at most three slots
+// per message type). Every coverage run keeps a 4,096-event obs ring for
+// its deadlock dumps but emits well under a thousand events, so the ring's
+// storage is allocated in 1,024-event chunks as events arrive. With that,
+// a run measures ~450 KB; zeroing the whole 557 KB ring up front measured
+// ~875 KB per run, which the 640 KB bound rejects.
+func TestCoverageRunBytesPin(t *testing.T) {
+	cfg := quickCoverageConfig()
+	cfg.Parallelism = 1
+	opts := CoverageOptions{MaxSlotsPerType: 3}
+	if _, err := Coverage(cfg, "uniform", opts); err != nil { // warm pools
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Coverage(cfg, "uniform", opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recovered != rep.SlotsTested || rep.SlotsTested == 0 {
+		t.Fatalf("campaign recovered %d of %d slots", rep.Recovered, rep.SlotsTested)
+	}
+	runs := uint64(1 + rep.SlotsTested) // the census run, then one per slot
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d runs, %d B allocated per run", runs, perRun)
+	const maxBytes = 640 << 10
+	if perRun > maxBytes {
+		t.Errorf("quick coverage campaign: %d B per run, want <= %d", perRun, maxBytes)
+	}
+}

@@ -37,13 +37,13 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/stats"
 )
 
 type options struct {
@@ -72,7 +72,8 @@ type outcomes struct {
 	Failed   uint64 `json:"failed"`   // jobs that finished in a non-done state
 }
 
-// quantiles is the serialized latency distribution, in microseconds.
+// quantiles is the serialized latency distribution, in microseconds. The
+// percentiles are exact nearest-rank values over every sample.
 type quantiles struct {
 	P50  uint64  `json:"p50_us"`
 	P95  uint64  `json:"p95_us"`
@@ -84,7 +85,7 @@ type quantiles struct {
 // report is the JSON document ftload emits; cmd/ftload's tests pin this
 // shape and docs/OPERATIONS.md walks through reading one.
 //
-// Latency and BackoffWait are disjoint: the latency histogram records each
+// Latency and BackoffWait are disjoint: the latency samples record each
 // request's journey minus the time the client itself chose to sleep
 // between 429 retries, and that sleep is reported separately — so the
 // latency quantiles measure the service, not the client's politeness.
@@ -188,9 +189,8 @@ func run(opts options) (*report, error) {
 		wg       sync.WaitGroup
 		next     = make(chan string)
 		outs     = make([]outcomes, opts.clients)
-		hists    = make([]stats.Histogram, opts.clients)
-		backoffs = make([]stats.Histogram, opts.clients)
-		backed   = make([]uint64, opts.clients)
+		lats     = make([][]uint64, opts.clients)
+		backoffs = make([][]uint64, opts.clients)
 	)
 	start := time.Now()
 	for c := 0; c < opts.clients; c++ {
@@ -198,9 +198,8 @@ func run(opts options) (*report, error) {
 		go func(c int) {
 			defer wg.Done()
 			for body := range next {
-				if waited := oneRequest(httpc, opts, body, &outs[c], &hists[c]); waited > 0 {
-					backed[c]++
-					backoffs[c].Add(uint64(waited.Microseconds()))
+				if waited := oneRequest(httpc, opts, body, &outs[c], &lats[c]); waited > 0 {
+					backoffs[c] = append(backoffs[c], uint64(waited.Microseconds()))
 				}
 			}
 		}(c)
@@ -223,42 +222,55 @@ func run(opts options) (*report, error) {
 		Waited:     opts.wait,
 		WallMs:     float64(wall.Nanoseconds()) / 1e6,
 	}
-	var hist, backoff stats.Histogram
+	var lat, backoff []uint64
 	for c := range outs {
 		rep.Outcomes.Accepted += outs[c].Accepted
 		rep.Outcomes.Cached += outs[c].Cached
 		rep.Outcomes.Rejected += outs[c].Rejected
 		rep.Outcomes.Errors += outs[c].Errors
 		rep.Outcomes.Failed += outs[c].Failed
-		rep.BackoffRequests += backed[c]
-		hist.Merge(&hists[c])
-		backoff.Merge(&backoffs[c])
+		lat = append(lat, lats[c]...)
+		backoff = append(backoff, backoffs[c]...)
 	}
 	attempts := rep.Outcomes.Accepted + rep.Outcomes.Cached + rep.Outcomes.Errors + rep.Outcomes.Rejected
 	if attempts > 0 {
 		rep.Rate429 = float64(rep.Outcomes.Rejected) / float64(attempts)
 	}
-	rep.Latency = quantiles{
-		P50:  hist.Percentile(50),
-		P95:  hist.Percentile(95),
-		P99:  hist.Percentile(99),
-		Max:  hist.Max(),
-		Mean: hist.Mean(),
-	}
-	if rep.BackoffRequests > 0 {
-		rep.BackoffWait = quantiles{
-			P50:  backoff.Percentile(50),
-			P95:  backoff.Percentile(95),
-			P99:  backoff.Percentile(99),
-			Max:  backoff.Max(),
-			Mean: backoff.Mean(),
-		}
-	}
+	rep.Latency = quantilesOf(lat)
+	rep.BackoffRequests = uint64(len(backoff))
+	rep.BackoffWait = quantilesOf(backoff)
 	if secs := wall.Seconds(); secs > 0 {
 		rep.Throughput = float64(opts.requests) / secs
 	}
 	rep.Fleet = fetchStatus(httpc, opts.target)
 	return rep, nil
+}
+
+// quantilesOf summarizes samples (sorting them in place) with exact
+// nearest-rank percentiles: the p-th percentile is the smallest sample
+// with at least ceil(p/100*n) samples at or below it. No samples give the
+// zero value.
+func quantilesOf(samples []uint64) quantiles {
+	n := len(samples)
+	if n == 0 {
+		return quantiles{}
+	}
+	slices.Sort(samples)
+	rank := func(p int) uint64 {
+		r := (p*n + 99) / 100 // ceil(p/100*n), at least 1 for n >= 1
+		return samples[r-1]
+	}
+	var sum uint64
+	for _, v := range samples {
+		sum += v
+	}
+	return quantiles{
+		P50:  rank(50),
+		P95:  rank(95),
+		P99:  rank(99),
+		Max:  samples[n-1],
+		Mean: float64(sum) / float64(n),
+	}
 }
 
 // fetchStatus captures the target's /v1/status document — the per-shard
@@ -331,10 +343,10 @@ var reqCounter atomic.Uint64
 // backpressure, then (with -wait) poll the job to a terminal state. The
 // recorded latency covers the whole journey minus the returned backoff
 // wait — the time this client chose to sleep between 429 retries — so the
-// histogram measures the service, not client politeness.
-func oneRequest(httpc *http.Client, opts options, body string, out *outcomes, hist *stats.Histogram) (backoffWait time.Duration) {
+// latency sample measures the service, not client politeness.
+func oneRequest(httpc *http.Client, opts options, body string, out *outcomes, lats *[]uint64) (backoffWait time.Duration) {
 	start := time.Now()
-	defer func() { hist.Add(uint64((time.Since(start) - backoffWait).Microseconds())) }()
+	defer func() { *lats = append(*lats, uint64((time.Since(start) - backoffWait).Microseconds())) }()
 
 	reqID := fmt.Sprintf("l%d", reqCounter.Add(1))
 	var doc struct {
@@ -480,10 +492,10 @@ func summary(r *report) string {
 	fmt.Fprintf(&b, "\n  mix: class %s, %.0f%% duplicates, %d unique jobs\n", r.Class, r.DupRatio*100, r.UniqueJobs)
 	fmt.Fprintf(&b, "  outcomes: %d accepted, %d cached, %d failed, %d errors; 429 rate %.1f%%\n",
 		r.Outcomes.Accepted, r.Outcomes.Cached, r.Outcomes.Failed, r.Outcomes.Errors, r.Rate429*100)
-	fmt.Fprintf(&b, "  latency: p50<=%dus p95<=%dus p99<=%dus max=%dus (429 backoff excluded)\n",
+	fmt.Fprintf(&b, "  latency: p50=%dus p95=%dus p99=%dus max=%dus (429 backoff excluded)\n",
 		r.Latency.P50, r.Latency.P95, r.Latency.P99, r.Latency.Max)
 	if r.BackoffRequests > 0 {
-		fmt.Fprintf(&b, "  backoff: %d requests waited, p50<=%dus p99<=%dus max=%dus\n",
+		fmt.Fprintf(&b, "  backoff: %d requests waited, p50=%dus p99=%dus max=%dus\n",
 			r.BackoffRequests, r.BackoffWait.P50, r.BackoffWait.P99, r.BackoffWait.Max)
 	}
 	fmt.Fprintf(&b, "  wall: %.0fms  throughput: %.1f req/s\n", r.WallMs, r.Throughput)

@@ -241,3 +241,54 @@ func TestTileDeathClassLoad(t *testing.T) {
 		t.Fatalf("outcomes don't account for every request: %+v", rep.Outcomes)
 	}
 }
+
+// TestQuantilesOfNearestRank: the report's percentiles are exact
+// nearest-rank values over the samples, not histogram bucket edges.
+func TestQuantilesOfNearestRank(t *testing.T) {
+	// 1..100 shuffled: the p-th percentile of 1..100 is p itself.
+	var samples []uint64
+	for i := uint64(0); i < 100; i++ {
+		samples = append(samples, (i*37)%100+1)
+	}
+	got := quantilesOf(samples)
+	want := quantiles{P50: 50, P95: 95, P99: 99, Max: 100, Mean: 50.5}
+	if got != want {
+		t.Fatalf("quantilesOf(1..100) = %+v, want %+v", got, want)
+	}
+
+	// Three samples: nearest rank takes ceil(p/100*3), so p50 is the 2nd
+	// sample and p95/p99 the 3rd. A power-of-two histogram would report
+	// 2,097,151 for a sample of 1,500,000.
+	got = quantilesOf([]uint64{1_500_000, 300, 7_000})
+	want = quantiles{P50: 7_000, P95: 1_500_000, P99: 1_500_000, Max: 1_500_000, Mean: 1_507_300.0 / 3}
+	if got != want {
+		t.Fatalf("quantilesOf(3 samples) = %+v, want %+v", got, want)
+	}
+
+	if got := quantilesOf(nil); got != (quantiles{}) {
+		t.Fatalf("quantilesOf(nil) = %+v, want zero", got)
+	}
+	if got := quantilesOf([]uint64{42}); got != (quantiles{P50: 42, P95: 42, P99: 42, Max: 42, Mean: 42}) {
+		t.Fatalf("quantilesOf(one sample) = %+v", got)
+	}
+}
+
+// TestSummaryPrintsExactPercentiles: the human summary labels the exact
+// percentiles with "=", not the "<=" of a bucket upper bound.
+func TestSummaryPrintsExactPercentiles(t *testing.T) {
+	rep := &report{
+		Requests: 3, Clients: 1, Target: "http://x",
+		Latency:         quantiles{P50: 7000, P95: 9000, P99: 9100, Max: 9100},
+		BackoffRequests: 1,
+		BackoffWait:     quantiles{P50: 2000, P99: 2000, Max: 2000},
+	}
+	out := summary(rep)
+	for _, want := range []string{"p50=7000us p95=9000us p99=9100us max=9100us", "1 requests waited, p50=2000us p99=2000us"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "<=") {
+		t.Errorf("summary still prints bucket bounds:\n%s", out)
+	}
+}

@@ -472,14 +472,14 @@ func (c *Mem) send(m *msg.Message) {
 
 // InspectLines implements proto.Inspectable. Memory owns every line the
 // chip has not claimed; in FtDirCMP, while a DataEx it sent is
-// unacknowledged, it reports itself as the (off-chip) backup.
+// unacknowledged, it reports itself as the (off-chip) backup. Each home
+// line is reported once: first every line the owned map has an entry for,
+// then the stored lines it has none for.
 func (c *Mem) InspectLines(fn func(proto.LineView)) {
-	seen := make(map[msg.Addr]bool, len(c.owned))
 	emit := func(addr msg.Addr) {
-		if seen[addr] || c.topo.HomeMem(addr) != c.id {
+		if c.topo.HomeMem(addr) != c.id {
 			return
 		}
-		seen[addr] = true
 		t := c.trans.Get(addr)
 		backup := c.ft && t != nil && t.phase == memWaitUnblock
 		state := "chip"
@@ -507,7 +507,11 @@ func (c *Mem) InspectLines(fn func(proto.LineView)) {
 	for addr := range c.owned {
 		emit(addr)
 	}
-	c.store.ForEach(func(addr msg.Addr, _ msg.Payload) { emit(addr) })
+	c.store.ForEach(func(addr msg.Addr, _ msg.Payload) {
+		if _, ok := c.owned[addr]; !ok {
+			emit(addr)
+		}
+	})
 }
 
 // Owned reports whether the chip currently owns addr.

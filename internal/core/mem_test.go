@@ -178,3 +178,57 @@ func TestMemStandaloneAckOAnswered(t *testing.T) {
 		t.Fatalf("standalone AckO unanswered: %v", net.sent)
 	}
 }
+
+// TestMemInspectLinesYieldsEachLineOnce: memory reports every home line it
+// has state for exactly once, whether the line is owned by the chip and
+// written back, owned only, written only, or returned (an owned entry of
+// false beside stored data); stored lines homed elsewhere are not its.
+func TestMemInspectLinesYieldsEachLineOnce(t *testing.T) {
+	m, _, _, topo := testMem(t)
+	var home []msg.Addr
+	var foreign msg.Addr
+	for line := uint64(0); len(home) < 4 || foreign == 0; line++ {
+		addr := msg.Addr(line * uint64(topo.LineSize))
+		if topo.HomeMem(addr) == topo.Mem(0) {
+			home = append(home, addr)
+		} else if foreign == 0 {
+			foreign = addr
+		}
+	}
+	ownedWritten, ownedOnly, writtenOnly, returned := home[0], home[1], home[2], home[3]
+	m.owned[ownedWritten] = true
+	m.store.Write(ownedWritten, msg.Payload{Version: 2})
+	m.owned[ownedOnly] = true
+	m.store.Write(writtenOnly, msg.Payload{Version: 3})
+	m.owned[returned] = false
+	m.store.Write(returned, msg.Payload{Version: 4})
+	m.store.Write(foreign, msg.Payload{Version: 5})
+
+	seen := map[msg.Addr]proto.LineView{}
+	m.InspectLines(func(v proto.LineView) {
+		if _, dup := seen[v.Addr]; dup {
+			t.Errorf("line %#x reported twice", v.Addr)
+		}
+		seen[v.Addr] = v
+	})
+	if len(seen) != 4 {
+		t.Fatalf("reported %d lines, want the 4 home lines: %v", len(seen), seen)
+	}
+	for addr, wantOwner := range map[msg.Addr]bool{
+		ownedWritten: false, ownedOnly: false, writtenOnly: true, returned: true,
+	} {
+		v, ok := seen[addr]
+		if !ok {
+			t.Fatalf("line %#x not reported", addr)
+		}
+		if v.Owner != wantOwner {
+			t.Errorf("line %#x: memory owner=%t, want %t", addr, v.Owner, wantOwner)
+		}
+	}
+	if v := seen[writtenOnly]; v.Payload.Version != 3 || v.State != "mem" {
+		t.Errorf("written-only line reported as %+v, want v3 in state mem", v)
+	}
+	if v := seen[ownedWritten]; v.Payload.Version != 2 || v.State != "chip" {
+		t.Errorf("owned line reported as %+v, want v2 in state chip", v)
+	}
+}

@@ -159,15 +159,6 @@ func NewNthOfType(t msg.Type, nth uint64) *NthOfType {
 	return &NthOfType{typ: t, nth: nth}
 }
 
-// Targeted is the historical name of NthOfType.
-type Targeted = NthOfType
-
-// NewTargeted drops the nth message of type t (nth counts from 1). It is
-// the historical name of NewNthOfType.
-func NewTargeted(t msg.Type, nth uint64) *NthOfType {
-	return NewNthOfType(t, nth)
-}
-
 // SecondDropAfter arms a second drop k injected messages after the first
 // drop (k counts from 1; 0 disarms). It returns the injector for chaining.
 func (t *NthOfType) SecondDropAfter(k uint64) *NthOfType {

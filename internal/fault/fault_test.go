@@ -83,7 +83,7 @@ func TestBurstLengths(t *testing.T) {
 }
 
 func TestTargetedNth(t *testing.T) {
-	inj := NewTargeted(msg.DataEx, 3)
+	inj := NewNthOfType(msg.DataEx, 3)
 	drops := 0
 	for i := 0; i < 10; i++ {
 		if inj.Drop(&msg.Message{Type: msg.GetS}) {
@@ -121,8 +121,8 @@ func TestScript(t *testing.T) {
 }
 
 func TestChainSeesEveryMessage(t *testing.T) {
-	a := NewTargeted(msg.GetS, 2)
-	b := NewTargeted(msg.GetS, 4)
+	a := NewNthOfType(msg.GetS, 2)
+	b := NewNthOfType(msg.GetS, 4)
 	chain := NewChain(a, b)
 	var dropped []int
 	for i := 0; i < 6; i++ {
@@ -141,7 +141,7 @@ func TestChainSeesEveryMessage(t *testing.T) {
 
 // TestChainDeterminismAfterDrop pins the Chain contract that every injector
 // sees every message: a Rate injector's decision stream must be identical
-// whether it runs alone or chained after a Targeted injector that drops an
+// whether it runs alone or chained after an NthOfType injector that drops an
 // earlier message. (Short-circuiting the chain on the first drop would
 // desynchronize the downstream RNG streams.)
 func TestChainDeterminismAfterDrop(t *testing.T) {
@@ -155,7 +155,7 @@ func TestChainDeterminismAfterDrop(t *testing.T) {
 	}
 
 	chained := NewRate(100_000, 11)
-	chain := NewChain(NewTargeted(msg.GetS, 1), chained)
+	chain := NewChain(NewNthOfType(msg.GetS, 1), chained)
 	var chainedDrops []int
 	for i := 0; i < n; i++ {
 		before := chained.Dropped()
@@ -234,7 +234,7 @@ func TestDescriptions(t *testing.T) {
 		None{},
 		NewRate(100, 1),
 		NewBurst(10, 4, 1),
-		NewTargeted(msg.AckO, 2),
+		NewNthOfType(msg.AckO, 2),
 		NewScript(1),
 		NewCorrupting(None{}, 1),
 		NewChain(None{}, NewRate(1, 1)),

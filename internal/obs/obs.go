@@ -10,12 +10,13 @@
 // events and recovery-ping traffic becomes ping/cancel events, without any
 // extra instrumentation in the protocol layers.
 //
-// Storage is a bounded ring buffer (the last N events) plus an optional
-// streaming sink that observes every event regardless of the ring capacity.
-// A capacity of zero keeps metrics only. The schema — every event kind and
-// its fields — is documented in docs/OBSERVABILITY.md, and exporters for
-// JSONL and the Chrome trace-event format (Perfetto-loadable) live in this
-// package (see WriteJSONL and WriteChromeTrace).
+// Storage is a bounded ring buffer (the last N events), allocated in chunks
+// as events arrive, plus an optional streaming sink that observes every
+// event regardless of the ring capacity. A capacity of zero keeps metrics
+// only. The schema — every event kind and its fields — is documented in
+// docs/OBSERVABILITY.md, and exporters for JSONL and the Chrome trace-event
+// format (Perfetto-loadable) live in this package (see WriteJSONL and
+// WriteChromeTrace).
 //
 // Recovery latency is measured per line address: a fault.inject event opens
 // a recovery window at the cycle the loss takes effect, and the first
@@ -279,13 +280,19 @@ func (m *Metrics) KindCounts() map[string]uint64 {
 // are safe on a nil *Recorder (they do nothing), so instrumentation sites
 // never need a guard.
 type Recorder struct {
-	now  func() uint64
-	ring []Event
-	next int
-	full bool
-	seq  uint64
-	sink func(Event)
-	met  Metrics
+	now func() uint64
+	// The ring holds the last capacity events. Its storage is split into
+	// chunks of ringChunk events (the last one shorter when the capacity is
+	// not a multiple), each allocated when the first event lands in it, so
+	// a run that emits fewer events than the capacity pays only for the
+	// chunks it touched. Chunks are never copied or reallocated.
+	capacity int
+	chunks   [][]Event
+	next     int
+	full     bool
+	seq      uint64
+	sink     func(Event)
+	met      Metrics
 
 	// msgFeed turns every network send/delivery into msg.send/msg.recv
 	// events (see EnableMessageFeed).
@@ -308,9 +315,45 @@ func NewRecorder(capacity int) *Recorder {
 	}
 	r.met.ByMsgType = make([]uint64, msg.NumTypes()+1)
 	if capacity > 0 {
-		r.ring = make([]Event, capacity)
+		r.capacity = capacity
+		r.chunks = make([][]Event, (capacity+ringChunk-1)/ringChunk)
 	}
 	return r
+}
+
+// ringChunk is the number of events per ring storage chunk: small enough
+// that a short run allocates little past what it emits, large enough that
+// a long recording needs few chunks.
+const ringChunk = 1024
+
+// slot returns ring position i, allocating its chunk on first use.
+func (r *Recorder) slot(i int) *Event {
+	c := r.chunks[i/ringChunk]
+	if c == nil {
+		c = make([]Event, min(ringChunk, r.capacity-i/ringChunk*ringChunk))
+		r.chunks[i/ringChunk] = c
+	}
+	return &c[i%ringChunk]
+}
+
+// retained returns the number of events the ring holds.
+func (r *Recorder) retained() int {
+	if r.full {
+		return r.capacity
+	}
+	return r.next
+}
+
+// appendRange appends ring positions [lo, hi) to out, chunk by chunk.
+func (r *Recorder) appendRange(out []Event, lo, hi int) []Event {
+	for lo < hi {
+		base := lo / ringChunk * ringChunk
+		c := r.chunks[lo/ringChunk]
+		end := min(hi, base+len(c))
+		out = append(out, c[lo-base:end-base]...)
+		lo = end
+	}
+	return out
 }
 
 // SetClock binds the recorder to a simulation clock; the system wires it to
@@ -344,12 +387,15 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
-	if r.full {
-		out = append(out, r.ring[r.next:]...)
+	n := r.retained()
+	if n == 0 {
+		return nil
 	}
-	out = append(out, r.ring[:r.next]...)
-	return out
+	out := make([]Event, 0, n)
+	if r.full {
+		out = r.appendRange(out, r.next, r.capacity)
+	}
+	return r.appendRange(out, 0, r.next)
 }
 
 // emit stamps, counts, stores and streams one event.
@@ -369,11 +415,11 @@ func (r *Recorder) emit(e Event) {
 	if e.Type >= 1 && int(e.Type) < len(r.met.ByMsgType) {
 		r.met.ByMsgType[e.Type]++
 	}
-	if len(r.ring) > 0 {
-		r.ring[r.next] = e
-		r.next = (r.next + 1) % len(r.ring)
-		if r.next == 0 {
-			r.full = true
+	if r.capacity > 0 {
+		*r.slot(r.next) = e
+		r.next++
+		if r.next == r.capacity {
+			r.next, r.full = 0, true
 		}
 	}
 	if r.sink != nil {
@@ -434,10 +480,14 @@ func (r *Recorder) LastEventFor(addr msg.Addr) (Event, bool) {
 	if r == nil {
 		return Event{}, false
 	}
-	evs := r.Events()
-	for i := len(evs) - 1; i >= 0; i-- {
-		if evs[i].Addr == addr {
-			return evs[i], true
+	// Walk back from the newest event without copying the ring.
+	for k := 1; k <= r.retained(); k++ {
+		i := r.next - k
+		if i < 0 {
+			i += r.capacity
+		}
+		if e := &r.chunks[i/ringChunk][i%ringChunk]; e.Addr == addr {
+			return *e, true
 		}
 	}
 	return Event{}, false

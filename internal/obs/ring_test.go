@@ -1,0 +1,151 @@
+package obs
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/msg"
+)
+
+// eagerRing is the reference model of the event ring: one slice of the
+// full capacity, allocated up front, written at next and wrapped when full.
+type eagerRing struct {
+	ring []Event
+	next int
+	full bool
+}
+
+func (q *eagerRing) add(e Event) {
+	if len(q.ring) == 0 {
+		return
+	}
+	q.ring[q.next] = e
+	q.next = (q.next + 1) % len(q.ring)
+	if q.next == 0 {
+		q.full = true
+	}
+}
+
+func (q *eagerRing) events() []Event {
+	var out []Event
+	if q.full {
+		out = append(out, q.ring[q.next:]...)
+	}
+	return append(out, q.ring[:q.next]...)
+}
+
+func (q *eagerRing) lastEventFor(addr msg.Addr) (Event, bool) {
+	evs := q.events()
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Addr == addr {
+			return evs[i], true
+		}
+	}
+	return Event{}, false
+}
+
+// ringCapacities are the capacities the ring fuzz target selects from:
+// empty, tiny, either side of one chunk, and the coverage runs' 4096.
+var ringCapacities = [...]int{0, 1, ringChunk - 1, ringChunk, ringChunk + 1, 4096}
+
+// ringEventCount turns a fuzz mode and count into a number of events below,
+// at, or far past the capacity.
+func ringEventCount(capacity int, mode uint8, n uint16) int {
+	switch mode % 4 {
+	case 0:
+		return int(n) % (capacity + 1) // at most the capacity
+	case 1:
+		return capacity
+	case 2:
+		return capacity + int(n)%(capacity+1) // past it, up to twice over
+	default:
+		return 3*capacity + int(n) // wrapped several times
+	}
+}
+
+// FuzzRecorderRing feeds the same event stream into a Recorder and into the
+// eager reference ring, then requires identical Events() and LastEventFor
+// answers. The first byte picks the capacity, the second how many events
+// to emit relative to it; the remaining bytes supply the lines touched and
+// the event kinds, cycled to the chosen length.
+func FuzzRecorderRing(f *testing.F) {
+	for c := range ringCapacities {
+		for mode := uint8(0); mode < 4; mode++ {
+			f.Add(uint8(c), mode, uint16(1000+37*c), []byte{1, 2, 3, 1, 7, 0, 250})
+		}
+	}
+	f.Fuzz(func(t *testing.T, capSel, mode uint8, n uint16, lines []byte) {
+		if len(lines) == 0 {
+			lines = []byte{0}
+		}
+		capacity := ringCapacities[int(capSel)%len(ringCapacities)]
+		count := ringEventCount(capacity, mode, n)
+
+		r := NewRecorder(capacity)
+		ref := &eagerRing{ring: make([]Event, capacity)}
+		var cycle uint64
+		r.SetClock(func() uint64 { return cycle })
+		r.SetSink(ref.add)
+		for i := 0; i < count; i++ {
+			cycle = uint64(i / 3)
+			b := lines[i%len(lines)]
+			addr := msg.Addr(b%16) * 0x40
+			switch b >> 6 {
+			case 0:
+				r.StateChange("l1", msg.NodeID(b%4), addr, msg.TID(i), "I", "S")
+			case 1:
+				r.TimeoutFired("l2", msg.NodeID(b%4), addr, 0, TimeoutLostRequest)
+			case 2:
+				r.MessageDropped(&msg.Message{Type: msg.GetX, Src: 1, Dst: 2, Addr: addr})
+			default:
+				r.TransactionEnd("mem", 3, addr, 0) // closes open windows: recover events
+			}
+		}
+
+		if got, want := r.Events(), ref.events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("capacity %d, %d events: Events() holds %d events, reference %d (or they differ)",
+				capacity, count, len(got), len(want))
+		}
+		for a := msg.Addr(0); a <= 16; a++ { // line 16 is never touched
+			got, gotOK := r.LastEventFor(a * 0x40)
+			want, wantOK := ref.lastEventFor(a * 0x40)
+			if gotOK != wantOK || got != want {
+				t.Fatalf("capacity %d, %d events: LastEventFor(%#x) = %+v, %v; reference %+v, %v",
+					capacity, count, a*0x40, got, gotOK, want, wantOK)
+			}
+		}
+	})
+}
+
+// TestRingAllocatesOnDemand pins the point of the chunked ring: storage
+// appears one chunk at a time as events arrive, so a short run with a
+// large capacity allocates only what it emitted into.
+func TestRingAllocatesOnDemand(t *testing.T) {
+	r := NewRecorder(4096)
+	allocated := func() (n int) {
+		for _, c := range r.chunks {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("fresh recorder holds %d chunks, want 0", n)
+	}
+	for i := 0; i < ringChunk+1; i++ {
+		r.StateChange("l1", 1, 0x40, 0, "I", "S")
+	}
+	if n := allocated(); n != 2 {
+		t.Fatalf("after %d events the ring holds %d chunks, want 2", ringChunk+1, n)
+	}
+	for i := 0; i < 4096; i++ {
+		r.StateChange("l1", 1, 0x40, 0, "I", "S")
+	}
+	if n := allocated(); n != 4 {
+		t.Fatalf("a wrapped ring holds %d chunks, want 4", n)
+	}
+	if got := len(r.Events()); got != 4096 {
+		t.Fatalf("wrapped ring returns %d events, want 4096", got)
+	}
+}

@@ -26,9 +26,11 @@ import (
 func (s *System) CheckCoherence() []error {
 	// All views go into one flat slice sorted by address (grouping runs
 	// afterwards), not a map of per-address slices: the flat slice grows
-	// geometrically, while the map costs an allocation per address. The
-	// stable sort preserves agent order within each line, which keeps error
-	// messages deterministic.
+	// geometrically, while the map costs an allocation per address. Each
+	// view remembers its collection index, and the in-place sort orders by
+	// (address, index): a unique key, so it yields exactly the order a
+	// stable sort by address would, which keeps error messages
+	// deterministic, without a stable sort's O(n log² n) swaps.
 	// Dead agents are excluded: their state froze mid-transaction at the
 	// death instant, and the reconstruction flush re-established the
 	// invariants over the survivors alone.
@@ -39,15 +41,26 @@ func (s *System) CheckCoherence() []error {
 			continue
 		}
 		a.InspectLines(func(v proto.LineView) {
-			views = append(views, agentView{node: id, v: v})
+			views = append(views, agentView{node: int32(id), ord: int32(len(views)), v: v})
 		})
 	}
-	slices.SortStableFunc(views, func(a, b agentView) int { return cmp.Compare(a.v.Addr, b.v.Addr) })
-
 	expectTokens := 0
 	if s.cfg.Protocol.tokenBased() {
 		expectTokens = s.topo.Tiles
 	}
+	return checkViews(s.topo, views, expectTokens)
+}
+
+// checkViews sorts views (in collection order, ord = index) by line and
+// checks each line's group, returning one error per violated line in
+// address order.
+func checkViews(topo proto.Topology, views []agentView, expectTokens int) []error {
+	slices.SortFunc(views, func(a, b agentView) int {
+		if c := cmp.Compare(a.v.Addr, b.v.Addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
 	var errs []error
 	for start := 0; start < len(views); {
 		addr := views[start].v.Addr
@@ -57,7 +70,7 @@ func (s *System) CheckCoherence() []error {
 		}
 		vs := views[start:end]
 		start = end
-		if err := checkLine(s.topo, addr, vs, true); err != nil {
+		if err := checkLine(topo, addr, vs, true); err != nil {
 			errs = append(errs, err)
 			continue
 		}
@@ -102,7 +115,7 @@ func (s *System) CheckLine(addr msg.Addr) error {
 		}
 		a.InspectLines(func(v proto.LineView) {
 			if v.Addr == addr {
-				vs = append(vs, agentView{node: id, v: v})
+				vs = append(vs, agentView{node: int32(id), v: v})
 			}
 		})
 	}
@@ -114,8 +127,11 @@ func (s *System) CheckLine(addr msg.Addr) error {
 	return checkLine(s.topo, addr, vs, false)
 }
 
+// agentView is one agent's view of a line. node and ord are 32-bit so the
+// view stays 80 bytes, the size the sort moves per swap.
 type agentView struct {
-	node msg.NodeID
+	node int32 // the agent's msg.NodeID
+	ord  int32 // collection order, the sort's tie-break
 	v    proto.LineView
 }
 
@@ -140,7 +156,7 @@ func checkLine(topo proto.Topology, addr msg.Addr, vs []agentView, quiescent boo
 			}
 		}
 		if av.v.Backup {
-			if topo.IsMem(av.node) {
+			if topo.IsMem(msg.NodeID(av.node)) {
 				memBackups++
 			} else {
 				chipBackups++

@@ -13,7 +13,7 @@ func checkerTopo() proto.Topology {
 
 func view(node int, perm proto.Permission, owner, backup bool, version uint64) agentView {
 	av := agentView{
-		node: checkerTopo().L1(node),
+		node: int32(checkerTopo().L1(node)),
 		v:    proto.LineView{Addr: 0x40, Perm: perm, Owner: owner, Backup: backup},
 	}
 	av.v.Payload.Version = version
@@ -77,8 +77,8 @@ func TestCheckLineChipPlusMemBackupAllowedMidRun(t *testing.T) {
 	// transfer chain is in flight.
 	topo := checkerTopo()
 	vs := []agentView{
-		{node: topo.L2(0), v: proto.LineView{Addr: 0x40, Backup: true}},
-		{node: topo.Mem(0), v: proto.LineView{Addr: 0x40, Backup: true}},
+		{node: int32(topo.L2(0)), v: proto.LineView{Addr: 0x40, Backup: true}},
+		{node: int32(topo.Mem(0)), v: proto.LineView{Addr: 0x40, Backup: true}},
 	}
 	if err := checkLine(topo, 0x40, vs, false); err != nil {
 		t.Fatalf("legal backup pair rejected: %v", err)
@@ -98,9 +98,9 @@ func TestCheckLineBackupAtQuiescenceRejected(t *testing.T) {
 
 func TestCheckLineStaleCopyRejected(t *testing.T) {
 	topo := checkerTopo()
-	owner := agentView{node: topo.L1(0), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true}}
+	owner := agentView{node: int32(topo.L1(0)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true}}
 	owner.v.Payload.Version = 5
-	stale := agentView{node: topo.L1(1), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead}}
+	stale := agentView{node: int32(topo.L1(1)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead}}
 	stale.v.Payload.Version = 3
 	err := checkLine(topo, 0x40, []agentView{owner, stale}, true)
 	if err == nil || !strings.Contains(err.Error(), "stale") {
@@ -110,9 +110,9 @@ func TestCheckLineStaleCopyRejected(t *testing.T) {
 
 func TestCheckLineHealthyQuiescentState(t *testing.T) {
 	topo := checkerTopo()
-	owner := agentView{node: topo.L1(0), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true}}
+	owner := agentView{node: int32(topo.L1(0)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true}}
 	owner.v.Payload.Version = 5
-	sharer := agentView{node: topo.L1(1), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead}}
+	sharer := agentView{node: int32(topo.L1(1)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead}}
 	sharer.v.Payload.Version = 5
 	if err := checkLine(topo, 0x40, []agentView{owner, sharer}, true); err != nil {
 		t.Fatalf("healthy state rejected: %v", err)

@@ -14,7 +14,7 @@ import (
 // reissued under a fresh serial number, and the recovery window closing.
 func TestLostAckBDEventSequence(t *testing.T) {
 	cfg := scriptConfig(FtDirCMP)
-	cfg.Injector = fault.NewTargeted(msg.AckBD, 1)
+	cfg.Injector = fault.NewNthOfType(msg.AckBD, 1)
 	rec := obs.NewRecorder(1 << 14)
 	cfg.Obs = rec
 	sc := newScript(t, cfg)

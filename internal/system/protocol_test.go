@@ -348,7 +348,7 @@ func TestFigure1MessageCounts(t *testing.T) {
 
 func TestLostAckBDRecoversByResendingAckO(t *testing.T) {
 	cfg := scriptConfig(FtDirCMP)
-	cfg.Injector = fault.NewTargeted(msg.AckBD, 1)
+	cfg.Injector = fault.NewNthOfType(msg.AckBD, 1)
 	sc := newScript(t, cfg)
 	const addr = 0xb000
 	sc.write(1, addr, 1)
@@ -370,7 +370,7 @@ func TestLostAckOTriggersOwnershipPing(t *testing.T) {
 	// timer so the backup holder's OwnershipPing drives recovery.
 	cfg.Params.LostAckBDTimeout = 500_000
 	cfg.Params.BackupTimeout = 500
-	cfg.Injector = fault.NewTargeted(msg.AckO, 1)
+	cfg.Injector = fault.NewNthOfType(msg.AckO, 1)
 	sc := newScript(t, cfg)
 	const addr = 0xc000
 	sc.write(1, addr, 1)
@@ -391,7 +391,7 @@ func TestNackOWhenReceiverHasNoOwnership(t *testing.T) {
 	// Drop the forwarded DataEx; ping the receiver before it reissues.
 	cfg.Params.LostRequestTimeout = 20_000
 	cfg.Params.BackupTimeout = 500
-	cfg.Injector = fault.NewTargeted(msg.DataEx, 4)
+	cfg.Injector = fault.NewNthOfType(msg.DataEx, 4)
 	sc := newScript(t, cfg)
 	const addr = 0xd000
 	sc.write(1, addr, 1) // DataEx #1 (mem->L2), #2 (L2->L1)
@@ -410,7 +410,7 @@ func TestWbCancelAfterLostCleanEviction(t *testing.T) {
 	cfg := scriptConfig(FtDirCMP)
 	cfg.Params.L2Size = 2 * 64 * 2
 	cfg.Params.L2Ways = 2
-	cfg.Injector = fault.NewTargeted(msg.WbNoData, 1)
+	cfg.Injector = fault.NewNthOfType(msg.WbNoData, 1)
 	sc := newScript(t, cfg)
 	tiles := cfg.Tiles()
 	// Read (clean) lines thrashing one L2 set: clean evictions send
@@ -421,7 +421,7 @@ func TestWbCancelAfterLostCleanEviction(t *testing.T) {
 		sc.read(0, msg.Addr(i)*l2SetStride)
 	}
 	sc.drain()
-	inj, ok := cfg.Injector.(*fault.Targeted)
+	inj, ok := cfg.Injector.(*fault.NthOfType)
 	if !ok {
 		t.Fatal("injector type")
 	}
@@ -440,7 +440,7 @@ func TestWbCancelAfterLostCleanEviction(t *testing.T) {
 
 func TestLostUnblockPingResendsUnblock(t *testing.T) {
 	cfg := scriptConfig(FtDirCMP)
-	cfg.Injector = fault.NewTargeted(msg.UnblockEx, 2)
+	cfg.Injector = fault.NewNthOfType(msg.UnblockEx, 2)
 	sc := newScript(t, cfg)
 	const addr = 0xe000
 	sc.write(0, addr, 1)
@@ -460,7 +460,7 @@ func TestDirtyDataSurvivesLostWbData(t *testing.T) {
 	cfg := scriptConfig(FtDirCMP)
 	cfg.Params.L1Size = 2 * 64 * 2
 	cfg.Params.L1Ways = 2
-	cfg.Injector = fault.NewTargeted(msg.WbData, 1)
+	cfg.Injector = fault.NewNthOfType(msg.WbData, 1)
 	sc := newScript(t, cfg)
 	setStride := msg.Addr(2 * 64)
 	base := msg.Addr(0xf000)
@@ -486,7 +486,7 @@ func TestBlockedOwnershipDefersForwards(t *testing.T) {
 	// and replayed once the lost-AckBD timeout resends the AckO and the
 	// AckBD arrives.
 	cfg := scriptConfig(FtDirCMP)
-	cfg.Injector = fault.NewTargeted(msg.AckBD, 1)
+	cfg.Injector = fault.NewNthOfType(msg.AckBD, 1)
 	sc := newScript(t, cfg)
 	const addr = 0x11c0
 	sc.write(1, addr, 1) // owner: core 1
@@ -519,7 +519,7 @@ func TestBackupResendsOnReissuedForward(t *testing.T) {
 	// DataEx #1: mem->L2 for core 1's fetch; #2: L2->core1; the plain
 	// GetS by core 2 produces a Data (not DataEx); #3 is the forwarded
 	// GetX response core1 -> core0, the one we drop.
-	inj := fault.NewTargeted(msg.DataEx, 3)
+	inj := fault.NewNthOfType(msg.DataEx, 3)
 	cfg.Injector = inj
 	sc := newScript(t, cfg)
 	const addr = 0x12c0

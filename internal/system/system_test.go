@@ -81,7 +81,7 @@ func TestFtDirCMPUnderFaults(t *testing.T) {
 func TestDirCMPDeadlocksOnAnyLoss(t *testing.T) {
 	cfg := smallConfig(DirCMP)
 	cfg.Limit = 5_000_000
-	cfg.Injector = fault.NewTargeted(msg.GetX, 5)
+	cfg.Injector = fault.NewNthOfType(msg.GetX, 5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

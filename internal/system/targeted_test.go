@@ -18,7 +18,7 @@ func TestFtDirCMPTargetedDrops(t *testing.T) {
 				cfg := smallConfig(FtDirCMP)
 				cfg.OpsPerCore = 150
 				cfg.Limit = 20_000_000
-				inj := fault.NewTargeted(typ, nth)
+				inj := fault.NewNthOfType(typ, nth)
 				cfg.Injector = inj
 				s, err := New(cfg)
 				if err != nil {

@@ -62,7 +62,7 @@ func TestTokenCMPStallsOnLoss(t *testing.T) {
 	// Token protocols retry transient requests, so a lost request message
 	// self-heals; losing an owner-token grant is fatal for the base
 	// protocol (the token and data are gone for good).
-	cfg.Injector = fault.NewTargeted(msg.TokenGrant, 5)
+	cfg.Injector = fault.NewNthOfType(msg.TokenGrant, 5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestFtTokenCMPTargetedDrops(t *testing.T) {
 				cfg := smallConfig(FtTokenCMP)
 				cfg.OpsPerCore = 150
 				cfg.Limit = 50_000_000
-				inj := fault.NewTargeted(typ, nth)
+				inj := fault.NewNthOfType(typ, nth)
 				cfg.Injector = inj
 				s, err := New(cfg)
 				if err != nil {

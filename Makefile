@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz serve-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz serve-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -65,6 +65,14 @@ sim-fuzz:
 # mc job, beside sim-fuzz.
 obs-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRecorderRing -fuzztime 20s ./internal/obs
+
+# cache-fuzz fuzzes the cache array's set-granular frames for 20 s: a
+# random geometry and fill/evict/invalidate script must pick, look up and
+# visit (ForEach, Count) exactly the frames a fully allocated reference
+# geometry does, and no frame handed out may change address. CI runs it in
+# the mc job, beside sim-fuzz and obs-fuzz.
+cache-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzArrayMatchesReference -fuzztime 20s ./internal/cache
 
 # serve-fuzz fuzzes the experiment request body for 20 s, the boundary
 # where client-supplied configuration enters the simulator: resolveRequest

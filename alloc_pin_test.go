@@ -42,9 +42,11 @@ func TestFig3QuickAllocsPin(t *testing.T) {
 // TestInterleavePathBytesPin pins the model checker's allocation per
 // executed path on the quick handoff gate at fault budget 1. Every path
 // re-executes its decision prefix on a freshly built system, so per-system
-// setup is paid once per path: with cache frames allocated on first fill
-// and no fixed-size event queue, a path costs ~64 KB. Building the caches
-// eagerly raises that to ~190 KB, which the 128 KB bound rejects.
+// setup is paid once per path: with each cache set's frames allocated on
+// that set's first fill and a message fingerprint that builds no wire
+// encoding, a path costs ~28 KB. Allocating a whole array's frames on its
+// first fill measured ~64 KB per path, which the 48 KB bound rejects
+// (building the caches eagerly, ~190 KB).
 func TestInterleavePathBytesPin(t *testing.T) {
 	cfg := quickInterleaveConfig()
 	opts := InterleaveOptions{FaultBudget: 1}
@@ -63,7 +65,7 @@ func TestInterleavePathBytesPin(t *testing.T) {
 	}
 	perPath := (after.TotalAlloc - before.TotalAlloc) / uint64(rep.Transitions)
 	t.Logf("%d paths, %d B allocated per path", rep.Transitions, perPath)
-	const maxBytes = 128 << 10
+	const maxBytes = 48 << 10
 	if perPath > maxBytes {
 		t.Errorf("quick interleave gate: %d B per executed path, want <= %d", perPath, maxBytes)
 	}
@@ -73,9 +75,11 @@ func TestInterleavePathBytesPin(t *testing.T) {
 // FtDirCMP single-loss campaign (uniform, 20 ops/core, at most three slots
 // per message type). Every coverage run keeps a 4,096-event obs ring for
 // its deadlock dumps but emits well under a thousand events, so the ring's
-// storage is allocated in 1,024-event chunks as events arrive. With that,
-// a run measures ~450 KB; zeroing the whole 557 KB ring up front measured
-// ~875 KB per run, which the 640 KB bound rejects.
+// storage is allocated in 1,024-event chunks as events arrive, and a cache
+// array allocates frames only for the sets a run fills. With both, a run
+// measures ~336 KB. Allocating each touched array's frames whole measured
+// ~450 KB per run, which the 400 KB bound rejects (zeroing the whole
+// 557 KB ring up front as well, ~875 KB).
 func TestCoverageRunBytesPin(t *testing.T) {
 	cfg := quickCoverageConfig()
 	cfg.Parallelism = 1
@@ -96,8 +100,36 @@ func TestCoverageRunBytesPin(t *testing.T) {
 	runs := uint64(1 + rep.SlotsTested) // the census run, then one per slot
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%d runs, %d B allocated per run", runs, perRun)
-	const maxBytes = 640 << 10
+	const maxBytes = 400 << 10
 	if perRun > maxBytes {
 		t.Errorf("quick coverage campaign: %d B per run, want <= %d", perRun, maxBytes)
+	}
+}
+
+// TestTable4RunBytesPin pins the bytes allocated by one fault-free run of
+// the Table-4 system (DefaultConfig: 16 tiles, 32 KB L1s, 512 KB L2 banks)
+// for FtDirCMP on uniform at 500 ops/core. Such a run touches only a few
+// percent of the cache sets, so with frames allocated set by set on first
+// fill it measures ~3.4 MB. Allocating each touched array's frames whole
+// measured ~10.8 MB, which the 6 MB bound rejects.
+func TestTable4RunBytesPin(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Protocol = FtDirCMP
+	cfg.OpsPerCore = 500
+	run := func() {
+		if _, err := Run(cfg, "uniform"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perRun := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B allocated per run", perRun)
+	const maxBytes = 6 << 20
+	if perRun > maxBytes {
+		t.Errorf("Table-4 FtDirCMP/uniform run at 500 ops/core: %d B, want <= %d", perRun, maxBytes)
 	}
 }

@@ -5,6 +5,8 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/msg"
 )
@@ -30,55 +32,88 @@ func (l *Line) Reset(addr msg.Addr) {
 }
 
 // Array is a set-associative cache indexed by line address. Its frames are
-// one flat slice, set s occupying lines[s*ways:(s+1)*ways], allocated by the
-// first Victim call: an array that is never filled costs only its header,
-// which matters to the model checker, whose small workloads touch a handful
-// of lines yet rebuild every cache of the system once per explored path.
+// allocated set by set: the first Victim call creates the set table, and a
+// set gets its ways frames on its own first fill. An array that is never
+// filled costs only its header, and one that is filled costs frames only
+// for the sets it touched — which matters to the model checker, whose small
+// workloads touch a handful of lines yet rebuild every cache of the system
+// once per explored path, and to short runs, which touch a few percent of
+// the sets. Frames never move once carved, so callers may hold a *Line
+// across later Victim calls.
 type Array struct {
-	lines    []Line
-	numSets  int
-	ways     int
-	lineSize int
-	tick     uint64
+	sets  [][]Line // nil until the first Victim; sets[s] nil until s is filled
+	spare []Line   // carved frames not yet given to a set
+	tick  uint64
+	// The geometry and fill count are packed so the header stays at one
+	// 64-byte size class, as with one flat frame slice: every system
+	// builds an array per cache, filled or not.
+	filled    uint32 // sets that hold frames
+	ways      uint16
+	setBits   uint8 // the array has 1<<setBits sets
+	lineShift uint8 // lines are 1<<lineShift bytes
 }
 
 // NewArray builds an array with the given geometry. sizeBytes must be a
-// multiple of ways*lineSize and the resulting set count a power of two.
+// multiple of ways*lineSize, the line size and the resulting set count
+// powers of two, with at most 65,535 ways and 2^31 sets.
 func NewArray(sizeBytes, ways, lineSize int) (*Array, error) {
-	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
+	if sizeBytes <= 0 || ways <= 0 || ways > math.MaxUint16 || lineSize <= 0 {
 		return nil, fmt.Errorf("cache: invalid geometry size=%d ways=%d line=%d", sizeBytes, ways, lineSize)
+	}
+	if lineSize&(lineSize-1) != 0 {
+		return nil, fmt.Errorf("cache: line size %d not a power of two", lineSize)
 	}
 	if sizeBytes%(ways*lineSize) != 0 {
 		return nil, fmt.Errorf("cache: size %d not divisible by ways*line %d", sizeBytes, ways*lineSize)
 	}
 	numSets := sizeBytes / (ways * lineSize)
-	if numSets&(numSets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d not a power of two", numSets)
+	if numSets&(numSets-1) != 0 || uint(numSets) > 1<<31 {
+		return nil, fmt.Errorf("cache: set count %d not a power of two up to 2^31", numSets)
 	}
-	return &Array{numSets: numSets, ways: ways, lineSize: lineSize}, nil
+	return &Array{
+		ways:      uint16(ways),
+		setBits:   uint8(bits.TrailingZeros(uint(numSets))),
+		lineShift: uint8(bits.TrailingZeros(uint(lineSize))),
+	}, nil
 }
 
 // LineSize returns the line size in bytes.
-func (a *Array) LineSize() int { return a.lineSize }
+func (a *Array) LineSize() int { return 1 << a.lineShift }
 
 // Sets returns the number of sets.
-func (a *Array) Sets() int { return a.numSets }
+func (a *Array) Sets() int { return 1 << a.setBits }
 
 // Ways returns the associativity.
-func (a *Array) Ways() int { return a.ways }
+func (a *Array) Ways() int { return int(a.ways) }
 
 // setOf returns the set index for a line-aligned address.
 func (a *Array) setOf(addr msg.Addr) int {
-	return int(uint64(addr) / uint64(a.lineSize) % uint64(a.numSets))
+	return int(uint64(addr) >> a.lineShift & (1<<a.setBits - 1))
 }
 
-// set returns the ways of addr's set; empty before the first fill.
+// set returns the ways of addr's set; empty before the set's first fill.
 func (a *Array) set(addr msg.Addr) []Line {
-	if a.lines == nil {
+	if a.sets == nil {
 		return nil
 	}
-	base := a.setOf(addr) * a.ways
-	return a.lines[base : base+a.ways : base+a.ways]
+	return a.sets[a.setOf(addr)]
+}
+
+// carve gives set s its frames. They come from a spare chunk whose size
+// doubles with the number of sets filled (1, 1, 2, 4, … sets, capped at the
+// sets still empty), so an array never holds more frames than sets*ways and
+// pays one allocation per doubling rather than one per set.
+func (a *Array) carve(s int) []Line {
+	ways, filled := int(a.ways), int(a.filled)
+	if len(a.spare) == 0 {
+		n := min(max(filled, 1), a.Sets()-filled)
+		a.spare = make([]Line, n*ways)
+	}
+	set := a.spare[:ways:ways]
+	a.spare = a.spare[ways:]
+	a.sets[s] = set
+	a.filled++
+	return set
 }
 
 // Lookup returns the frame holding addr, or nil on miss. It does not update
@@ -103,13 +138,17 @@ func (a *Array) Touch(l *Line) {
 // otherwise the least-recently-used way for which canEvict returns true.
 // It returns nil when every way is pinned (callers must then stall or pick
 // another course). The returned frame still holds the victim's contents;
-// the caller evicts it and then calls Reset. The first call allocates the
-// array's frames.
+// the caller evicts it and then calls Reset. The first call for a set
+// allocates that set's frames.
 func (a *Array) Victim(addr msg.Addr, canEvict func(*Line) bool) *Line {
-	if a.lines == nil {
-		a.lines = make([]Line, a.numSets*a.ways)
+	if a.sets == nil {
+		a.sets = make([][]Line, a.Sets())
 	}
-	set := a.set(addr)
+	s := a.setOf(addr)
+	set := a.sets[s]
+	if set == nil {
+		set = a.carve(s)
+	}
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -126,11 +165,14 @@ func (a *Array) Victim(addr msg.Addr, canEvict func(*Line) bool) *Line {
 	return victim
 }
 
-// ForEach visits every valid line. Used by the invariant checker.
+// ForEach visits every valid line in (set, way) order. Used by the
+// invariant checker, dumps and state fingerprints.
 func (a *Array) ForEach(fn func(*Line)) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(&a.lines[i])
+	for _, set := range a.sets {
+		for i := range set {
+			if set[i].Valid {
+				fn(&set[i])
+			}
 		}
 	}
 }
@@ -138,9 +180,11 @@ func (a *Array) ForEach(fn func(*Line)) {
 // Count returns the number of valid lines.
 func (a *Array) Count() int {
 	n := 0
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			n++
+	for _, set := range a.sets {
+		for i := range set {
+			if set[i].Valid {
+				n++
+			}
 		}
 	}
 	return n

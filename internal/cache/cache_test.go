@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,12 @@ func TestNewArrayGeometry(t *testing.T) {
 		{32 * 1024, 4, 0},
 		{100, 4, 64},        // not divisible
 		{3 * 64 * 4, 4, 64}, // 3 sets: not a power of two
+		{4 * 48 * 4, 4, 48}, // line size not a power of two
+		{64 * 70000, 70000, 64},
+	}
+	if bits.UintSize == 64 {
+		shift := 32
+		bad = append(bad, [3]int{64 << shift, 1, 64}) // 2^32 one-way sets
 	}
 	for _, g := range bad {
 		if _, err := NewArray(g[0], g[1], g[2]); err == nil {

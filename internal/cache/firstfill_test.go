@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -8,17 +9,18 @@ import (
 	"repro/internal/msg"
 )
 
-// Storage on first fill: an Array allocates its frames in the first
-// Victim call and a Table its map in the first Alloc. These tests pin that
-// the untouched structures behave as empty ones, and that the flat frame
-// layout picks exactly the frames a set-of-ways layout would.
+// Storage on first fill: an Array allocates its set table in the first
+// Victim call and each set's frames in that set's first fill, and a Table
+// allocates its map in the first Alloc. These tests pin that the untouched
+// structures behave as empty ones, and that the set-granular frames pick
+// exactly the frames a fully allocated set-of-ways layout would.
 
 func TestUntouchedArrayIsEmpty(t *testing.T) {
 	a, err := NewArray(32*1024, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.lines != nil {
+	if a.sets != nil || a.spare != nil {
 		t.Fatal("NewArray allocated frames before the first fill")
 	}
 	for _, addr := range []msg.Addr{0, 0x40, 0x7fc0, 0x12340} {
@@ -31,8 +33,16 @@ func TestUntouchedArrayIsEmpty(t *testing.T) {
 	if visited != 0 || a.Count() != 0 {
 		t.Fatalf("untouched array: ForEach visited %d, Count = %d, want 0 and 0", visited, a.Count())
 	}
-	if a.lines != nil {
+	if a.sets != nil || a.spare != nil {
 		t.Fatal("Lookup/ForEach/Count allocated frames")
+	}
+	n := testing.AllocsPerRun(10, func() {
+		a.Lookup(0x40)
+		a.ForEach(func(*Line) { visited++ })
+		a.Count()
+	})
+	if n != 0 {
+		t.Fatalf("Lookup/ForEach/Count on an untouched array: %.0f allocs, want 0", n)
 	}
 }
 
@@ -44,15 +54,66 @@ func TestFirstVictimIsWayZeroOfItsSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := a.Victim(addr, nil)
-		if len(a.lines) != sets*ways {
-			t.Fatalf("first Victim allocated %d frames, want %d", len(a.lines), sets*ways)
-		}
 		set := int(uint64(addr) / line % sets)
-		if want := &a.lines[set*ways]; v != want {
+		if len(a.sets) != sets {
+			t.Fatalf("first Victim built a set table of %d sets, want %d", len(a.sets), sets)
+		}
+		for s := range a.sets {
+			want := 0
+			if s == set {
+				want = ways
+			}
+			if len(a.sets[s]) != want {
+				t.Fatalf("after Victim(%#x): set %d holds %d frames, want %d", addr, s, len(a.sets[s]), want)
+			}
+		}
+		if a.filled != 1 || len(a.spare) != 0 {
+			t.Fatalf("first Victim: %d sets filled and %d spare frames, want 1 and 0", a.filled, len(a.spare))
+		}
+		if want := &a.sets[set][0]; v != want {
 			t.Fatalf("Victim(%#x) = frame %d, want way 0 of set %d (frame %d)", addr, frameIndex(a, v), set, set*ways)
 		}
 		if v.Valid {
 			t.Fatalf("Victim(%#x) on a fresh array returned a valid frame", addr)
+		}
+	}
+}
+
+// TestSetFramesGrowByDoubling fills every set of an array in turn and
+// checks the frame budget: chunks of 1, 1, 2, 4, … sets, capped at the sets
+// still empty, so the array never holds more than sets*ways frames in all,
+// and every frame keeps its address while later sets are carved.
+func TestSetFramesGrowByDoubling(t *testing.T) {
+	for _, sets := range []int{1, 2, 8, 16, 128} {
+		const ways, line = 4, 64
+		a, err := NewArray(sets*ways*line, ways, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held []*Line
+		chunks := 0
+		for s := 0; s < sets; s++ {
+			hadSpare := len(a.spare) > 0
+			v := a.Victim(msg.Addr(s*line), nil)
+			if !hadSpare {
+				chunks++
+				if want := min(max(s, 1), sets-s) * ways; len(a.spare)+ways != want {
+					t.Fatalf("%d sets: chunk carved at fill %d holds %d frames, want %d", sets, s, len(a.spare)+ways, want)
+				}
+			}
+			v.Reset(msg.Addr(s * line))
+			held = append(held, v)
+			for i, l := range held {
+				if a.Lookup(msg.Addr(i*line)) != l {
+					t.Fatalf("%d sets: frame of set %d moved after filling set %d", sets, i, s)
+				}
+			}
+		}
+		if len(a.spare) != 0 || a.Count() != sets {
+			t.Fatalf("%d sets: %d spare frames and %d valid lines after filling every set, want 0 and %d", sets, len(a.spare), a.Count(), sets)
+		}
+		if want := bits.Len(uint(sets)); chunks != want {
+			t.Fatalf("%d sets: %d chunks, want %d", sets, chunks, want)
 		}
 	}
 }
@@ -101,19 +162,23 @@ func (r *refArray) victim(addr msg.Addr, pinned func(msg.Addr) bool) (int, int) 
 	return s, best
 }
 
+// frameIndex returns l's position in the flat (set, way) order, set*ways +
+// way, or -1 when l is not one of a's frames.
 func frameIndex(a *Array, l *Line) int {
-	for i := range a.lines {
-		if &a.lines[i] == l {
-			return i
+	for s, set := range a.sets {
+		for w := range set {
+			if &set[w] == l {
+				return s*int(a.ways) + w
+			}
 		}
 	}
 	return -1
 }
 
-// TestFlatFramesMatchReferenceGeometry drives the same random
+// TestSetFramesMatchReferenceGeometry drives the same random
 // hit/fill/evict/invalidate sequence through an Array and the reference
 // geometry and requires the identical frame — set and way — on every fill.
-func TestFlatFramesMatchReferenceGeometry(t *testing.T) {
+func TestSetFramesMatchReferenceGeometry(t *testing.T) {
 	const sets, ways, line = 8, 4, 64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -199,5 +264,14 @@ func TestTableBeforeFirstAlloc(t *testing.T) {
 	}
 	if e := tb.Alloc(0x40); e == nil || tb.Get(0x40) != e || tb.Len() != 1 {
 		t.Fatal("first Alloc did not create a retrievable entry")
+	}
+}
+
+// TestArrayHeaderIs64Bytes pins the Array header at one 64-byte size
+// class, as it was with one flat frame slice: every system builds an array
+// per cache, filled or not.
+func TestArrayHeaderIs64Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Array{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Array{}) = %d, want 64", got)
 	}
 }

@@ -260,7 +260,7 @@ func evaluate(cfg system.Config, w workload.Workload, base coverage.Outcome, act
 	if err != nil {
 		return evalResult{}, err
 	}
-	ch := &scriptChooser{script: actions}
+	ch := &scriptChooser{script: actions, infos: make([]uint64, 0, len(actions))}
 	in.eng.SetChooser(ch)
 	runErr := in.eng.Run(cfg.Limit)
 	if ch.diverged != nil {

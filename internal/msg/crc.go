@@ -54,6 +54,16 @@ func EncodeAppend(dst []byte, m *Message) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, wireSize+2)...)
 	buf := dst[start:]
+	putHeader(buf, m)
+	crc := CRC16(buf[:wireSize])
+	binary.LittleEndian.PutUint16(buf[wireSize:], crc)
+	return dst
+}
+
+// putHeader writes the wireSize-byte header of m — everything the CRC
+// trailer covers — into buf[:wireSize].
+func putHeader(buf []byte, m *Message) {
+	_ = buf[wireSize-1]
 	buf[0] = byte(m.Type)
 	binary.LittleEndian.PutUint16(buf[1:], uint16(m.Src))
 	binary.LittleEndian.PutUint16(buf[3:], uint16(m.Dst))
@@ -86,9 +96,6 @@ func EncodeAppend(dst []byte, m *Message) []byte {
 	buf[19] = flags
 	binary.LittleEndian.PutUint64(buf[20:], m.Payload.Value)
 	binary.LittleEndian.PutUint64(buf[28:], m.Payload.Version)
-	crc := CRC16(buf[:wireSize])
-	binary.LittleEndian.PutUint16(buf[wireSize:], crc)
-	return dst
 }
 
 // Decode parses a serialized message, verifying the CRC. It returns the

@@ -13,12 +13,14 @@ const (
 // payload — and therefore excludes the TID, which is observability-only
 // and differs between otherwise identical protocol states. The model
 // checker (internal/mc) sums fingerprints to hash the in-flight message
-// multiset, and uses them to describe delivery choices.
+// multiset, and uses them to describe delivery choices. It hashes the
+// header alone: the CRC trailer is a function of the header, so computing
+// it would add nothing to the hash but its cost.
 func Fingerprint(m *Message) uint64 {
-	var scratch [wireSize + 2]byte
-	buf := EncodeAppend(scratch[:0], m)
+	var buf [wireSize]byte
+	putHeader(buf[:], m)
 	h := uint64(fnvOffset64)
-	for _, b := range buf[:wireSize] { // skip the CRC trailer: pure redundancy
+	for _, b := range buf {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}

@@ -20,11 +20,22 @@ import (
 // A lost or stale data message that slipped through the protocol (for
 // example after a mishandled reissue — the paper's Figure 2 scenario)
 // manifests as a duplicated/skipped version or a value mismatch here.
+//
+// lastVersion holds an entry for every line that ever committed a write,
+// including a version-0 commit and one later rolled back, so its key set
+// (not a zero version) answers "no write ever committed". Every version
+// valueAt holds for a line is at most the line's lastVersion.
 type Integrity struct {
-	lastVersion map[msg.Addr]uint64            // last committed version per line
-	valueAt     map[msg.Addr]map[uint64]uint64 // version -> committed value
-	coreSeen    []map[msg.Addr]uint64          // per-core last observed version
+	lastVersion map[msg.Addr]uint64    // last committed version per line
+	valueAt     map[lineVersion]uint64 // (line, version) -> committed value
+	coreSeen    []map[msg.Addr]uint64  // per-core last observed version
 	errs        []string
+}
+
+// lineVersion keys one committed version of one line.
+type lineVersion struct {
+	addr    msg.Addr
+	version uint64
 }
 
 // NewIntegrity builds an oracle for the given core count.
@@ -35,7 +46,7 @@ func NewIntegrity(cores int) *Integrity {
 	}
 	return &Integrity{
 		lastVersion: make(map[msg.Addr]uint64),
-		valueAt:     make(map[msg.Addr]map[uint64]uint64),
+		valueAt:     make(map[lineVersion]uint64),
 		coreSeen:    seen,
 	}
 }
@@ -43,29 +54,21 @@ func NewIntegrity(cores int) *Integrity {
 // OnWriteCommit is the proto.WriteObserver hook, called by L1 controllers
 // at the serialization point of every store.
 func (g *Integrity) OnWriteCommit(addr msg.Addr, version, value uint64) {
-	if want := g.lastVersion[addr] + 1; version != want {
+	last := g.lastVersion[addr]
+	if want := last + 1; version != want {
 		g.fail("write to %#x committed version %d, want %d (lost or duplicated ownership)",
 			addr, version, want)
 	}
-	if version > g.lastVersion[addr] {
-		g.lastVersion[addr] = version
-	}
-	m := g.valueAt[addr]
-	if m == nil {
-		m = make(map[uint64]uint64)
-		g.valueAt[addr] = m
-	}
-	m[version] = value
+	g.lastVersion[addr] = max(last, version)
+	g.valueAt[lineVersion{addr, version}] = value
 }
 
 // OnCoreWrite records the version a core observed its own store commit at.
 func (g *Integrity) OnCoreWrite(coreID int, addr msg.Addr, version, value uint64) {
 	g.observe(coreID, addr, version)
-	if m := g.valueAt[addr]; m != nil {
-		if v, ok := m[version]; ok && v != value {
-			g.fail("core %d write to %#x v%d returned value %#x, committed %#x",
-				coreID, addr, version, value, v)
-		}
+	if v, ok := g.valueAt[lineVersion{addr, version}]; ok && v != value {
+		g.fail("core %d write to %#x v%d returned value %#x, committed %#x",
+			coreID, addr, version, value, v)
 	}
 }
 
@@ -78,12 +81,11 @@ func (g *Integrity) OnCoreRead(coreID int, addr msg.Addr, version, value uint64)
 		}
 		return
 	}
-	m := g.valueAt[addr]
-	if m == nil {
+	if _, ok := g.lastVersion[addr]; !ok {
 		g.fail("core %d read %#x v%d but no write ever committed", coreID, addr, version)
 		return
 	}
-	want, ok := m[version]
+	want, ok := g.valueAt[lineVersion{addr, version}]
 	if !ok {
 		g.fail("core %d read %#x v%d which was never committed", coreID, addr, version)
 		return
@@ -112,13 +114,19 @@ func (g *Integrity) observe(coreID int, addr msg.Addr, version uint64) {
 // line would (correctly, but unhelpfully) trip the oracle — the rollback is
 // deliberate and is accounted separately by the recovery verdict.
 func (g *Integrity) AllowRegression(addr msg.Addr, v uint64) {
-	if g.lastVersion[addr] > v {
+	if last := g.lastVersion[addr]; last > v {
 		g.lastVersion[addr] = v
-	}
-	if m := g.valueAt[addr]; m != nil {
-		for ver := range m {
-			if ver > v {
-				delete(m, ver)
+		// Truncate the history at v: versions v+1..last, or a scan of the
+		// map when that range is the larger (a wildly skipped version).
+		if last-v <= uint64(len(g.valueAt)) {
+			for ver := v + 1; ver <= last; ver++ {
+				delete(g.valueAt, lineVersion{addr, ver})
+			}
+		} else {
+			for k := range g.valueAt {
+				if k.addr == addr && k.version > v {
+					delete(g.valueAt, k)
+				}
 			}
 		}
 	}

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz serve-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz serve-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -78,8 +78,8 @@ cache-fuzz:
 # where client-supplied configuration enters the simulator: resolveRequest
 # must never panic, a body and its field-reordered re-encoding must resolve
 # to the same cache key (or both fail), and an accepted run body of at most
-# 64 tiles, executed with one operation per core, must end in a Result or
-# an error within 2 s. CI runs it in the serve job.
+# 64 tiles, executed with at most one operation per core, must end in a
+# Result or an error within 2 s. CI runs it in the serve job.
 serve-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResolveRequest -fuzztime 20s ./internal/serve
 
@@ -102,36 +102,11 @@ trace-check:
 	$(GO) test -race -run 'TestServiceTrace|TestSubmitTraceHeaders|TestStatusEndpoint|TestMetricsExposition|TestPprofEndpoints|TestRouterStatus|TestRouterRetriesMisdirected421|TestRouterRelaysUnretryable421|TestRouterSurvivesMidBodyShardFailure|TestRouterPropagatesTraceContext' ./internal/serve
 
 # load-check runs the cmd/ftload suite under the race detector (the JSON
-# report shape and the bench-line grammar are pinned there) plus one real
-# invocation of the harness against a self-served 2-shard topology.
+# report shape is pinned there) plus one real invocation of the harness
+# against a self-served 2-shard topology.
 load-check:
 	$(GO) test -race ./cmd/ftload
 	$(GO) run ./cmd/ftload -serve 2 -clients 64 -requests 128 -workers 1 -json > /dev/null
-
-# bench regenerates every benchmark number (ns/op plus the custom paper
-# metrics, including the span-reconstructor cost and the event-emission
-# hot path with instrumentation off/on, plus the ftserve cache-key and
-# scheduler overheads) and writes them as $(BENCH_OUT) via cmd/bench2json.
-# The ftload capacity run (1000 concurrent clients against a self-served
-# 2-shard topology) appends its record to the same snapshot, as does the
-# tile-death class run (each unique job is a sampled structural campaign,
-# so per-job service time dominates: fewer, heavier requests).
-# Override BENCH_OUT to snapshot under a different name.
-BENCH_OUT ?= BENCH_PR10.json
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/serve | tee bench.out
-	$(GO) run ./cmd/ftload -serve 2 -clients 1000 -requests 2000 -dup-ratio 0.5 -queue 1024 -bench | tee -a bench.out
-	$(GO) run ./cmd/ftload -serve 2 -clients 16 -requests 32 -dup-ratio 0.5 -hot 4 -ops 20 -class tile-death -bench | tee -a bench.out
-	$(GO) run ./cmd/bench2json < bench.out > $(BENCH_OUT)
-	@rm -f bench.out
-	@echo wrote $(BENCH_OUT)
-
-# bench-diff compares the current snapshot against the previous PR's
-# baseline, per benchmark (ns/op, B/op, allocs/op, cycles). Informational:
-# it never fails the build.
-BENCH_BASE ?= BENCH_PR9.json
-bench-diff:
-	$(GO) run ./cmd/benchdiff $(BENCH_BASE) $(BENCH_OUT)
 
 # sweep-bench times the parallel campaign runner against the serial loop;
 # on an N-core machine the allcores variant approaches N× faster.

@@ -18,8 +18,9 @@ package repro
 //     observability layer — span rebuilding off the event stream, and the
 //     per-event emission hot path with instrumentation off/on.
 //
-// `make bench` regenerates every number into BENCH_PR4.json; cmd/ftexp
-// prints the same results as the paper's tables.
+// These are `go test -bench` entry points; the repository benchmark is
+// BENCHMARK.json, run with `bash bench/run.sh` (see bench/README.md).
+// cmd/ftexp prints the same results as the paper's tables.
 
 import (
 	"fmt"

@@ -321,7 +321,7 @@ func stageOwnershipChange(p system.Protocol) (string, error) {
 	cfg.Mems = 1
 	ring := trace.NewRing(64)
 	const addr = 0x40
-	cfg.Trace = ring
+	cfg.ExtraRecorder = ring
 	s, err := system.New(cfg)
 	if err != nil {
 		return "", err

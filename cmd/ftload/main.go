@@ -22,9 +22,7 @@
 //
 //	ftload -serve 2 -clients 1000 -requests 2000 -json
 //
-// Output is a human summary by default, a JSON report with -json, or
-// `go test -bench`-shaped lines with -bench so `make bench` can feed the
-// numbers through cmd/bench2json into the BENCH_*.json snapshots.
+// Output is a human summary by default, or a JSON report with -json.
 package main
 
 import (
@@ -123,7 +121,6 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", 0, "self-serve: workers per backend (0 = GOMAXPROCS)")
 	flag.IntVar(&opts.queue, "queue", 64, "self-serve: scheduler queue depth per backend")
 	jsonOut := flag.Bool("json", false, "emit the JSON report on stdout")
-	benchOut := flag.Bool("bench", false, "emit go-bench-shaped lines (with a pkg: header) for cmd/bench2json")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
@@ -135,14 +132,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ftload:", err)
 		os.Exit(1)
 	}
-	switch {
-	case *benchOut:
-		fmt.Print(benchLines(rep))
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
-	default:
+	} else {
 		fmt.Print(summary(rep))
 	}
 }
@@ -532,19 +526,4 @@ func fleetLine(raw json.RawMessage) string {
 			doc.ShardCount, doc.Totals.JobsDone, doc.Totals.WorkersBusy, doc.Totals.QueueDepth, doc.Totals.Unreachable)
 	}
 	return fmt.Sprintf("shard %d/%d, %d done jobs, up %dms", doc.Shard, doc.ShardCount, doc.Jobs["done"], doc.UptimeMs)
-}
-
-// benchLines renders the report as `go test -bench` output so the
-// existing bench pipeline (tee bench.out | cmd/bench2json) ingests it
-// next to the real benchmarks. The pkg: header attributes the record.
-func benchLines(r *report) string {
-	name := fmt.Sprintf("BenchmarkFtload/clients=%d/shards=%d", r.Clients, r.Shards)
-	if r.Class != "" && r.Class != "run" {
-		// The default class keeps its historical name so BENCH_* series
-		// stay comparable across snapshots.
-		name = fmt.Sprintf("BenchmarkFtload/class=%s/clients=%d/shards=%d", r.Class, r.Clients, r.Shards)
-	}
-	meanNs := r.Latency.Mean * 1e3 // report microsecond mean as ns/op
-	return fmt.Sprintf("pkg: repro/cmd/ftload\n%s \t%8d\t%.0f ns/op\t%8d p50-us\t%8d p99-us\t%8.1f req/s\t%8.4f 429-rate\t%8.0f backoff-us\t%8d clients\t%8d shards\n",
-		name, r.Requests, meanNs, r.Latency.P50, r.Latency.P99, r.Throughput, r.Rate429, r.BackoffWait.Mean, r.Clients, r.Shards)
 }

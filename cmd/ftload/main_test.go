@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -151,41 +150,6 @@ func TestScheduleIsDeterministicAndMixesDuplicates(t *testing.T) {
 	opts.dupRatio = 1
 	if _, unique := schedule(opts); unique > opts.hotPool {
 		t.Fatalf("dup-ratio 1: unique = %d, want <= hot pool %d", unique, opts.hotPool)
-	}
-}
-
-// TestBenchLinesMatchBench2jsonFormat pins the -bench output against the
-// exact line grammar cmd/bench2json parses (same regexp), so `make
-// bench` keeps ingesting ftload records.
-func TestBenchLinesMatchBench2jsonFormat(t *testing.T) {
-	rep := &report{
-		Clients: 1000, Shards: 2, Requests: 2000,
-		Latency:     quantiles{P50: 1200, P99: 9800, Mean: 2100.5},
-		BackoffWait: quantiles{P50: 900, Max: 4000, Mean: 1100.2},
-		Throughput:  845.2, Rate429: 0.012,
-	}
-	out := benchLines(rep)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 || lines[0] != "pkg: repro/cmd/ftload" {
-		t.Fatalf("want pkg header + one bench line, got %q", out)
-	}
-	benchLine := regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
-	m := benchLine.FindStringSubmatch(lines[1])
-	if m == nil {
-		t.Fatalf("bench line does not match the bench2json grammar: %q", lines[1])
-	}
-	fields := strings.Fields(m[3])
-	if len(fields)%2 != 0 {
-		t.Fatalf("odd value/unit list: %q", m[3])
-	}
-	units := map[string]bool{}
-	for i := 1; i < len(fields); i += 2 {
-		units[fields[i]] = true
-	}
-	for _, want := range []string{"ns/op", "p50-us", "p99-us", "req/s", "429-rate", "backoff-us", "clients", "shards"} {
-		if !units[want] {
-			t.Errorf("bench line missing unit %q: %q", want, lines[1])
-		}
 	}
 }
 

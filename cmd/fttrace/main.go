@@ -124,7 +124,7 @@ func run() error {
 	if *addr != 0 {
 		ring.SetFilter(msg.Addr(*addr))
 	}
-	cfg.Trace = ring
+	cfg.ExtraRecorder = ring
 	var rec *obs.Recorder
 	var spanEvents []obs.Event
 	if *format != "text" {

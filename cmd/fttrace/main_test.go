@@ -151,3 +151,25 @@ func TestSpansFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRejectsNegativeOps: a replay document whose configuration
+// carries a negative operation count fails with the simulator's error
+// instead of panicking while building the baseline system.
+func TestReplayRejectsNegativeOps(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/interleave.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crafted := strings.Replace(string(raw), `"OpsPerCore": 2,`, `"OpsPerCore": -1,`, 1)
+	if crafted == string(raw) {
+		t.Fatal("testdata/interleave.json carries no \"OpsPerCore\": 2 to rewrite")
+	}
+	path := t.TempDir() + "/neg.json"
+	if err := os.WriteFile(path, []byte(crafted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = runWith(t, "-replay", path)
+	if err == nil || !strings.Contains(err.Error(), "system: negative operations per core -1") {
+		t.Fatalf("replay of a negative-ops document: err = %v", err)
+	}
+}

@@ -5,6 +5,7 @@ package repro_test
 // root package) against docs/SERVICE.md and docs/OPERATIONS.md.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -44,7 +45,7 @@ func TestDocsServiceMatchesCode(t *testing.T) {
 	for _, want := range []string{
 		"-cache-dir", "-cache-max-bytes", "-shard", "-router",
 		"421", ".corrupt", "ShardOf", "Retry-After",
-		"ftload", "load-check", "BENCH_PR9.json",
+		"ftload", "load-check", "BENCHMARK.json", "serve-mix", "bench/run.sh",
 		"-log-level", "Ftserve-Trace-Id", "Ftserve-Request-Id", "Ftserve-Proxy-Start",
 		"format=service", "/v1/status", "/debug/pprof",
 		"text/plain; version=0.0.4", "backoff_wait",
@@ -109,7 +110,7 @@ func TestDocsOperationsMatchesCode(t *testing.T) {
 		"ftserve_cache_disk_hits_total", "ftserve_cache_disk_quarantined_total",
 		"durability_test.go", ".json.corrupt",
 		"cmd/ftload", "throughput_rps", "rate_429", "p99_us", "unique_jobs",
-		"BENCH_PR9.json", "make load-check", "make bench",
+		"BENCHMARK.json", "serve-mix", "bench/run.sh", "make load-check",
 		"/v1/status", "/debug/pprof", "backoff_wait",
 		"Ftserve-Request-Id", "-log-level", "fttrace",
 	} {
@@ -117,18 +118,23 @@ func TestDocsOperationsMatchesCode(t *testing.T) {
 			t.Errorf("docs/OPERATIONS.md does not mention %q", want)
 		}
 	}
-	// The bench record the runbook points at must exist in the snapshot.
-	bench, err := os.ReadFile("BENCH_PR9.json")
+	// The benchmark workload the runbook points at must be declared.
+	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
-		t.Fatalf("BENCH_PR9.json missing: %v", err)
+		t.Fatal(err)
 	}
-	record := "BenchmarkFtload/clients=1000/shards=2"
-	if !strings.Contains(doc, record) {
-		t.Errorf("docs/OPERATIONS.md does not name the checked-in capacity record %q", record)
+	var bench struct {
+		Workloads []struct{ Name string }
 	}
-	if !strings.Contains(string(bench), record) {
-		t.Errorf("BENCH_PR9.json does not contain %q", record)
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
 	}
+	for _, w := range bench.Workloads {
+		if w.Name == "serve-mix" {
+			return
+		}
+	}
+	t.Error("BENCHMARK.json declares no serve-mix workload")
 }
 
 // TestDocsObservabilityServicePhases pins the service-span taxonomy in

@@ -12,8 +12,9 @@ import (
 )
 
 // fuzzSeedBodies are the request bodies the serve tests submit, plus the
-// two bodies that once passed validation and then crashed or hung a run: a
-// zero serial-number width and a zero Table 3 timeout.
+// three bodies that once passed validation and then crashed or hung a run:
+// a zero serial-number width, a zero Table 3 timeout and a negative
+// operation count.
 var fuzzSeedBodies = []string{
 	`{"type":"run"}`,
 	`{"type":"run","quick":true}`,
@@ -35,6 +36,7 @@ var fuzzSeedBodies = []string{
 	`{"type":"run","TYPE":"compare","quick":true}`,
 	`{"type":"run","quick":true,"config":{"Protocol":2,"SerialNumberBits":0}}`,
 	`{"type":"run","quick":true,"config":{"Protocol":2,"LostUnblockTimeout":0}}`,
+	`{"type":"run","quick":true,"config":{"OpsPerCore":-1}}`,
 }
 
 // Execution budget for accepted run bodies. The fuzz target checks that a
@@ -54,7 +56,7 @@ const (
 // must never panic; a body and its re-encoding through map[string]any
 // (same members, different field order) must resolve to the same cache key
 // or both fail; and an accepted run body of at most 64 tiles, executed
-// with one operation per core, must yield a Result or an error within the
+// with at most one operation per core, must yield a Result or an error within the
 // deadline — never a panic, never a hang.
 func FuzzResolveRequest(f *testing.F) {
 	for _, body := range fuzzSeedBodies {
@@ -91,7 +93,9 @@ func FuzzResolveRequest(f *testing.F) {
 			(cfg.L1Size+cfg.L2BankSize)*tiles > fuzzMaxCacheBytes {
 			return
 		}
-		cfg.OpsPerCore = 1
+		if cfg.OpsPerCore > 1 {
+			cfg.OpsPerCore = 1
+		}
 		if cfg.CycleLimit == 0 || cfg.CycleLimit > fuzzMaxCycles {
 			cfg.CycleLimit = fuzzMaxCycles
 		}

@@ -649,6 +649,26 @@ func TestFailedJobIsRetriedNotCached(t *testing.T) {
 	waitState(t, ts, doc.ID, stateCanceled)
 }
 
+// TestNegativeOpsPerCoreFailsJob: a body whose configuration passes
+// request validation but that the simulator refuses ends as a failed job
+// with the simulator's error, and the shard keeps serving.
+func TestNegativeOpsPerCoreFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	code, doc, _ := postJSON(t, ts, `{"type":"run","quick":true,"config":{"OpsPerCore":-1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: status %d, want 202", code)
+	}
+	failed := waitState(t, ts, doc.ID, stateFailed)
+	if !strings.Contains(failed.Error, "system: negative operations per core -1") {
+		t.Fatalf("failed job error = %q", failed.Error)
+	}
+	code, doc, _ = postJSON(t, ts, `{"type":"run","quick":true,"config":{"OpsPerCore":20}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST after failure: status %d, want 202", code)
+	}
+	waitState(t, ts, doc.ID, stateDone)
+}
+
 // TestTileDeathExperiment runs the structural-fault experiment class end to
 // end: submit, wait for completion, and check the memoized report carries
 // one tile-death row per tile with every tested slot recovered.

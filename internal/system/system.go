@@ -24,7 +24,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/token"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -122,17 +121,15 @@ type Config struct {
 	// DefaultConfig; costs some memory).
 	CheckIntegrity bool
 
-	// Trace, when non-nil, records network messages for debugging.
-	Trace *trace.Ring
-
 	// Obs, when non-nil, receives structured protocol events (state
 	// transitions, timeout firings, reissues, backup lifecycle, fault
 	// injections) and derives the recovery metrics; see internal/obs.
 	Obs *obs.Recorder
 
 	// ExtraRecorder, when non-nil, is fanned network events alongside the
-	// statistics/trace/obs recorders. The model checker uses it to track
-	// the in-flight message multiset incrementally (see internal/mc).
+	// statistics and obs recorders. fttrace and ftexp attach a trace.Ring
+	// here to record messages for debugging; the model checker tracks the
+	// in-flight message multiset incrementally (see internal/mc).
 	ExtraRecorder noc.Recorder
 
 	// Cancel, when non-nil, aborts the simulation when it becomes
@@ -256,6 +253,9 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("system: invalid topology %dx%d tiles, %d mems",
 			cfg.MeshWidth, cfg.MeshHeight, cfg.Mems)
 	}
+	if cfg.OpsPerCore < 0 {
+		return nil, fmt.Errorf("system: negative operations per core %d", cfg.OpsPerCore)
+	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,11 +274,8 @@ func New(cfg Config) (*System, error) {
 		drop = cfg.Injector.Drop
 	}
 	var recorder noc.Recorder = run.Net
-	if cfg.Trace != nil || cfg.Obs != nil || cfg.ExtraRecorder != nil {
+	if cfg.Obs != nil || cfg.ExtraRecorder != nil {
 		mr := multiRecorder{run.Net}
-		if cfg.Trace != nil {
-			mr = append(mr, cfg.Trace)
-		}
 		if cfg.Obs != nil {
 			mr = append(mr, cfg.Obs)
 		}

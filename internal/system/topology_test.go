@@ -101,6 +101,17 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeOpsPerCoreRejected: a negative operation count is refused by
+// New, before Begin would size per-core streams from it and panic.
+func TestNegativeOpsPerCoreRejected(t *testing.T) {
+	cfg := smallConfig(FtDirCMP)
+	cfg.OpsPerCore = -1
+	_, err := New(cfg)
+	if err == nil || err.Error() != "system: negative operations per core -1" {
+		t.Fatalf("New with OpsPerCore -1: err = %v", err)
+	}
+}
+
 // TestGoldenDeterminism pins exact results for one fixed configuration so
 // that unintended behaviour changes are caught. If a deliberate protocol
 // or model change shifts these numbers, update them after reviewing the

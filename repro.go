@@ -499,25 +499,20 @@ func SweepConfig(cfg Config, rate int) Config {
 // points execute concurrently under cfg.Parallelism; results come back in
 // rate order and are identical at every parallelism level.
 func FaultSweep(cfg Config, workloadName string, rates []int) ([]*Result, error) {
-	return FaultSweepWithProgress(cfg, workloadName, rates, nil)
+	return FaultSweepContext(context.Background(), cfg, workloadName, rates, nil)
 }
 
 // ProgressSnapshot is a race-safe live view of a running campaign: jobs
 // done, messages dropped, open recovery windows, elapsed wall time and an
-// ETA. See FaultSweepWithProgress and internal/runner.
+// ETA. See FaultSweepContext and internal/runner.
 type ProgressSnapshot = runner.Snapshot
 
-// FaultSweepWithProgress is FaultSweep with a live-progress callback,
-// invoked serially after each completed rate point. Progress observation
-// never changes the results: they remain in rate order and identical at
-// every parallelism level (only the callback order is completion order).
-func FaultSweepWithProgress(cfg Config, workloadName string, rates []int, progress func(ProgressSnapshot)) ([]*Result, error) {
-	return FaultSweepContext(context.Background(), cfg, workloadName, rates, progress)
-}
-
-// FaultSweepContext is FaultSweepWithProgress under a context: once ctx is
-// cancelled no further rate point starts, in-flight simulations abort, and
-// the error wraps ctx's cause. progress may be nil.
+// FaultSweepContext is FaultSweep under a context with a live-progress
+// callback. Once ctx is cancelled no further rate point starts, in-flight
+// simulations abort, and the error wraps ctx's cause. progress, when
+// non-nil, is invoked serially after each completed rate point; it never
+// changes the results, which remain in rate order and identical at every
+// parallelism level (only the callback order is completion order).
 func FaultSweepContext(ctx context.Context, cfg Config, workloadName string, rates []int, progress func(ProgressSnapshot)) ([]*Result, error) {
 	tracker := runner.NewTracker(len(rates))
 	var mu sync.Mutex

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz serve-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -73,6 +73,16 @@ obs-fuzz:
 # the mc job, beside sim-fuzz and obs-fuzz.
 cache-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzArrayMatchesReference -fuzztime 20s ./internal/cache
+
+# coverage-fuzz fuzzes the fault-campaign engine for 20 s: decoded
+# synthetic protocols (a message stream plus fatal and diverging drop types)
+# run the message-loss campaign with double faults and the tile/link-death
+# campaign at parallelism 1 and 4; reports must be byte-identical across
+# parallelism, account for every tested slot once, sum per row to the
+# totals, and keep rows in census type or victim order. CI runs it in the
+# coverage job, beside coverage-quick.
+coverage-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCampaign -fuzztime 20s ./internal/coverage
 
 # serve-fuzz fuzzes the experiment request body for 20 s, the boundary
 # where client-supplied configuration enters the simulator: resolveRequest

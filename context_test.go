@@ -99,20 +99,48 @@ func TestFaultSweepContextCancelled(t *testing.T) {
 	}
 }
 
+// TestCoverageContextCancelled: a campaign cancelled at any point — during
+// its slot runs or during its double-fault samples — returns an error
+// wrapping context.Canceled and no report.
 func TestCoverageContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	cfg := QuickConfig()
 	cfg.OpsPerCore = 10
-	// Cancel as soon as the first slot completes: the campaign must abort
-	// with the context error instead of producing a report.
-	opt := CoverageOptions{Progress: func(done, total int) { cancel() }}
-	rep, err := CoverageContext(ctx, cfg, "uniform", opt)
-	if err == nil {
-		t.Fatalf("expected cancellation error, got report with %d slots tested", rep.SlotsTested)
+	cfg.Parallelism = 1
+	opt := CoverageOptions{DoubleFaultSamples: 4, Seed: 1}
+	full, err := Coverage(cfg, "uniform", opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CoverageContext error %v does not wrap context.Canceled", err)
+	cases := []struct {
+		name string
+		// cancelAt is the progress count at which the campaign is cancelled.
+		cancelAt int
+	}{
+		{"after the first slot", 1},
+		{"after the last slot, before the double faults", full.SlotsTested},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opt := opt
+			opt.Progress = func(done, total int) {
+				if done == c.cancelAt {
+					cancel()
+				}
+			}
+			rep, err := CoverageContext(ctx, cfg, "uniform", opt)
+			if err == nil {
+				t.Fatalf("expected cancellation error, got report with %d slots tested and double faults %+v",
+					rep.SlotsTested, rep.DoubleFaults)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("CoverageContext error %v does not wrap context.Canceled", err)
+			}
+			if rep != nil {
+				t.Fatalf("cancelled campaign returned a report")
+			}
+		})
 	}
 }
 

@@ -39,8 +39,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/msg"
-	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -121,9 +119,6 @@ func EnumerateSlots(c *Census, maxPerType int) []Slot {
 	return out
 }
 
-// Outcome reports one simulation back to the harness. Err is empty when the
-// run terminated and passed every end-of-run check; the remaining fields
-// are best-effort on failed runs (MemHash only on success).
 // Recovered is the recovery verdict for one perturbed run against the
 // fault-free baseline: the run must finish with no error AND converge to
 // the baseline's final memory image (per-line committed-write versions —
@@ -148,6 +143,9 @@ func VerdictErr(out, base Outcome) string {
 	return fmt.Sprintf("final memory image diverged: %#x != baseline %#x", out.MemHash, base.MemHash)
 }
 
+// Outcome reports one simulation back to the harness. Err is empty when the
+// run terminated and passed every end-of-run check; the remaining fields
+// are best-effort on failed runs (MemHash only on success).
 type Outcome struct {
 	Err    string
 	Cycles uint64
@@ -163,11 +161,11 @@ type Outcome struct {
 	// versions); zero on failed runs.
 	MemHash uint64
 
-	// Structural-fault fields, populated by the tile-death run function
-	// (zero for message-loss campaigns): the full final memory image
-	// (per-line committed versions — the restricted verdict needs more than
-	// a hash), whether the tile death was declared by the survivors, the
-	// reconstruction accounting, and the death-to-reconstructed latency.
+	// Structural-fault fields (zero when no tile died): the full final
+	// memory image (per-line committed versions — the restricted verdict
+	// needs more than a hash; structural campaigns only), whether the tile
+	// death was declared by the survivors, the reconstruction accounting,
+	// and the death-to-reconstructed latency.
 	Image              map[msg.Addr]uint64
 	DeathDeclared      bool
 	LinesReconstructed int
@@ -202,8 +200,8 @@ type Options struct {
 	DoubleFaultWindow int
 	// Seed drives the double-fault sampling.
 	Seed uint64
-	// Progress, when set, is called after each slot run with running
-	// counts (completion order, not slot order).
+	// Progress, when set, is called after each run (double-fault samples
+	// included) with running counts, in completion order.
 	Progress func(done, total int)
 }
 
@@ -325,199 +323,65 @@ func (r *Report) FullCoverage() bool {
 		r.Unfired == 0
 }
 
-// slotResult pairs a slot's outcome with what its injector observed.
-type slotResult struct {
-	out         Outcome
-	fired       bool
-	secondFired bool
-	secondType  msg.Type
-}
-
-// Run executes a coverage campaign: one census run, one run per enumerated
-// slot, then the sampled double-fault runs. It fails only if the baseline
-// run fails (a protocol that cannot run fault-free has no coverage to
-// measure) — per-slot failures are part of the report, not errors.
-func Run(run RunFunc, opt Options) (*Report, error) {
-	return RunContext(context.Background(), run, opt)
-}
-
-// RunContext is Run under a context: once ctx is cancelled no further slot
-// run is dispatched and the campaign returns the cancellation error. The
-// RunFunc is expected to honor the same context itself (the repro front
-// door wires ctx into every simulation's cancel hook), so in-flight runs
-// abort promptly too.
+// RunContext executes a message-loss coverage campaign: one census run,
+// one run per enumerated slot, then the sampled double-fault runs, all
+// counted against one progress total. It fails only if the baseline run
+// fails (a protocol that cannot run fault-free has no coverage to measure)
+// or ctx is cancelled — per-slot failures are part of the report, not
+// errors. Once ctx is cancelled, double-fault runs included, no further run
+// is dispatched, a run that failed after the cancellation counts as
+// interrupted rather than unrecovered, and the campaign returns the
+// cancellation error instead of a report. The RunFunc is expected to honor
+// the same context itself (the repro front door wires ctx into every
+// simulation's cancel hook), so in-flight runs abort promptly too.
 func RunContext(ctx context.Context, run RunFunc, opt Options) (*Report, error) {
-	census := NewCensus()
-	base := run(census)
-	if base.Err != "" {
-		return nil, fmt.Errorf("coverage: fault-free baseline failed: %s", base.Err)
-	}
-	if census.Total() == 0 {
-		return nil, fmt.Errorf("coverage: baseline run sent no injectable messages")
-	}
-
-	slots := EnumerateSlots(census, opt.MaxSlotsPerType)
-	results, err := runner.MapProgressContext(ctx, opt.Parallelism, len(slots), func(ctx context.Context, i int) (slotResult, error) {
-		inj := fault.NewNthOfType(slots[i].Type, slots[i].Nth)
-		out := run(inj)
-		if err := context.Cause(ctx); err != nil && out.Err != "" {
-			// A run aborted by cancellation is an interrupted campaign,
-			// not a coverage failure.
-			return slotResult{}, err
+	return runCampaign(ctx, run, opt.Parallelism, opt.MaxSlotsPerType, opt.Progress, func(census *Census, slots []Slot) campaign {
+		c := campaign{
+			inject: func(t trial) firing {
+				// after 0 leaves the window drop disarmed.
+				inj := fault.NewNthOfType(t.slot.Type, t.slot.Nth).SecondDropAfter(t.after)
+				if t.row < 0 && t.after == 0 {
+					inj.AlsoDropReissue()
+				}
+				return inj
+			},
+			verdict: func(_ trial, out, base Outcome) string { return VerdictErr(out, base) },
+			latency: recoveryLatency,
 		}
-		return slotResult{out: out, fired: inj.Fired()}, nil
-	}, opt.Progress)
-	if err != nil {
-		// Only a panicking job or cancellation can land here; run errors
-		// live in Outcome.
-		return nil, err
-	}
-
-	rep := &Report{
-		BaselineCycles:  base.Cycles,
-		BaselineMemHash: base.MemHash,
-		TotalSlots:      census.Total(),
-		SlotsTested:     len(slots),
-	}
-	rows := make(map[msg.Type]*TypeRow)
-	type latAgg struct {
-		n        int
-		sum, min uint64
-		max      uint64
-	}
-	lats := make(map[msg.Type]*latAgg)
-	for i, r := range results {
-		s := slots[i]
-		row := rows[s.Type]
-		if row == nil {
-			n := census.Count(s.Type)
-			row = &TypeRow{Type: s.Type.String(), Mode: ModeMessageLoss, Slots: n,
-				Sampled: opt.MaxSlotsPerType > 0 && n > uint64(opt.MaxSlotsPerType)}
-			rows[s.Type] = row
-			lats[s.Type] = &latAgg{}
-		}
-		row.Tested++
-		if !r.fired {
-			row.Unfired++
-			rep.Unfired++
-			continue
-		}
-		if Recovered(r.out, base) {
-			row.Recovered++
-			rep.Recovered++
-		} else {
-			errStr := VerdictErr(r.out, base)
-			rep.TotalFailures++
-			if len(rep.Failures) < maxFailures {
-				rep.Failures = append(rep.Failures, Failure{Type: s.Type.String(), Nth: s.Nth, Err: shortErr(errStr)})
+		var prev msg.Type
+		for _, s := range slots {
+			if s.Type != prev {
+				prev = s.Type
+				n := census.Count(s.Type)
+				c.rows = append(c.rows, TypeRow{Type: s.Type.String(), Mode: ModeMessageLoss, Slots: n,
+					Sampled: opt.MaxSlotsPerType > 0 && n > uint64(opt.MaxSlotsPerType)})
 			}
+			c.trials = append(c.trials, trial{row: len(c.rows) - 1, slot: s})
 		}
-		if r.out.Timeouts[obs.TimeoutLostRequest] > 0 {
-			row.LostRequest++
-		}
-		if r.out.Timeouts[obs.TimeoutLostUnblock] > 0 {
-			row.LostUnblock++
-		}
-		if r.out.Timeouts[obs.TimeoutLostAckBD] > 0 {
-			row.LostAckBD++
-		}
-		if r.out.Timeouts[obs.TimeoutBackup] > 0 {
-			row.Backup++
-		}
-		if Recovered(r.out, base) && r.out.FaultsRecovered > 0 {
-			a := lats[s.Type]
-			l := r.out.RecoveryLatencyMax
-			if a.n == 0 || l < a.min {
-				a.min = l
-			}
-			if l > a.max {
-				a.max = l
-			}
-			a.sum += l
-			a.n++
-		}
-	}
-	for t, row := range rows {
-		if a := lats[t]; a.n > 0 {
-			row.LatencyMin = a.min
-			row.LatencyMax = a.max
-			row.LatencyMean = float64(a.sum) / float64(a.n)
-		}
-	}
-	for _, t := range census.Types() {
-		if row := rows[t]; row != nil {
-			rep.Rows = append(rep.Rows, *row)
-		}
-	}
-
-	if opt.DoubleFaultSamples > 0 {
-		runDoubleFaults(ctx, run, opt, slots, base, rep)
-	}
-	return rep, nil
+		c.trials = append(c.trials, doubleFaultTrials(opt, slots)...)
+		return c
+	})
 }
 
-// runDoubleFaults samples slots and re-runs them with a second drop inside
-// the recovery window, appending to the report.
-func runDoubleFaults(ctx context.Context, run RunFunc, opt Options, slots []Slot, base Outcome, rep *Report) {
+// doubleFaultTrials samples the slots re-run with a second drop inside the
+// recovery window: even samples chase the dropped message's reissue, odd
+// ones drop the k-th injectable message after it.
+func doubleFaultTrials(opt Options, slots []Slot) []trial {
 	window := opt.DoubleFaultWindow
 	if window <= 0 {
 		window = 50
 	}
 	rng := sim.NewRNG(opt.Seed*2 + 1)
-	type dfJob struct {
-		slot  Slot
-		mode  string
-		after uint64
+	trials := make([]trial, max(opt.DoubleFaultSamples, 0))
+	for i := range trials {
+		trials[i] = trial{row: -1, slot: slots[rng.Intn(len(slots))]}
+		// Even samples are the paper's hardest case: the recovery traffic
+		// itself is faulty — the reissued message is lost too.
+		if i%2 == 1 {
+			trials[i].after = 1 + uint64(rng.Intn(window))
+		}
 	}
-	jobs := make([]dfJob, opt.DoubleFaultSamples)
-	for i := range jobs {
-		j := dfJob{slot: slots[rng.Intn(len(slots))]}
-		if i%2 == 0 {
-			// The paper's hardest case: the recovery traffic itself is
-			// faulty — the reissued message is lost too.
-			j.mode = "reissue"
-		} else {
-			j.mode = "window"
-			j.after = 1 + uint64(rng.Intn(window))
-		}
-		jobs[i] = j
-	}
-	results, err := runner.MapContext(ctx, opt.Parallelism, len(jobs), func(ctx context.Context, i int) (slotResult, error) {
-		j := jobs[i]
-		inj := fault.NewNthOfType(j.slot.Type, j.slot.Nth)
-		if j.mode == "reissue" {
-			inj.AlsoDropReissue()
-		} else {
-			inj.SecondDropAfter(j.after)
-		}
-		return slotResult{out: run(inj), fired: inj.Fired(),
-			secondFired: inj.SecondFired(), secondType: inj.SecondHit()}, nil
-	})
-	if err != nil {
-		rep.DoubleFaults = append(rep.DoubleFaults, DoubleFault{Err: shortErr(err.Error())})
-		return
-	}
-	for i, r := range results {
-		j := jobs[i]
-		df := DoubleFault{
-			Type:        j.slot.Type.String(),
-			Nth:         j.slot.Nth,
-			Mode:        j.mode,
-			After:       j.after,
-			SecondFired: r.secondFired,
-			Recovered:   Recovered(r.out, base),
-		}
-		if r.secondFired {
-			df.SecondType = r.secondType.String()
-		}
-		if !df.Recovered {
-			df.Err = shortErr(r.out.Err)
-		}
-		if df.Recovered {
-			rep.DoubleFaultRecovered++
-		}
-		rep.DoubleFaults = append(rep.DoubleFaults, df)
-	}
+	return trials
 }
 
 // shortErr keeps the first line of an error string, capped.
@@ -538,7 +402,7 @@ func (r *Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-12s %7s %7s %7s %8s %8s %8s %7s %7s  %s\n",
 		"type", "mode", "slots", "tested", "recov", "lost_req", "lost_unb", "lost_abd", "backup", "unrec", "latency min/mean/max")
-	var tested, recov, lr, lu, la, bk, un int
+	var lr, lu, la, bk, un int
 	for _, row := range r.Rows {
 		name := row.Type
 		if row.Sampled {
@@ -551,8 +415,6 @@ func (r *Report) Table() string {
 		fmt.Fprintf(&b, "%-14s %-12s %7d %7d %7d %8d %8d %8d %7d %7d  %s\n",
 			name, row.Mode, row.Slots, row.Tested, row.Recovered,
 			row.LostRequest, row.LostUnblock, row.LostAckBD, row.Backup, row.Unrecoverable, lat)
-		tested += row.Tested
-		recov += row.Recovered
 		lr += row.LostRequest
 		lu += row.LostUnblock
 		la += row.LostAckBD
@@ -560,7 +422,7 @@ func (r *Report) Table() string {
 		un += row.Unrecoverable
 	}
 	fmt.Fprintf(&b, "%-14s %-12s %7d %7d %7d %8d %8d %8d %7d %7d\n",
-		"total", "", r.TotalSlots, tested, recov, lr, lu, la, bk, un)
+		"total", "", r.TotalSlots, r.SlotsTested, r.Recovered, lr, lu, la, bk, un)
 	if r.Unfired > 0 {
 		fmt.Fprintf(&b, "WARNING: %d slot(s) never fired their drop\n", r.Unfired)
 	}

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -19,30 +21,58 @@ func fakeStream() []msg.Type {
 	}
 }
 
-// fakeRun simulates a protocol over fakeStream: every drop of failOn is
-// fatal (Err set), every other drop recovers with a fixed latency. The
-// "memory image" hash is constant on success.
+// fakeProtocol simulates a protocol over a synthetic message stream.
+// Message i travels from node i%4 to node (i+1)%4 on line i%8. A dropped
+// message of a fatal type fails the run (Err set), one of a diverging type
+// ends it cleanly with a different memory image, and any other drop
+// recovers with a fixed latency. A tile-death injector is armed with its
+// tile's node and declares the death when it fires.
+type fakeProtocol struct {
+	stream         []msg.Type
+	fatal, diverge map[msg.Type]bool
+}
+
+// fakeRun is fakeProtocol over fakeStream with one fatal type (0: none).
 func fakeRun(failOn msg.Type) RunFunc {
-	return func(inj fault.Injector) Outcome {
-		out := Outcome{Cycles: 1000}
-		for i, t := range fakeStream() {
-			m := &msg.Message{Type: t, Src: 1, Dst: 2, Addr: msg.Addr(i * 64)}
-			if inj != nil && inj.Drop(m) {
-				out.FaultsInjected++
-				if t == failOn {
-					out.Err = "system: deadlock — stuck\n  detail line"
-				} else {
-					out.FaultsRecovered++
-					out.RecoveryLatencyMax = 2000 + uint64(i)
-					out.Timeouts[obs.TimeoutLostRequest]++
-				}
-			}
-		}
-		if out.Err == "" {
-			out.MemHash = 0xfeed
-		}
-		return out
+	return fakeProtocol{stream: fakeStream(), fatal: map[msg.Type]bool{failOn: true}}.run
+}
+
+func (p fakeProtocol) run(inj fault.Injector) Outcome {
+	td, _ := inj.(*fault.TileDeath)
+	if td != nil {
+		td.Arm([]msg.NodeID{msg.NodeID(td.Tile())}, nil)
 	}
+	out := Outcome{Cycles: 1000}
+	diverged := false
+	for i, t := range p.stream {
+		m := &msg.Message{Type: t, Src: msg.NodeID(i % 4), Dst: msg.NodeID((i + 1) % 4), Addr: msg.Addr(i % 8 * 64)}
+		if !inj.Drop(m) {
+			continue
+		}
+		out.FaultsInjected++
+		switch {
+		case p.fatal[t]:
+			out.Err = "system: deadlock — stuck\n  detail line"
+		case p.diverge[t]:
+			diverged = true
+		default:
+			out.FaultsRecovered++
+			out.RecoveryLatencyMax = 2000 + uint64(i)
+			out.Timeouts[obs.TimeoutLostRequest]++
+		}
+	}
+	if td != nil && td.Fired() {
+		out.DeathDeclared = true
+		out.ReconstructLatency = 100 + td.Dropped()
+		out.LinesUnrecoverable = int(td.Dropped() % 3)
+	}
+	if out.Err == "" {
+		out.MemHash, out.Image = 0xfeed, map[msg.Addr]uint64{0: 1}
+		if diverged {
+			out.MemHash, out.Image = 0xbad, map[msg.Addr]uint64{0: 2}
+		}
+	}
+	return out
 }
 
 func TestCensusAndEnumerate(t *testing.T) {
@@ -101,7 +131,7 @@ func TestCensusAndEnumerate(t *testing.T) {
 }
 
 func TestRunFullCoverage(t *testing.T) {
-	rep, err := Run(fakeRun(0), Options{Parallelism: 1})
+	rep, err := RunContext(context.Background(), fakeRun(0), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +159,7 @@ func TestRunFullCoverage(t *testing.T) {
 }
 
 func TestRunReportsFailures(t *testing.T) {
-	rep, err := Run(fakeRun(msg.Data), Options{Parallelism: 1})
+	rep, err := RunContext(context.Background(), fakeRun(msg.Data), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +186,7 @@ func TestRunReportsFailures(t *testing.T) {
 // byte-identical at every parallelism level.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	render := func(par int) (string, string) {
-		rep, err := Run(fakeRun(msg.Data), Options{
+		rep, err := RunContext(context.Background(), fakeRun(msg.Data), Options{
 			Parallelism: par, DoubleFaultSamples: 4, Seed: 11,
 		})
 		if err != nil {
@@ -179,7 +209,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestDoubleFaultSampling(t *testing.T) {
-	rep, err := Run(fakeRun(0), Options{
+	rep, err := RunContext(context.Background(), fakeRun(0), Options{
 		Parallelism: 1, DoubleFaultSamples: 6, DoubleFaultWindow: 4, Seed: 3,
 	})
 	if err != nil {
@@ -208,17 +238,17 @@ func TestDoubleFaultSampling(t *testing.T) {
 
 func TestBaselineFailureIsFatal(t *testing.T) {
 	failing := func(inj fault.Injector) Outcome { return Outcome{Err: "boom"} }
-	if _, err := Run(failing, Options{}); err == nil {
+	if _, err := RunContext(context.Background(), failing, Options{}); err == nil {
 		t.Fatal("baseline failure not reported")
 	}
 	empty := func(inj fault.Injector) Outcome { return Outcome{MemHash: 1} }
-	if _, err := Run(empty, Options{}); err == nil {
+	if _, err := RunContext(context.Background(), empty, Options{}); err == nil {
 		t.Fatal("empty fault space not reported")
 	}
 }
 
 func TestTableWarnsOnSampling(t *testing.T) {
-	rep, err := Run(fakeRun(0), Options{Parallelism: 1, MaxSlotsPerType: 2})
+	rep, err := RunContext(context.Background(), fakeRun(0), Options{Parallelism: 1, MaxSlotsPerType: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,5 +258,78 @@ func TestTableWarnsOnSampling(t *testing.T) {
 	tbl := rep.Table()
 	if !strings.Contains(tbl, "* sampled") || !strings.Contains(tbl, "Data*") {
 		t.Errorf("sampling not flagged in table:\n%s", tbl)
+	}
+}
+
+// TestProgressCoversWholeCampaign: progress announces one total, slot runs
+// plus double-fault samples, and its last call is (total, total).
+func TestProgressCoversWholeCampaign(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		var calls [][2]int
+		rep, err := RunContext(context.Background(), fakeRun(0), Options{
+			Parallelism: par, DoubleFaultSamples: 4, Seed: 5,
+			Progress: func(done, total int) { calls = append(calls, [2]int{done, total}) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := rep.SlotsTested + len(rep.DoubleFaults)
+		if len(calls) != total {
+			t.Fatalf("parallelism %d: %d progress calls, want %d", par, len(calls), total)
+		}
+		for _, c := range calls {
+			if c[1] != total {
+				t.Fatalf("parallelism %d: progress total %d, want %d throughout", par, c[1], total)
+			}
+		}
+		if last := calls[len(calls)-1]; last != [2]int{total, total} {
+			t.Fatalf("parallelism %d: last progress call %v, want (%d, %d)", par, last, total, total)
+		}
+	}
+}
+
+// TestCancelledDoubleFaultPhase: a campaign cancelled while its
+// double-fault samples run returns the cancellation error and no report.
+func TestCancelledDoubleFaultPhase(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	run := func(inj fault.Injector) Outcome {
+		// Only a double-fault injector describes a second drop.
+		if strings.Contains(inj.Description(), " and ") {
+			cancel()
+		}
+		if ctx.Err() != nil {
+			return Outcome{Err: "system: run cancelled"}
+		}
+		return fakeRun(0)(inj)
+	}
+	rep, err := RunContext(ctx, run, Options{Parallelism: 1, DoubleFaultSamples: 4, Seed: 3})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+	if rep != nil {
+		t.Fatalf("cancelled campaign returned a report: %+v", rep.DoubleFaults)
+	}
+}
+
+// TestDivergedDoubleFaultSaysWhy: a double-fault run that finishes without
+// error but with a different memory image carries the divergence as Err.
+func TestDivergedDoubleFaultSaysWhy(t *testing.T) {
+	all := map[msg.Type]bool{}
+	for _, ty := range fakeStream() {
+		all[ty] = true
+	}
+	run := fakeProtocol{stream: fakeStream(), diverge: all}.run
+	rep, err := RunContext(context.Background(), run, Options{Parallelism: 1, DoubleFaultSamples: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DoubleFaultRecovered != 0 || len(rep.DoubleFaults) != 4 {
+		t.Fatalf("%d of %d double faults recovered, want 0 of 4", rep.DoubleFaultRecovered, len(rep.DoubleFaults))
+	}
+	for _, df := range rep.DoubleFaults {
+		if !strings.Contains(df.Err, "final memory image diverged") {
+			t.Errorf("diverged double fault %s #%d (%s): Err = %q", df.Type, df.Nth, df.Mode, df.Err)
+		}
 	}
 }

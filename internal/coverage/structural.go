@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/msg"
-	"repro/internal/obs"
-	"repro/internal/runner"
 )
 
 // Structural-fault campaign: instead of losing single messages, each run
@@ -50,14 +48,9 @@ type StructuralOptions struct {
 	Progress func(done, total int)
 }
 
-// RunStructural runs the structural-fault campaign: the fault-free baseline,
-// then one run per (victim, slot) pair.
-func RunStructural(run RunFunc, opt StructuralOptions) (*Report, error) {
-	return RunStructuralContext(context.Background(), run, opt)
-}
-
-// RunStructuralContext is RunStructural under a context (see RunContext for
-// the cancellation contract).
+// RunStructuralContext runs the structural-fault campaign: the fault-free
+// baseline, then one run per (victim, slot) pair, victim-major — every
+// tile, then every link. See RunContext for the cancellation contract.
 func RunStructuralContext(ctx context.Context, run RunFunc, opt StructuralOptions) (*Report, error) {
 	if opt.Tiles <= 0 && len(opt.Links) == 0 {
 		return nil, fmt.Errorf("coverage: structural campaign needs tiles or links to kill")
@@ -65,161 +58,51 @@ func RunStructuralContext(ctx context.Context, run RunFunc, opt StructuralOption
 	if opt.Tiles > 0 && opt.VictimWrites == nil {
 		return nil, fmt.Errorf("coverage: tile-death campaign needs VictimWrites")
 	}
-	census := NewCensus()
-	base := run(census)
-	if base.Err != "" {
-		return nil, fmt.Errorf("coverage: fault-free baseline failed: %s", base.Err)
-	}
-	if census.Total() == 0 {
-		return nil, fmt.Errorf("coverage: baseline run sent no injectable messages")
-	}
-
-	slots := EnumerateSlots(census, opt.MaxSlotsPerType)
-	sampled := uint64(len(slots)) < census.Total()
-
-	type job struct {
-		victim string
-		mode   string
-		tile   int
-		link   [2]int
-		slot   Slot
-	}
-	var jobs []job
-	var victims []string
-	writes := make([]map[msg.Addr]bool, opt.Tiles)
-	for t := 0; t < opt.Tiles; t++ {
-		writes[t] = opt.VictimWrites(t)
-		name := fmt.Sprintf("tile %d", t)
-		victims = append(victims, name)
-		for _, s := range slots {
-			jobs = append(jobs, job{victim: name, mode: ModeTileDeath, tile: t, slot: s})
+	// Rows (and so trial.row) number the tiles first, then the links.
+	tiles := max(opt.Tiles, 0)
+	writes := make([]map[msg.Addr]bool, tiles)
+	return runCampaign(ctx, run, opt.Parallelism, opt.MaxSlotsPerType, opt.Progress, func(census *Census, slots []Slot) campaign {
+		c := campaign{
+			inject: func(t trial) firing {
+				if t.row < tiles {
+					return fault.NewTileDeath(t.row, t.slot.Type, t.slot.Nth)
+				}
+				l := opt.Links[t.row-tiles]
+				return fault.NewLinkDeath(l[0], l[1], t.slot.Type, t.slot.Nth)
+			},
+			verdict: func(t trial, out, base Outcome) string {
+				if t.row < tiles {
+					return tileDeathVerdict(base, out, writes[t.row])
+				}
+				// No node died, so link death must preserve the full image.
+				return VerdictErr(out, base)
+			},
+			// Reconstruction latency for tile deaths, timeout-recovery
+			// latency for link deaths (whose one on-the-wire message is
+			// re-sent by the usual machinery).
+			latency: func(t trial, out Outcome) (uint64, bool) {
+				if t.row < tiles {
+					return out.ReconstructLatency, out.DeathDeclared
+				}
+				return recoveryLatency(t, out)
+			},
 		}
-	}
-	for _, l := range opt.Links {
-		name := fmt.Sprintf("link %d-%d", l[0], l[1])
-		victims = append(victims, name)
-		for _, s := range slots {
-			jobs = append(jobs, job{victim: name, mode: ModeLinkDeath, link: l, slot: s})
-		}
-	}
-
-	results, err := runner.MapProgressContext(ctx, opt.Parallelism, len(jobs), func(ctx context.Context, i int) (slotResult, error) {
-		j := jobs[i]
-		var inj fault.Injector
-		var fired func() bool
-		if j.mode == ModeTileDeath {
-			td := fault.NewTileDeath(j.tile, j.slot.Type, j.slot.Nth)
-			inj, fired = td, td.Fired
-		} else {
-			ld := fault.NewLinkDeath(j.link[0], j.link[1], j.slot.Type, j.slot.Nth)
-			inj, fired = ld, ld.Fired
-		}
-		out := run(inj)
-		if err := context.Cause(ctx); err != nil && out.Err != "" {
-			return slotResult{}, err
-		}
-		return slotResult{out: out, fired: fired()}, nil
-	}, opt.Progress)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &Report{
-		BaselineCycles:  base.Cycles,
-		BaselineMemHash: base.MemHash,
-		TotalSlots:      census.Total() * uint64(len(victims)),
-		SlotsTested:     len(jobs),
-	}
-	type latAgg struct {
-		n        int
-		sum, min uint64
-		max      uint64
-	}
-	rows := make(map[string]*TypeRow)
-	lats := make(map[string]*latAgg)
-	for i, r := range results {
-		j := jobs[i]
-		row := rows[j.victim]
-		if row == nil {
-			row = &TypeRow{Type: j.victim, Mode: j.mode, Slots: census.Total(), Sampled: sampled}
-			rows[j.victim] = row
-			lats[j.victim] = &latAgg{}
-		}
-		row.Tested++
-		if !r.fired {
-			row.Unfired++
-			rep.Unfired++
-			continue
-		}
-		var verdict string
-		if j.mode == ModeTileDeath {
-			verdict = tileDeathVerdict(base, r.out, writes[j.tile])
-		} else if r.out.Err != "" {
-			verdict = r.out.Err
-		} else if r.out.MemHash != base.MemHash {
-			// No node died, so link death must preserve the full image.
-			verdict = fmt.Sprintf("final memory image diverged: %#x != baseline %#x",
-				r.out.MemHash, base.MemHash)
-		}
-		if verdict == "" {
-			row.Recovered++
-			rep.Recovered++
-		} else {
-			rep.TotalFailures++
-			if len(rep.Failures) < maxFailures {
-				rep.Failures = append(rep.Failures, Failure{
-					Type: j.slot.Type.String(), Nth: j.slot.Nth,
-					Victim: j.victim, Err: shortErr(verdict)})
+		sampled := uint64(len(slots)) < census.Total()
+		victim := func(name, mode string) {
+			c.rows = append(c.rows, TypeRow{Type: name, Mode: mode, Slots: census.Total(), Sampled: sampled})
+			for _, s := range slots {
+				c.trials = append(c.trials, trial{row: len(c.rows) - 1, slot: s})
 			}
 		}
-		row.Unrecoverable += r.out.LinesUnrecoverable
-		if r.out.Timeouts[obs.TimeoutLostRequest] > 0 {
-			row.LostRequest++
+		for t := range tiles {
+			writes[t] = opt.VictimWrites(t)
+			victim(fmt.Sprintf("tile %d", t), ModeTileDeath)
 		}
-		if r.out.Timeouts[obs.TimeoutLostUnblock] > 0 {
-			row.LostUnblock++
+		for _, l := range opt.Links {
+			victim(fmt.Sprintf("link %d-%d", l[0], l[1]), ModeLinkDeath)
 		}
-		if r.out.Timeouts[obs.TimeoutLostAckBD] > 0 {
-			row.LostAckBD++
-		}
-		if r.out.Timeouts[obs.TimeoutBackup] > 0 {
-			row.Backup++
-		}
-		// Latency: reconstruction latency for tile deaths, timeout-recovery
-		// latency for link deaths (whose one on-the-wire message is re-sent
-		// by the usual machinery).
-		var l uint64
-		switch {
-		case j.mode == ModeTileDeath && verdict == "" && r.out.DeathDeclared:
-			l = r.out.ReconstructLatency
-		case j.mode == ModeLinkDeath && verdict == "" && r.out.FaultsRecovered > 0:
-			l = r.out.RecoveryLatencyMax
-		default:
-			continue
-		}
-		a := lats[j.victim]
-		if a.n == 0 || l < a.min {
-			a.min = l
-		}
-		if l > a.max {
-			a.max = l
-		}
-		a.sum += l
-		a.n++
-	}
-	for v, row := range rows {
-		if a := lats[v]; a.n > 0 {
-			row.LatencyMin = a.min
-			row.LatencyMax = a.max
-			row.LatencyMean = float64(a.sum) / float64(a.n)
-		}
-	}
-	for _, v := range victims {
-		if row := rows[v]; row != nil {
-			rep.Rows = append(rep.Rows, *row)
-		}
-	}
-	return rep, nil
+		return c
+	})
 }
 
 // tileDeathVerdict applies the extended recovery verdict to one tile-death
@@ -238,14 +121,12 @@ func tileDeathVerdict(base, out Outcome, victimWrites map[msg.Addr]bool) string 
 	for _, a := range out.UnrecoverableAddrs {
 		unrec[a] = true
 	}
-	seen := make(map[msg.Addr]bool, len(base.Image))
 	addrs := make([]msg.Addr, 0, len(base.Image))
 	for a := range base.Image {
 		addrs = append(addrs, a)
-		seen[a] = true
 	}
 	for a := range out.Image {
-		if !seen[a] {
+		if _, ok := base.Image[a]; !ok {
 			addrs = append(addrs, a)
 		}
 	}

@@ -43,6 +43,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/span"
+	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
@@ -422,27 +423,20 @@ func RunWithInjectorContext(ctx context.Context, cfg Config, workloadName string
 	if err != nil {
 		return nil, err
 	}
-	sysCfg := cfg.toInternal()
-	sysCfg.Injector = inj
-	sysCfg.Cancel = ctx.Done()
+	return runResult(ctx, cfg, w, inj)
+}
+
+// runResult runs w and collects the full Result of a successful run,
+// with its transaction spans when cfg.RecordSpans is set.
+func runResult(ctx context.Context, cfg Config, w workload.Workload, inj fault.Injector) (*Result, error) {
 	rec := cfg.recorder()
-	sysCfg.Obs = rec
 	var spanEvents []obs.Event
 	if cfg.RecordSpans {
 		rec.EnableMessageFeed()
 		rec.SetSink(func(e obs.Event) { spanEvents = append(spanEvents, e) })
 	}
-	s, err := system.New(sysCfg)
+	s, run, err := simulate(ctx, cfg, w, inj, rec)
 	if err != nil {
-		return nil, err
-	}
-	run, err := s.Run(w)
-	if err != nil {
-		if errors.Is(err, system.ErrCancelled) {
-			if cause := context.Cause(ctx); cause != nil {
-				return nil, fmt.Errorf("%v: %w", err, cause)
-			}
-		}
 		return nil, err
 	}
 	res := newResult(run, rec, cfg.topology())
@@ -452,6 +446,72 @@ func RunWithInjectorContext(ctx context.Context, cfg Config, workloadName string
 		res.breakdown = span.Aggregate(res.spans)
 	}
 	return res, nil
+}
+
+// simulate is the one place a repro run builds its system: it converts
+// cfg, attaches inj, ctx's cancellation and rec, and runs w. A cancelled
+// run's error wraps ctx's cause. The system and its statistics come back
+// with a run error too (coverage outcomes report them); s is nil only when
+// the system could not be built.
+func simulate(ctx context.Context, cfg Config, w workload.Workload, inj fault.Injector, rec *obs.Recorder) (s *system.System, run *stats.Run, err error) {
+	sysCfg := cfg.toInternal()
+	sysCfg.Injector = inj
+	sysCfg.Cancel = ctx.Done()
+	sysCfg.Obs = rec
+	if s, err = system.New(sysCfg); err != nil {
+		return nil, nil, err
+	}
+	run, err = s.Run(w)
+	if errors.Is(err, system.ErrCancelled) {
+		if cause := context.Cause(ctx); cause != nil {
+			err = fmt.Errorf("%v: %w", err, cause)
+		}
+	}
+	return s, run, err
+}
+
+// coverageRun is the RunFunc of the coverage campaigns: one run of w under
+// the campaign's injector, reduced to a coverage.Outcome. Integrity
+// checking is forced on (the verdict depends on it). image adds the
+// per-line memory image the tile-death verdict compares; message-loss
+// campaigns judge the image hash alone and skip building it.
+func coverageRun(ctx context.Context, cfg Config, w workload.Workload, image bool) coverage.RunFunc {
+	cfg.CheckIntegrity = true
+	return func(inj fault.Injector) coverage.Outcome {
+		// A small event ring gives deadlock dumps their last-event context
+		// without the cost of full event retention.
+		rec := obs.NewRecorder(4096)
+		s, st, err := simulate(ctx, cfg, w, inj, rec)
+		if s == nil {
+			return coverage.Outcome{Err: err.Error()}
+		}
+		out := coverage.Outcome{Cycles: st.Cycles}
+		if m := rec.Metrics(); m != nil {
+			out.FaultsInjected = m.FaultsInjected
+			out.FaultsRecovered = m.FaultsRecovered
+			out.RecoveryLatencyMax = m.RecoveryLatency.Max()
+			for _, k := range obs.AllTimeoutKinds() {
+				out.Timeouts[k] = m.TimeoutsByKind[k]
+			}
+		}
+		rcv := s.Recovery()
+		out.DeathDeclared = rcv.Declared
+		out.LinesReconstructed = rcv.LinesReconstructed
+		out.LinesUnrecoverable = rcv.LinesUnrecoverable
+		out.UnrecoverableAddrs = rcv.UnrecoverableAddrs
+		if rcv.Declared && rcv.ReconstructedCycle >= rcv.DeathCycle {
+			out.ReconstructLatency = rcv.ReconstructedCycle - rcv.DeathCycle
+		}
+		if err != nil {
+			out.Err = err.Error()
+			return out
+		}
+		out.MemHash = s.MemoryImageHash()
+		if image {
+			out.Image = s.MemoryImage()
+		}
+		return out
+	}
 }
 
 // Compare runs the same workload under both protocols on a reliable
@@ -601,8 +661,8 @@ type CoverageOptions struct {
 	DoubleFaultWindow int
 	// Seed drives the double-fault sampling (independent of Config.Seed).
 	Seed uint64
-	// Progress, when set, is called after each slot run with running
-	// counts.
+	// Progress, when set, is called after each run, double-fault samples
+	// included, with running counts against the whole campaign's total.
 	Progress func(done, total int)
 }
 
@@ -621,48 +681,15 @@ func Coverage(cfg Config, workloadName string, opt CoverageOptions) (*CoverageRe
 }
 
 // CoverageContext is Coverage under a context: once ctx is cancelled no
-// further slot run starts, in-flight runs abort, and the campaign returns
-// an error wrapping ctx's cause instead of a report.
+// further run starts, in-flight runs abort, and the campaign returns an
+// error wrapping ctx's cause instead of a report — also when the
+// cancellation lands during the double-fault samples.
 func CoverageContext(ctx context.Context, cfg Config, workloadName string, opt CoverageOptions) (*CoverageReport, error) {
-	if _, err := workload.ByName(workloadName); err != nil {
+	w, err := workload.ByName(workloadName)
+	if err != nil {
 		return nil, err
 	}
-	c := cfg
-	c.CheckIntegrity = true
-	run := func(inj fault.Injector) coverage.Outcome {
-		w, err := workload.ByName(workloadName)
-		if err != nil {
-			return coverage.Outcome{Err: err.Error()}
-		}
-		sysCfg := c.toInternal()
-		sysCfg.Injector = inj
-		sysCfg.Cancel = ctx.Done()
-		// A small event ring gives deadlock dumps their last-event context
-		// without the cost of full event retention.
-		rec := obs.NewRecorder(4096)
-		sysCfg.Obs = rec
-		s, err := system.New(sysCfg)
-		if err != nil {
-			return coverage.Outcome{Err: err.Error()}
-		}
-		st, rerr := s.Run(w)
-		out := coverage.Outcome{Cycles: st.Cycles}
-		if m := rec.Metrics(); m != nil {
-			out.FaultsInjected = m.FaultsInjected
-			out.FaultsRecovered = m.FaultsRecovered
-			out.RecoveryLatencyMax = m.RecoveryLatency.Max()
-			for _, k := range obs.AllTimeoutKinds() {
-				out.Timeouts[k] = m.TimeoutsByKind[k]
-			}
-		}
-		if rerr != nil {
-			out.Err = rerr.Error()
-			return out
-		}
-		out.MemHash = s.MemoryImageHash()
-		return out
-	}
-	rep, err := coverage.RunContext(ctx, run, coverage.Options{
+	rep, err := coverage.RunContext(ctx, coverageRun(ctx, cfg, w, false), coverage.Options{
 		Parallelism:        cfg.Parallelism,
 		MaxSlotsPerType:    opt.MaxSlotsPerType,
 		DoubleFaultSamples: opt.DoubleFaultSamples,
@@ -715,49 +742,11 @@ func TileDeathCoverageContext(ctx context.Context, cfg Config, workloadName stri
 	if err != nil {
 		return nil, err
 	}
-	c := cfg
-	c.CheckIntegrity = true
-	run := func(inj fault.Injector) coverage.Outcome {
-		sysCfg := c.toInternal()
-		sysCfg.Injector = inj
-		sysCfg.Cancel = ctx.Done()
-		rec := obs.NewRecorder(4096)
-		sysCfg.Obs = rec
-		s, err := system.New(sysCfg)
-		if err != nil {
-			return coverage.Outcome{Err: err.Error()}
-		}
-		st, rerr := s.Run(w)
-		out := coverage.Outcome{Cycles: st.Cycles}
-		if m := rec.Metrics(); m != nil {
-			out.FaultsInjected = m.FaultsInjected
-			out.FaultsRecovered = m.FaultsRecovered
-			out.RecoveryLatencyMax = m.RecoveryLatency.Max()
-			for _, k := range obs.AllTimeoutKinds() {
-				out.Timeouts[k] = m.TimeoutsByKind[k]
-			}
-		}
-		rcv := s.Recovery()
-		out.DeathDeclared = rcv.Declared
-		out.LinesReconstructed = rcv.LinesReconstructed
-		out.LinesUnrecoverable = rcv.LinesUnrecoverable
-		out.UnrecoverableAddrs = rcv.UnrecoverableAddrs
-		if rcv.Declared && rcv.ReconstructedCycle >= rcv.DeathCycle {
-			out.ReconstructLatency = rcv.ReconstructedCycle - rcv.DeathCycle
-		}
-		if rerr != nil {
-			out.Err = rerr.Error()
-			return out
-		}
-		out.MemHash = s.MemoryImageHash()
-		out.Image = s.MemoryImage()
-		return out
-	}
 	var links [][2]int
 	if opt.IncludeLinks {
 		links = meshLinks(cfg.MeshWidth, cfg.MeshHeight)
 	}
-	rep, err := coverage.RunStructuralContext(ctx, run, coverage.StructuralOptions{
+	rep, err := coverage.RunStructuralContext(ctx, coverageRun(ctx, cfg, w, true), coverage.StructuralOptions{
 		Parallelism:     cfg.Parallelism,
 		MaxSlotsPerType: opt.MaxSlotsPerType,
 		Tiles:           cfg.MeshWidth * cfg.MeshHeight,

@@ -1,10 +1,10 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"repro/internal/system"
 	"repro/internal/workload"
 )
 
@@ -25,19 +25,7 @@ func RunTrace(cfg Config, name string, r io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("repro: trace uses %d cores but the system has %d tiles",
 			w.Cores(), cfg.MeshWidth*cfg.MeshHeight)
 	}
-	sysCfg := cfg.toInternal()
-	sysCfg.Injector = cfg.injector()
-	rec := cfg.recorder()
-	sysCfg.Obs = rec
-	s, err := system.New(sysCfg)
-	if err != nil {
-		return nil, err
-	}
-	run, err := s.Run(w)
-	if err != nil {
-		return nil, err
-	}
-	return newResult(run, rec, cfg.topology()), nil
+	return runResult(context.Background(), cfg, w, cfg.injector())
 }
 
 // WriteTrace exports a built-in workload as a replayable trace, using the

@@ -29,6 +29,23 @@ func TestRunTraceRoundTrip(t *testing.T) {
 		t.Fatalf("replay diverged: cycles %d vs %d, messages %d vs %d",
 			direct.Cycles, replayed.Cycles, direct.Messages, replayed.Messages)
 	}
+	// The replay's Result is as complete as the direct run's: the final
+	// memory image hash and, when recorded, the transaction spans.
+	if direct.MemoryImageHash == 0 || direct.MemoryImageHash != replayed.MemoryImageHash {
+		t.Fatalf("memory image hash: direct %#x, replayed %#x", direct.MemoryImageHash, replayed.MemoryImageHash)
+	}
+	cfg.RecordSpans = true
+	direct, err = Run(cfg, "uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err = RunTrace(cfg, "replay", strings.NewReader(exported))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Spans()) == 0 || len(direct.Spans()) != len(replayed.Spans()) {
+		t.Fatalf("spans: direct %d, replayed %d", len(direct.Spans()), len(replayed.Spans()))
+	}
 }
 
 func TestRunTraceHandWritten(t *testing.T) {

@@ -23,6 +23,7 @@ package repro
 // cmd/ftexp prints the same results as the paper's tables.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -106,7 +107,7 @@ func BenchmarkFig4NetworkOverhead(b *testing.B) {
 			var dir, ft *Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				dir, ft, err = Compare(benchConfig(), w)
+				dir, ft, err = CompareContext(context.Background(), benchConfig(), w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,7 +253,7 @@ func BenchmarkSection5TokenComparison(b *testing.B) {
 
 // captureSpanEvents runs cfg's workload with the message feed on and
 // returns the raw event stream the span reconstructor consumes (the same
-// capture path RunWithInjector uses for Config.RecordSpans).
+// capture path RunWithInjectorContext uses for Config.RecordSpans).
 func captureSpanEvents(b *testing.B, cfg Config, workloadName string) []obs.Event {
 	b.Helper()
 	w, err := workload.ByName(workloadName)
@@ -388,7 +389,7 @@ func BenchmarkFaultSweepParallelism(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.Parallelism = j
-				if _, err := FaultSweep(cfg, "uniform", rates); err != nil {
+				if _, err := FaultSweepContext(context.Background(), cfg, "uniform", rates, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

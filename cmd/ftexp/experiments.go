@@ -420,7 +420,7 @@ func (e *experiments) figure4() error {
 	cats := []string{"request", "response", "coherence", "unblock", "writeback", "ownership", "ping"}
 	names := repro.Workloads()
 	type comparison struct{ dir, ft *repro.Result }
-	// One job per workload; each job's Compare runs serially inside so the
+	// One job per workload; each job's CompareContext runs serially inside so the
 	// batch is the only fan-out level. The serial loop used to repeat every
 	// comparison for the bytes section; the runs are deterministic, so one
 	// batch feeds both sections.

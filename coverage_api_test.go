@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -104,7 +105,7 @@ func TestGoldenCoverageReport(t *testing.T) {
 // line: two injections, two recoveries.
 func TestDoubleFaultReissueRegression(t *testing.T) {
 	inj := fault.NewNthOfType(msg.GetX, 3).AlsoDropReissue()
-	res, err := RunWithInjector(quickCoverageConfig(), "uniform", inj)
+	res, err := RunWithInjectorContext(context.Background(), quickCoverageConfig(), "uniform", inj)
 	if err != nil {
 		t.Fatalf("double fault (GetX #3 + its reissue) not survived: %v", err)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,7 +114,7 @@ func runDirCMPLostGetX(t *testing.T) dircmpLostMessage {
 	cfg := QuickConfig()
 	cfg.Protocol = DirCMP
 	lost := dircmpLostMessage{Workload: "uniform", Type: msg.GetX.String(), Nth: 1}
-	_, err := RunWithInjector(cfg, lost.Workload, fault.NewNthOfType(msg.GetX, lost.Nth))
+	_, err := RunWithInjectorContext(context.Background(), cfg, lost.Workload, fault.NewNthOfType(msg.GetX, lost.Nth))
 	var dl *system.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("DirCMP with a lost GetX: want a deadlock, got %v", err)

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -30,12 +31,12 @@ func Example() {
 
 // Comparing the fault-tolerant protocol against the baseline reproduces
 // the paper's central overhead result.
-func ExampleCompare() {
+func ExampleCompareContext() {
 	cfg := repro.DefaultConfig()
 	cfg.MeshWidth, cfg.MeshHeight, cfg.MemControllers = 2, 2, 2
 	cfg.OpsPerCore = 300
 
-	dir, ft, err := repro.Compare(cfg, "uniform")
+	dir, ft, err := repro.CompareContext(context.Background(), cfg, "uniform")
 	if err != nil {
 		fmt.Println("failed:", err)
 		return
@@ -49,12 +50,12 @@ func ExampleCompare() {
 }
 
 // Targeted fault injection proves a specific message type is recoverable.
-func ExampleCheckRecovery() {
+func ExampleCheckRecoveryContext() {
 	cfg := repro.DefaultConfig()
 	cfg.MeshWidth, cfg.MeshHeight, cfg.MemControllers = 2, 2, 2
 	cfg.OpsPerCore = 200
 
-	out, err := repro.CheckRecovery(cfg, "uniform", "DataEx", 3)
+	out, err := repro.CheckRecoveryContext(context.Background(), cfg, "uniform", "DataEx", 3)
 	if err != nil {
 		fmt.Println("failed:", err)
 		return

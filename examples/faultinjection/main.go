@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -31,7 +32,7 @@ func run() error {
 	fmt.Printf("DirCMP fault-free baseline: %d cycles\n\n", baseline.Cycles)
 
 	rates := []int{0, 125, 250, 500, 1000, 2000, 4000}
-	results, err := repro.FaultSweep(cfg, "uniform", rates)
+	results, err := repro.FaultSweepContext(context.Background(), cfg, "uniform", rates, nil)
 	if err != nil {
 		return err
 	}

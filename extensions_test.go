@@ -4,7 +4,10 @@ package repro
 // paper points to in §2, the CRC-based corruption failure model, and the
 // AckO-piggybacking ablation.
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestUnorderedNetworkFaultFree(t *testing.T) {
 	for _, p := range []Protocol{DirCMP, FtDirCMP} {
@@ -172,7 +175,7 @@ func TestFigure4ShapeHoldsOnDetailedNetwork(t *testing.T) {
 	// must stay in the same bands.
 	cfg := testConfig()
 	cfg.DetailedNetwork = true
-	dir, ft, err := Compare(cfg, "uniform")
+	dir, ft, err := CompareContext(context.Background(), cfg, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,34 +40,35 @@ const InterleaveWorkload = "handoff"
 
 // InterleaveOptions tunes an exploration. The zero value explores pure
 // delivery reorderings (no losses) to the default depth and stops at the
-// first violation.
+// first violation. Its JSON form, without MaxViolations and Progress, is
+// the "interleave" params of an ftserve request (docs/SERVICE.md).
 type InterleaveOptions struct {
 	// MaxDepth bounds decisions per path (0 = mc.DefaultMaxDepth). Paths
 	// truncated at the bound are reported, never silently dropped.
-	MaxDepth int
+	MaxDepth int `json:"max_depth,omitempty"`
 	// FaultBudget composes up to this many message losses into each path.
-	FaultBudget int
+	FaultBudget int `json:"fault_budget,omitempty"`
 	// MaxViolations stops the exploration after this many distinct
 	// violating states (0 = stop at the first).
-	MaxViolations int
+	MaxViolations int `json:"-"`
 	// Progress, when set, is called once per frontier layer with the
 	// states explored so far and the current frontier size.
-	Progress func(explored, frontier int)
+	Progress func(explored, frontier int) `json:"-"`
 }
 
-// Interleave exhaustively explores the delivery-order interleavings of the
-// named workload on the configured system. Runs execute concurrently under
-// cfg.Parallelism; the report is byte-identical at every parallelism
-// level. Integrity checking is forced on and the configuration's fault
-// injector is ignored — losses are decisions here, drawn from the fault
-// budget. Violations are part of the report, not an error.
+// Interleave is InterleaveContext without a context.
 func Interleave(cfg Config, workloadName string, opt InterleaveOptions) (*InterleaveReport, error) {
 	return InterleaveContext(context.Background(), cfg, workloadName, opt)
 }
 
-// InterleaveContext is Interleave under a context: cancelling ctx aborts
-// the exploration between frontier layers with an error wrapping ctx's
-// cause.
+// InterleaveContext exhaustively explores the delivery-order interleavings
+// of the named workload on the configured system. Runs execute
+// concurrently under cfg.Parallelism; the report is byte-identical at
+// every parallelism level. Integrity checking is forced on and the
+// configuration's fault injector is ignored — losses are decisions here,
+// drawn from the fault budget. Violations are part of the report, not an
+// error. Cancelling ctx aborts the exploration between frontier layers
+// with an error wrapping ctx's cause.
 func InterleaveContext(ctx context.Context, cfg Config, workloadName string, opt InterleaveOptions) (*InterleaveReport, error) {
 	w, err := workload.ByName(workloadName)
 	if err != nil {

@@ -168,7 +168,6 @@ type Outcome struct {
 	// and the death-to-reconstructed latency.
 	Image              map[msg.Addr]uint64
 	DeathDeclared      bool
-	LinesReconstructed int
 	LinesUnrecoverable int
 	UnrecoverableAddrs []msg.Addr
 	ReconstructLatency uint64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,13 +17,8 @@ import (
 // parameters that resolve it into concrete simulations. Unknown fields are
 // rejected. See docs/SERVICE.md for the full schema.
 type Request struct {
-	// Type selects the experiment: "run" (one simulation), "sweep" (the
-	// Figure-3 fault-rate sweep), "compare" (fault-free DirCMP vs
-	// FtDirCMP), "coverage" (the exhaustive single-loss census campaign),
-	// "tile-death" (the structural-fault campaign: every tile killed at
-	// every enumerated slot), "interleave" (the model-checking gate:
-	// exhaustive delivery-order exploration on a tiny configuration) or
-	// "profile" (per-miss latency attribution by phase).
+	// Type names the experiment class: "run", "sweep", "compare",
+	// "coverage", "tile-death", "interleave" or "profile" (class.go).
 	Type string `json:"type"`
 	// Workload names one of repro.Workloads() or repro.WorkloadExtras();
 	// default "uniform" ("handoff" for type "interleave").
@@ -38,39 +34,13 @@ type Request struct {
 	// Required for type "sweep", rejected otherwise.
 	Rates []int `json:"rates,omitempty"`
 	// Coverage tunes a coverage campaign; only valid for type "coverage".
-	Coverage *CoverageParams `json:"coverage,omitempty"`
+	Coverage *repro.CoverageOptions `json:"coverage,omitempty"`
 	// TileDeath tunes a structural campaign; only valid for type
 	// "tile-death".
-	TileDeath *TileDeathParams `json:"tile_death,omitempty"`
+	TileDeath *repro.TileDeathOptions `json:"tile_death,omitempty"`
 	// Interleave tunes the model-checking gate; only valid for type
 	// "interleave". Absent, the gate runs with a one-loss fault budget.
-	Interleave *InterleaveParams `json:"interleave,omitempty"`
-}
-
-// CoverageParams mirrors repro.CoverageOptions for the wire.
-type CoverageParams struct {
-	MaxSlotsPerType    int    `json:"max_slots_per_type,omitempty"`
-	DoubleFaultSamples int    `json:"double_fault_samples,omitempty"`
-	DoubleFaultWindow  int    `json:"double_fault_window,omitempty"`
-	Seed               uint64 `json:"seed,omitempty"`
-}
-
-// TileDeathParams mirrors repro.TileDeathOptions for the wire.
-type TileDeathParams struct {
-	MaxSlotsPerType int  `json:"max_slots_per_type,omitempty"`
-	IncludeLinks    bool `json:"include_links,omitempty"`
-}
-
-// InterleaveParams mirrors repro.InterleaveOptions for the wire.
-type InterleaveParams struct {
-	MaxDepth    int `json:"max_depth,omitempty"`
-	FaultBudget int `json:"fault_budget,omitempty"`
-}
-
-// experimentTypes is the closed set of Request.Type values.
-var experimentTypes = map[string]bool{
-	"run": true, "sweep": true, "compare": true, "coverage": true,
-	"tile-death": true, "interleave": true, "profile": true,
+	Interleave *repro.InterleaveOptions `json:"interleave,omitempty"`
 }
 
 // resolved is a fully-resolved experiment request: the base configuration
@@ -78,13 +48,13 @@ var experimentTypes = map[string]bool{
 // the same experiment — whatever their field order or defaulting — resolve
 // to identical values and therefore identical cache keys.
 type resolved struct {
-	Type       string            `json:"type"`
-	Workload   string            `json:"workload"`
-	Config     repro.Config      `json:"config"`
-	Rates      []int             `json:"rates,omitempty"`
-	Coverage   *CoverageParams   `json:"coverage,omitempty"`
-	TileDeath  *TileDeathParams  `json:"tileDeath,omitempty"`
-	Interleave *InterleaveParams `json:"interleave,omitempty"`
+	Type       string                   `json:"type"`
+	Workload   string                   `json:"workload"`
+	Config     repro.Config             `json:"config"`
+	Rates      []int                    `json:"rates,omitempty"`
+	Coverage   *repro.CoverageOptions   `json:"coverage,omitempty"`
+	TileDeath  *repro.TileDeathOptions  `json:"tileDeath,omitempty"`
+	Interleave *repro.InterleaveOptions `json:"interleave,omitempty"`
 }
 
 // key returns the content address of the resolved request: the canonical
@@ -103,24 +73,14 @@ func resolveRequest(body []byte) (*resolved, error) {
 	if err := strictUnmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("invalid request: %w", err)
 	}
-	if !experimentTypes[req.Type] {
-		return nil, fmt.Errorf("unknown experiment type %q (want run, sweep, compare, coverage, tile-death, interleave or profile)", req.Type)
+	c, err := classOf(req.Type)
+	if err != nil {
+		return nil, err
 	}
 	if req.Workload == "" {
-		req.Workload = "uniform"
-		if req.Type == "interleave" {
-			req.Workload = "handoff"
-		}
+		req.Workload = c.workload
 	}
-	names := append(repro.Workloads(), repro.WorkloadExtras()...)
-	known := false
-	for _, w := range names {
-		if w == req.Workload {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if names := append(repro.Workloads(), repro.WorkloadExtras()...); !slices.Contains(names, req.Workload) {
 		return nil, fmt.Errorf("unknown workload %q (want one of %v)", req.Workload, names)
 	}
 
@@ -128,62 +88,33 @@ func resolveRequest(body []byte) (*resolved, error) {
 	if req.Quick {
 		cfg = repro.QuickConfig()
 	}
+	if c.base != nil {
+		c.base(&cfg)
+	}
 	if len(req.Config) > 0 {
 		if err := strictUnmarshal(req.Config, &cfg); err != nil {
 			return nil, fmt.Errorf("invalid config overrides: %w", err)
 		}
 	}
 	cfg.Parallelism = 0 // execution knob; the server decides at run time
+	// Each params field belongs to one class and is rejected on the others.
+	for _, p := range [...]struct {
+		param string
+		set   bool
+	}{{"rates", len(req.Rates) > 0}, {"coverage", req.Coverage != nil},
+		{"tile_death", req.TileDeath != nil}, {"interleave", req.Interleave != nil}} {
+		for _, owner := range classes {
+			if p.set && owner.param == p.param && owner != c {
+				return nil, fmt.Errorf("%s params are only valid for type %s", p.param, owner.name)
+			}
+		}
+	}
 
-	res := &resolved{Type: req.Type, Workload: req.Workload, Config: cfg}
-	switch req.Type {
-	case "sweep":
-		if len(req.Rates) == 0 {
-			return nil, fmt.Errorf("sweep requires a non-empty rates list")
-		}
-		res.Rates = req.Rates
-	default:
-		if len(req.Rates) > 0 {
-			return nil, fmt.Errorf("rates is only valid for type sweep")
-		}
-	}
-	if req.Coverage != nil {
-		if req.Type != "coverage" {
-			return nil, fmt.Errorf("coverage params are only valid for type coverage")
-		}
-		res.Coverage = req.Coverage
-	}
-	if req.TileDeath != nil {
-		if req.Type != "tile-death" {
-			return nil, fmt.Errorf("tile_death params are only valid for type tile-death")
-		}
-		res.TileDeath = req.TileDeath
-	}
-	if req.Interleave != nil && req.Type != "interleave" {
-		return nil, fmt.Errorf("interleave params are only valid for type interleave")
-	}
-	if req.Type == "interleave" {
-		// The gate enumerates every interleaving: keep the model small, or
-		// the exploration would never terminate. Normalizing the default
-		// budget here keeps "absent" and "fault_budget: 1" on one cache key.
-		if req.Interleave == nil {
-			req.Interleave = &InterleaveParams{FaultBudget: 1}
-		}
-		res.Interleave = req.Interleave
-		// An unset operation count means the checker's canonical two-op
-		// handoff, not the simulation default (which would never exhaust).
-		var probe struct {
-			OpsPerCore *int
-		}
-		if len(req.Config) > 0 {
-			json.Unmarshal(req.Config, &probe)
-		}
-		if probe.OpsPerCore == nil {
-			res.Config.OpsPerCore = 2
-		}
-		c := res.Config
-		if tiles := c.MeshWidth * c.MeshHeight; tiles > 4 || c.OpsPerCore > 8 {
-			return nil, fmt.Errorf("interleave explores exhaustively: need a quick config with at most 4 tiles and 8 ops/core (got %d tiles, %d ops/core)", tiles, c.OpsPerCore)
+	res := &resolved{Type: req.Type, Workload: req.Workload, Config: cfg, Rates: req.Rates,
+		Coverage: req.Coverage, TileDeath: req.TileDeath, Interleave: req.Interleave}
+	if c.check != nil {
+		if err := c.check(res); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
@@ -485,6 +416,13 @@ func (j *job) subscribe() (chan runner.Snapshot, runner.Snapshot) {
 	defer j.mu.Unlock()
 	j.subs[ch] = struct{}{}
 	return ch, j.snap
+}
+
+// progress returns the latest published snapshot.
+func (j *job) progress() runner.Snapshot {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.snap
 }
 
 func (j *job) unsubscribe(ch chan runner.Snapshot) {

@@ -12,9 +12,9 @@ import (
 )
 
 // fuzzSeedBodies are the request bodies the serve tests submit, plus the
-// three bodies that once passed validation and then crashed or hung a run:
-// a zero serial-number width, a zero Table 3 timeout and a negative
-// operation count.
+// three bodies that once passed validation and then crashed or hung a run
+// (a zero serial-number width, a zero Table 3 timeout and a negative
+// operation count) and the negative class params that once ran as zero.
 var fuzzSeedBodies = []string{
 	`{"type":"run"}`,
 	`{"type":"run","quick":true}`,
@@ -37,6 +37,11 @@ var fuzzSeedBodies = []string{
 	`{"type":"run","quick":true,"config":{"Protocol":2,"SerialNumberBits":0}}`,
 	`{"type":"run","quick":true,"config":{"Protocol":2,"LostUnblockTimeout":0}}`,
 	`{"type":"run","quick":true,"config":{"OpsPerCore":-1}}`,
+	`{"type":"sweep","quick":true,"rates":[-5]}`,
+	`{"type":"coverage","quick":true,"coverage":{"max_slots_per_type":-1,"double_fault_samples":-3,"double_fault_window":-1}}`,
+	`{"type":"tile-death","quick":true,"tile_death":{"max_slots_per_type":-1}}`,
+	`{"type":"interleave","quick":true,"interleave":{"max_depth":-1}}`,
+	`{"type":"interleave","quick":true,"interleave":{"fault_budget":-1}}`,
 }
 
 // Execution budget for accepted run bodies. The fuzz target checks that a
@@ -55,7 +60,8 @@ const (
 // FuzzResolveRequest fuzzes the POST /v1/experiments body. resolveRequest
 // must never panic; a body and its re-encoding through map[string]any
 // (same members, different field order) must resolve to the same cache key
-// or both fail; and an accepted run body of at most 64 tiles, executed
+// or both fail; no accepted body resolves with a negative rate or class
+// param; and an accepted run body of at most 64 tiles, executed
 // with at most one operation per core, must yield a Result or an error within the
 // deadline — never a panic, never a hang.
 func FuzzResolveRequest(f *testing.F) {
@@ -68,6 +74,21 @@ func FuzzResolveRequest(f *testing.F) {
 		if err == nil {
 			if key, err = res.key(); err != nil {
 				t.Fatalf("accepted body has no cache key: %v", err)
+			}
+			params := append([]int(nil), res.Rates...)
+			if o := res.Coverage; o != nil {
+				params = append(params, o.MaxSlotsPerType, o.DoubleFaultSamples, o.DoubleFaultWindow)
+			}
+			if o := res.TileDeath; o != nil {
+				params = append(params, o.MaxSlotsPerType)
+			}
+			if o := res.Interleave; o != nil {
+				params = append(params, o.MaxDepth, o.FaultBudget)
+			}
+			for _, v := range params {
+				if v < 0 {
+					t.Fatalf("accepted body resolved with a negative rate or class param: %s", body)
+				}
 			}
 		}
 		if reordered, ok := reencode(body); ok {

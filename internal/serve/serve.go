@@ -665,8 +665,8 @@ func (s *Server) execute(j *job) {
 	}
 }
 
-// runExperiment dispatches on the experiment type and returns the result
-// payload the worker marshals into the memoized bytes: deterministic for a
+// runExperiment runs the job's class and returns the result payload the
+// worker marshals into the memoized bytes: deterministic for a
 // deterministic configuration (json.Marshal sorts map keys), so a cached
 // replay is byte-identical to the live run that produced it, at every
 // parallelism level.
@@ -676,89 +676,18 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (payload any, res *r
 	if cfg.Parallelism < 0 {
 		cfg.Parallelism = 0 // 0 = all cores, in runner.Map's convention
 	}
-	switch j.req.Type {
-	case "run":
-		j.publishCounts(0, 1)
-		res, err := repro.RunContext(ctx, cfg, j.req.Workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.publishCounts(1, 1)
-		return res, res, nil
-	case "sweep":
-		j.publishCounts(0, len(j.req.Rates))
-		results, err := repro.FaultSweepContext(ctx, cfg, j.req.Workload, j.req.Rates,
-			func(snap repro.ProgressSnapshot) { j.publish(snap) })
-		if err != nil {
-			return nil, nil, err
-		}
-		return map[string]any{"rates": j.req.Rates, "results": results}, nil, nil
-	case "compare":
-		j.publishCounts(0, 2)
-		dir, ft, err := repro.CompareContext(ctx, cfg, j.req.Workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.publishCounts(2, 2)
-		return map[string]any{
-			"dir":              dir,
-			"ft":               ft,
-			"time_overhead":    ft.TimeOverheadVs(dir),
-			"message_overhead": ft.MessageOverheadVs(dir),
-			"byte_overhead":    ft.ByteOverheadVs(dir),
-		}, nil, nil
-	case "coverage":
-		opt := repro.CoverageOptions{Progress: j.publishCounts}
-		if p := j.req.Coverage; p != nil {
-			opt.MaxSlotsPerType = p.MaxSlotsPerType
-			opt.DoubleFaultSamples = p.DoubleFaultSamples
-			opt.DoubleFaultWindow = p.DoubleFaultWindow
-			opt.Seed = p.Seed
-		}
-		rep, err := repro.CoverageContext(ctx, cfg, j.req.Workload, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rep, nil, nil
-	case "tile-death":
-		opt := repro.TileDeathOptions{Progress: j.publishCounts}
-		if p := j.req.TileDeath; p != nil {
-			opt.MaxSlotsPerType = p.MaxSlotsPerType
-			opt.IncludeLinks = p.IncludeLinks
-		}
-		rep, err := repro.TileDeathCoverageContext(ctx, cfg, j.req.Workload, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rep, nil, nil
-	case "interleave":
-		j.publishCounts(0, 1)
-		opt := repro.InterleaveOptions{}
-		if p := j.req.Interleave; p != nil {
-			opt.MaxDepth = p.MaxDepth
-			opt.FaultBudget = p.FaultBudget
-		}
-		doc, err := repro.InterleaveGate(ctx, cfg, j.req.Workload, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		verdict := "pass"
-		var gateErr string
-		if err := doc.Err(); err != nil {
-			verdict = "fail"
-			gateErr = err.Error()
-		}
-		j.publishCounts(1, 1)
-		return map[string]any{"verdict": verdict, "gate_error": gateErr, "doc": doc}, nil, nil
-	case "profile":
-		j.publishCounts(0, 2)
-		rep, err := repro.ProfileContext(ctx, cfg, j.req.Workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rep, nil, nil
+	c, err := classOf(j.req.Type)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("unreachable experiment type %q", j.req.Type)
+	if c.steps > 0 {
+		j.publishCounts(0, c.steps)
+	}
+	payload, res, err = c.run(ctx, cfg, j)
+	if err == nil && c.steps > 0 {
+		j.publishCounts(c.steps, c.steps)
+	}
+	return payload, res, err
 }
 
 // writeJSON writes v as a JSON response.

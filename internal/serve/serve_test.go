@@ -122,6 +122,16 @@ func TestSubmitValidation(t *testing.T) {
 		{"trailing data", `{"type":"run"} {"x":1}`},
 		{"duplicate member", `{"type":"run","TYPE":"compare","quick":true}`},
 		{"duplicate config member", `{"type":"run","config":{"OpsPerCore":1,"opspercore":2}}`},
+		{"interleave params on run", `{"type":"run","interleave":{"fault_budget":1}}`},
+		{"coverage progress callback", `{"type":"coverage","quick":true,"coverage":{"Progress":null}}`},
+		{"interleave max violations", `{"type":"interleave","quick":true,"interleave":{"MaxViolations":3}}`},
+		{"negative rate", `{"type":"sweep","quick":true,"rates":[0,-5]}`},
+		{"negative coverage slots", `{"type":"coverage","quick":true,"coverage":{"max_slots_per_type":-1}}`},
+		{"negative double-fault samples", `{"type":"coverage","quick":true,"coverage":{"double_fault_samples":-3}}`},
+		{"negative double-fault window", `{"type":"coverage","quick":true,"coverage":{"double_fault_window":-1}}`},
+		{"negative tile-death slots", `{"type":"tile-death","quick":true,"tile_death":{"max_slots_per_type":-1}}`},
+		{"negative max depth", `{"type":"interleave","quick":true,"interleave":{"max_depth":-1}}`},
+		{"negative fault budget", `{"type":"interleave","quick":true,"interleave":{"fault_budget":-1}}`},
 	}
 	for _, tc := range cases {
 		code, _, _ := postJSON(t, ts, tc.body)
@@ -351,6 +361,36 @@ func readSSE(r io.Reader) []sseEvent {
 	return events
 }
 
+// openEvents opens the job's SSE stream and returns once the server has
+// registered the subscription, so a worker released afterwards publishes
+// every snapshot to it.
+func openEvents(t *testing.T, s *Server, ts *httptest.Server, id string) io.ReadCloser {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/experiments/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	j := s.lookup(id)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j.mu.Lock()
+		n := len(j.subs)
+		j.mu.Unlock()
+		if n > 0 {
+			return resp.Body
+		}
+		if time.Now().After(deadline) {
+			resp.Body.Close()
+			t.Fatal("SSE subscription never registered")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func TestSSEProgressDuringRun(t *testing.T) {
 	gate := make(chan struct{})
 	opts := Options{Workers: 1}
@@ -362,34 +402,11 @@ func TestSSEProgressDuringRun(t *testing.T) {
 		t.Fatalf("POST: status %d", code)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/experiments/" + doc.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	// Only release the worker once the SSE subscription is registered, so
-	// the stream observably overlaps the run.
-	j := s.lookup(doc.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		n := len(j.subs)
-		j.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("SSE subscription never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	body := openEvents(t, s, ts, doc.ID)
+	defer body.Close()
 	close(gate)
 
-	events := readSSE(resp.Body)
+	events := readSSE(body)
 	var progress int
 	var done *sseEvent
 	for i := range events {

@@ -42,21 +42,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case snap := <-ch:
+			last = snap
 			writeSSE(w, "progress", snap)
 			flusher.Flush()
 		case <-j.done:
-			// Drain any snapshot published before the terminal state so the
-			// stream's last progress event is the final count.
-			for {
-				select {
-				case snap := <-ch:
-					writeSSE(w, "progress", snap)
-				default:
-					writeSSE(w, "done", j.status(false))
-					flusher.Flush()
-					return
-				}
+			// The stream's last progress event is the final count, even
+			// when a slow reader missed the snapshot that carried it
+			// (publish drops rather than blocks).
+			if final := j.progress(); final.Total > 0 && final != last {
+				writeSSE(w, "progress", final)
 			}
+			writeSSE(w, "done", j.status(false))
+			flusher.Flush()
+			return
 		case <-r.Context().Done():
 			return
 		}

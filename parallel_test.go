@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestFaultSweepParallelMatchesSerial(t *testing.T) {
 
 	serial := cfg
 	serial.Parallelism = 1
-	want, err := FaultSweep(serial, "uniform", rates)
+	want, err := FaultSweepContext(context.Background(), serial, "uniform", rates, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestFaultSweepParallelMatchesSerial(t *testing.T) {
 	for _, j := range []int{0, 2, 4} {
 		par := cfg
 		par.Parallelism = j
-		got, err := FaultSweep(par, "uniform", rates)
+		got, err := FaultSweepContext(context.Background(), par, "uniform", rates, nil)
 		if err != nil {
 			t.Fatalf("j=%d: %v", j, err)
 		}
@@ -50,14 +51,14 @@ func TestCompareParallelMatchesSerial(t *testing.T) {
 
 	serial := cfg
 	serial.Parallelism = 1
-	wantDir, wantFt, err := Compare(serial, "migratory")
+	wantDir, wantFt, err := CompareContext(context.Background(), serial, "migratory")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par := cfg
 	par.Parallelism = 2
-	gotDir, gotFt, err := Compare(par, "migratory")
+	gotDir, gotFt, err := CompareContext(context.Background(), par, "migratory")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/span"
 )
 
-// ProfileReport is the output of Profile: per-miss-class latency attribution
+// ProfileReport is the output of ProfileContext: per-miss-class latency attribution
 // under both protocols, the per-miss fault-tolerance overhead, and (when the
 // configuration injects faults) the under-fault penalty. All three runs
 // carry full span data (Result.Spans, Result.Breakdown).
@@ -31,17 +31,12 @@ type ProfileReport struct {
 	FaultPenalty []span.ClassDelta
 }
 
-// Profile runs the latency-attribution comparison on a workload: DirCMP and
-// FtDirCMP fault-free, plus FtDirCMP under the configured fault rate when
-// cfg.FaultRatePerMillion > 0, all with span recording on. The runs execute
-// concurrently under cfg.Parallelism; the report is identical at every
-// parallelism level.
-func Profile(cfg Config, workloadName string) (*ProfileReport, error) {
-	return ProfileContext(context.Background(), cfg, workloadName)
-}
-
-// ProfileContext is Profile under a context; cancellation aborts the runs
-// and the error wraps ctx's cause.
+// ProfileContext runs the latency-attribution comparison on a workload:
+// DirCMP and FtDirCMP fault-free, plus FtDirCMP under the configured fault
+// rate when cfg.FaultRatePerMillion > 0, all with span recording on. The
+// runs execute concurrently under cfg.Parallelism; the report is identical
+// at every parallelism level. Cancellation aborts the runs and the error
+// wraps ctx's cause.
 func ProfileContext(ctx context.Context, cfg Config, workloadName string) (*ProfileReport, error) {
 	configs := []Config{cfg, cfg}
 	configs[0].Protocol = DirCMP

@@ -18,8 +18,10 @@
 // The package exposes a simple front door: build a Config (start from
 // DefaultConfig, the paper's Table 4 system), pick a workload, and Run.
 // Fault injection, the experiment sweeps behind the paper's figures, and a
-// correctness campaign are available through RunWithInjector, Compare,
-// FaultSweep and CheckRecovery.
+// correctness campaign are available through RunWithInjectorContext,
+// CompareContext, FaultSweepContext and CheckRecoveryContext. Every entry
+// point takes a context first; Run, Coverage, Interleave and
+// InterleaveReplay also keep a form without one.
 //
 //	cfg := repro.DefaultConfig()
 //	cfg.FaultRatePerMillion = 250
@@ -130,7 +132,7 @@ type Config struct {
 
 	// Fault injection: uniform losses per million messages, or bursts of
 	// FaultBurstLen consecutive losses starting at the same rate.
-	// RunWithInjector offers full control.
+	// RunWithInjectorContext offers full control.
 	FaultRatePerMillion int
 	FaultBurstLen       int
 	FaultSeed           uint64
@@ -140,7 +142,7 @@ type Config struct {
 	CheckIntegrity bool
 
 	// Parallelism bounds how many independent simulations batch APIs
-	// (FaultSweep, Compare) run concurrently: 0 (the default) uses all
+	// (FaultSweepContext, CompareContext) run concurrently: 0 (the default) uses all
 	// cores, 1 reproduces the historical serial loops exactly. Each run
 	// is a pure function of its configuration and seeds, so results and
 	// their order are identical at every parallelism level. It is an
@@ -395,29 +397,25 @@ func MessageTypes() []string {
 	return out
 }
 
-// Run simulates the named workload to completion and returns the measured
-// results. It fails on deadlock (DirCMP under faults), cycle-limit
-// exhaustion, or any coherence/data-integrity violation.
+// Run is RunContext without a context.
 func Run(cfg Config, workloadName string) (*Result, error) {
-	return RunWithInjector(cfg, workloadName, cfg.injector())
+	return RunContext(context.Background(), cfg, workloadName)
 }
 
-// RunContext is Run under a context: when ctx is cancelled (a server
-// deadline, client disconnect or SIGINT) the simulation aborts promptly
-// and the error wraps ctx's cancellation cause, so callers can test it
-// with errors.Is(err, context.Canceled). Cancellation never yields a
-// partial Result.
+// RunContext simulates the named workload to completion and returns the
+// measured results. It fails on deadlock (DirCMP under faults), cycle-limit
+// exhaustion, or any coherence/data-integrity violation. When ctx is
+// cancelled (a server deadline, client disconnect or SIGINT) the
+// simulation aborts promptly and the error wraps ctx's cancellation cause,
+// so callers can test it with errors.Is(err, context.Canceled).
+// Cancellation never yields a partial Result.
 func RunContext(ctx context.Context, cfg Config, workloadName string) (*Result, error) {
 	return RunWithInjectorContext(ctx, cfg, workloadName, cfg.injector())
 }
 
-// RunWithInjector is Run with an explicit fault injector (overriding the
-// configuration's rate fields). inj may be nil for a reliable network.
-func RunWithInjector(cfg Config, workloadName string, inj fault.Injector) (*Result, error) {
-	return RunWithInjectorContext(context.Background(), cfg, workloadName, inj)
-}
-
-// RunWithInjectorContext is RunContext with an explicit fault injector.
+// RunWithInjectorContext is RunContext with an explicit fault injector
+// (overriding the configuration's rate fields). inj may be nil for a
+// reliable network.
 func RunWithInjectorContext(ctx context.Context, cfg Config, workloadName string, inj fault.Injector) (*Result, error) {
 	w, err := workload.ByName(workloadName)
 	if err != nil {
@@ -496,7 +494,6 @@ func coverageRun(ctx context.Context, cfg Config, w workload.Workload, image boo
 		}
 		rcv := s.Recovery()
 		out.DeathDeclared = rcv.Declared
-		out.LinesReconstructed = rcv.LinesReconstructed
 		out.LinesUnrecoverable = rcv.LinesUnrecoverable
 		out.UnrecoverableAddrs = rcv.UnrecoverableAddrs
 		if rcv.Declared && rcv.ReconstructedCycle >= rcv.DeathCycle {
@@ -514,15 +511,10 @@ func coverageRun(ctx context.Context, cfg Config, w workload.Workload, image boo
 	}
 }
 
-// Compare runs the same workload under both protocols on a reliable
-// network, the fault-free comparison of the paper's evaluation. The two
-// runs execute concurrently under cfg.Parallelism.
-func Compare(cfg Config, workloadName string) (dir, ft *Result, err error) {
-	return CompareContext(context.Background(), cfg, workloadName)
-}
-
-// CompareContext is Compare under a context; cancellation aborts both runs
-// and the error wraps ctx's cause.
+// CompareContext runs the same workload under both protocols on a
+// reliable network, the fault-free comparison of the paper's evaluation.
+// The two runs execute concurrently under cfg.Parallelism. Cancellation
+// aborts both runs and the error wraps ctx's cause.
 func CompareContext(ctx context.Context, cfg Config, workloadName string) (dir, ft *Result, err error) {
 	protocols := []Protocol{DirCMP, FtDirCMP}
 	results, err := runner.MapContext(ctx, cfg.Parallelism, len(protocols), func(ctx context.Context, i int) (*Result, error) {
@@ -541,7 +533,7 @@ func CompareContext(ctx context.Context, cfg Config, workloadName string) (dir, 
 	return results[0], results[1], nil
 }
 
-// SweepConfig returns the configuration FaultSweep simulates for one loss
+// SweepConfig returns the configuration FaultSweepContext simulates for one loss
 // rate: FtDirCMP at rate messages lost per million, with a deterministic
 // per-rate fault seed when the configuration does not pin one.
 func SweepConfig(cfg Config, rate int) Config {
@@ -554,25 +546,19 @@ func SweepConfig(cfg Config, rate int) Config {
 	return c
 }
 
-// FaultSweep runs FtDirCMP on the workload at each loss rate (messages per
-// million), reproducing the sweep behind the paper's Figure 3. The rate
-// points execute concurrently under cfg.Parallelism; results come back in
-// rate order and are identical at every parallelism level.
-func FaultSweep(cfg Config, workloadName string, rates []int) ([]*Result, error) {
-	return FaultSweepContext(context.Background(), cfg, workloadName, rates, nil)
-}
-
 // ProgressSnapshot is a race-safe live view of a running campaign: jobs
 // done, messages dropped, open recovery windows, elapsed wall time and an
 // ETA. See FaultSweepContext and internal/runner.
 type ProgressSnapshot = runner.Snapshot
 
-// FaultSweepContext is FaultSweep under a context with a live-progress
-// callback. Once ctx is cancelled no further rate point starts, in-flight
+// FaultSweepContext runs FtDirCMP on the workload at each loss rate
+// (messages per million), reproducing the sweep behind the paper's
+// Figure 3. The rate points execute concurrently under cfg.Parallelism;
+// results come back in rate order and are identical at every parallelism
+// level. Once ctx is cancelled no further rate point starts, in-flight
 // simulations abort, and the error wraps ctx's cause. progress, when
 // non-nil, is invoked serially after each completed rate point; it never
-// changes the results, which remain in rate order and identical at every
-// parallelism level (only the callback order is completion order).
+// changes the results (only the callback order is completion order).
 func FaultSweepContext(ctx context.Context, cfg Config, workloadName string, rates []int, progress func(ProgressSnapshot)) ([]*Result, error) {
 	tracker := runner.NewTracker(len(rates))
 	var mu sync.Mutex
@@ -603,15 +589,10 @@ type RecoveryOutcome struct {
 	Err       error  // failure detail when Recovered is false
 }
 
-// CheckRecovery drops the nth message of the given type in an FtDirCMP run
-// and reports whether the protocol recovered (the paper's §4 fault
-// injection methodology).
-func CheckRecovery(cfg Config, workloadName, msgType string, nth uint64) (RecoveryOutcome, error) {
-	return CheckRecoveryContext(context.Background(), cfg, workloadName, msgType, nth)
-}
-
-// CheckRecoveryContext is CheckRecovery under a context. A cancelled run is
-// an error (the campaign was interrupted), not a recovery failure.
+// CheckRecoveryContext drops the nth message of the given type in an
+// FtDirCMP run and reports whether the protocol recovered (the paper's §4
+// fault injection methodology). A cancelled run is an error (the campaign
+// was interrupted), not a recovery failure.
 func CheckRecoveryContext(ctx context.Context, cfg Config, workloadName, msgType string, nth uint64) (RecoveryOutcome, error) {
 	var typ msg.Type
 	found := false
@@ -643,47 +624,49 @@ func CheckRecoveryContext(ctx context.Context, cfg Config, workloadName, msgType
 }
 
 // CoverageReport is the aggregated matrix of an exhaustive fault-coverage
-// campaign; see Coverage and docs/COVERAGE.md.
+// campaign; see CoverageContext and docs/COVERAGE.md.
 type CoverageReport = coverage.Report
 
-// CoverageOptions tunes a Coverage campaign. The zero value runs the
-// exhaustive single-loss campaign with no double-fault sampling.
+// CoverageOptions tunes a CoverageContext campaign. The zero value runs the
+// exhaustive single-loss campaign with no double-fault sampling. Its JSON
+// form, without Progress, is the "coverage" params of an ftserve request
+// (docs/SERVICE.md).
 type CoverageOptions struct {
 	// MaxSlotsPerType caps the tested slots per message type (0 =
 	// exhaustive). Sampled types are flagged in the report.
-	MaxSlotsPerType int
+	MaxSlotsPerType int `json:"max_slots_per_type,omitempty"`
 	// DoubleFaultSamples adds that many sampled double-fault runs: a
 	// slot's drop plus a second drop in the recovery window (half chase
 	// the dropped message's reissue, half drop a nearby message).
-	DoubleFaultSamples int
+	DoubleFaultSamples int `json:"double_fault_samples,omitempty"`
 	// DoubleFaultWindow bounds the second drop's distance in injectable
 	// messages (0 = default 50).
-	DoubleFaultWindow int
+	DoubleFaultWindow int `json:"double_fault_window,omitempty"`
 	// Seed drives the double-fault sampling (independent of Config.Seed).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Progress, when set, is called after each run, double-fault samples
 	// included, with running counts against the whole campaign's total.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
-// Coverage runs the exhaustive fault-coverage campaign on the configured
-// protocol: one fault-free census run enumerating every injectable message
-// as a (type, k-th occurrence) slot, then one run per slot dropping exactly
-// that message, verifying each run terminates, passes the coherence checker
-// and the data-value oracle, and reproduces the fault-free final memory
-// image. Slot runs execute concurrently under cfg.Parallelism; the report
-// is identical at every parallelism level. Integrity checking is forced on
-// (the verification depends on it). A per-slot failure is part of the
-// report, not an error; only a failing baseline (or an invalid
-// configuration) returns one.
+// Coverage is CoverageContext without a context.
 func Coverage(cfg Config, workloadName string, opt CoverageOptions) (*CoverageReport, error) {
 	return CoverageContext(context.Background(), cfg, workloadName, opt)
 }
 
-// CoverageContext is Coverage under a context: once ctx is cancelled no
-// further run starts, in-flight runs abort, and the campaign returns an
-// error wrapping ctx's cause instead of a report — also when the
-// cancellation lands during the double-fault samples.
+// CoverageContext runs the exhaustive fault-coverage campaign on the
+// configured protocol: one fault-free census run enumerating every
+// injectable message as a (type, k-th occurrence) slot, then one run per
+// slot dropping exactly that message, verifying each run terminates,
+// passes the coherence checker and the data-value oracle, and reproduces
+// the fault-free final memory image. Slot runs execute concurrently under
+// cfg.Parallelism; the report is identical at every parallelism level.
+// Integrity checking is forced on (the verification depends on it). A
+// per-slot failure is part of the report, not an error; only a failing
+// baseline (or an invalid configuration) returns one. Once ctx is
+// cancelled no further run starts, in-flight runs abort, and the campaign
+// returns an error wrapping ctx's cause instead of a report — also when
+// the cancellation lands during the double-fault samples.
 func CoverageContext(ctx context.Context, cfg Config, workloadName string, opt CoverageOptions) (*CoverageReport, error) {
 	w, err := workload.ByName(workloadName)
 	if err != nil {
@@ -705,38 +688,36 @@ func CoverageContext(ctx context.Context, cfg Config, workloadName string, opt C
 	return rep, nil
 }
 
-// TileDeathOptions tunes a TileDeathCoverage campaign. The zero value kills
-// every tile at every enumerated injection slot, with no link sweep.
+// TileDeathOptions tunes a TileDeathCoverageContext campaign. The zero
+// value kills every tile at every enumerated injection slot, with no link
+// sweep. Its JSON form, without Progress, is the "tile_death" params of an
+// ftserve request (docs/SERVICE.md).
 type TileDeathOptions struct {
 	// MaxSlotsPerType caps the injection slots tested per message type for
 	// each victim (0 = exhaustive). Sampled rows are flagged in the report.
-	MaxSlotsPerType int
+	MaxSlotsPerType int `json:"max_slots_per_type,omitempty"`
 	// IncludeLinks adds a link-death sweep: every mesh link is killed at
 	// every enumerated slot, one report row per link. A link death must
 	// preserve the full fault-free memory image (no node dies with it).
-	IncludeLinks bool
+	IncludeLinks bool `json:"include_links,omitempty"`
 	// Progress, when set, is called after each run with running counts.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
-// TileDeathCoverage runs the structural-fault campaign: one fault-free
-// census run, then — for every tile and every enumerated injection slot —
-// one run in which that tile (core, L1, L2 bank and directory slice) dies
-// permanently at that instant. Each run must terminate quiescent, pass the
-// coherence checker and the data-value oracle on the survivors, and satisfy
-// the extended memory-image verdict: no line ahead of the fault-free
-// baseline, only lines written by the victim's own stream may lag it, lines
-// the reconstruction reported unrecoverable are excluded but counted, and
-// every other line must match exactly. See docs/COVERAGE.md ("Structural
-// faults"). Runs execute concurrently under cfg.Parallelism; the report is
-// byte-identical at every parallelism level. Under DirCMP the campaign
-// documents the contrast: every run deadlocks.
-func TileDeathCoverage(cfg Config, workloadName string, opt TileDeathOptions) (*CoverageReport, error) {
-	return TileDeathCoverageContext(context.Background(), cfg, workloadName, opt)
-}
-
-// TileDeathCoverageContext is TileDeathCoverage under a context (see
-// CoverageContext for the cancellation contract).
+// TileDeathCoverageContext runs the structural-fault campaign: one
+// fault-free census run, then — for every tile and every enumerated
+// injection slot — one run in which that tile (core, L1, L2 bank and
+// directory slice) dies permanently at that instant. Each run must
+// terminate quiescent, pass the coherence checker and the data-value
+// oracle on the survivors, and satisfy the extended memory-image verdict:
+// no line ahead of the fault-free baseline, only lines written by the
+// victim's own stream may lag it, lines the reconstruction reported
+// unrecoverable are excluded but counted, and every other line must match
+// exactly. See docs/COVERAGE.md ("Structural faults"). Runs execute
+// concurrently under cfg.Parallelism; the report is byte-identical at
+// every parallelism level. Under DirCMP the campaign documents the
+// contrast: every run deadlocks. Cancellation follows CoverageContext's
+// contract.
 func TileDeathCoverageContext(ctx context.Context, cfg Config, workloadName string, opt TileDeathOptions) (*CoverageReport, error) {
 	w, err := workload.ByName(workloadName)
 	if err != nil {

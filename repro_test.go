@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,7 @@ func TestRunUnknownWorkload(t *testing.T) {
 }
 
 func TestCompareFaultFreeOverheadIsSmall(t *testing.T) {
-	dir, ft, err := Compare(testConfig(), "uniform")
+	dir, ft, err := CompareContext(context.Background(), testConfig(), "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCompareFaultFreeOverheadIsSmall(t *testing.T) {
 
 func TestFaultSweepDegradesGracefully(t *testing.T) {
 	cfg := testConfig()
-	results, err := FaultSweep(cfg, "uniform", []int{0, 500, 2000})
+	results, err := FaultSweepContext(context.Background(), cfg, "uniform", []int{0, 500, 2000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCheckRecoveryAllTypes(t *testing.T) {
 	cfg := testConfig()
 	cfg.OpsPerCore = 150
 	for _, typ := range MessageTypes() {
-		out, err := CheckRecovery(cfg, "uniform", typ, 3)
+		out, err := CheckRecoveryContext(context.Background(), cfg, "uniform", typ, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", typ, err)
 		}

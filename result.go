@@ -17,7 +17,7 @@ type Result struct {
 	Protocol string
 	Workload string
 
-	// FaultRatePerMillion is the injected loss rate (set by FaultSweep).
+	// FaultRatePerMillion is the injected loss rate (set by FaultSweepContext).
 	FaultRatePerMillion int
 
 	// Execution.

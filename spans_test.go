@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -87,7 +88,7 @@ func TestGoldenSpanTrees(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := fault.NewNthOfType(tc.typ, 1)
-			res, err := RunWithInjector(spanConfig(), "uniform", inj)
+			res, err := RunWithInjectorContext(context.Background(), spanConfig(), "uniform", inj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +161,7 @@ func TestSpanRecordingDoesNotPerturb(t *testing.T) {
 func TestProfileQuick(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.RecordEvents = false
-	rep, err := Profile(cfg, "uniform")
+	rep, err := ProfileContext(context.Background(), cfg, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +189,11 @@ func TestSpansIdenticalAcrossParallelism(t *testing.T) {
 	serial.Parallelism = 1
 	parallel := cfg
 	parallel.Parallelism = 0
-	a, err := Profile(serial, "uniform")
+	a, err := ProfileContext(context.Background(), serial, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Profile(parallel, "uniform")
+	b, err := ProfileContext(context.Background(), parallel, "uniform")
 	if err != nil {
 		t.Fatal(err)
 	}

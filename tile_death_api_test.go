@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // configuration: every tile killed at a sampled slot set, plus the link
 // sweep. Every FtDirCMP run must pass the extended recovery verdict.
 func TestTileDeathCoverageQuick(t *testing.T) {
-	rep, err := TileDeathCoverage(quickCoverageConfig(), "uniform", TileDeathOptions{
+	rep, err := TileDeathCoverageContext(context.Background(), quickCoverageConfig(), "uniform", TileDeathOptions{
 		MaxSlotsPerType: 2,
 		IncludeLinks:    true,
 	})
@@ -56,7 +57,7 @@ func TestTileDeathCoverageDeterministic(t *testing.T) {
 	render := func(parallelism int) ([]byte, []byte) {
 		cfg := quickCoverageConfig()
 		cfg.Parallelism = parallelism
-		rep, err := TileDeathCoverage(cfg, "uniform", opt)
+		rep, err := TileDeathCoverageContext(context.Background(), cfg, "uniform", opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestTileDeathCoverageDeterministic(t *testing.T) {
 // -run TestGoldenTileDeathReport -update-golden .` after an intentional
 // protocol or schema change.
 func TestGoldenTileDeathReport(t *testing.T) {
-	rep, err := TileDeathCoverage(quickCoverageConfig(), "uniform", TileDeathOptions{
+	rep, err := TileDeathCoverageContext(context.Background(), quickCoverageConfig(), "uniform", TileDeathOptions{
 		IncludeLinks: true,
 	})
 	if err != nil {
@@ -107,7 +108,7 @@ func TestTileDeathCoverageDirCMPContrast(t *testing.T) {
 	cfg := quickCoverageConfig()
 	cfg.Protocol = DirCMP
 	cfg.CycleLimit = 5_000_000
-	rep, err := TileDeathCoverage(cfg, "uniform", TileDeathOptions{MaxSlotsPerType: 1})
+	rep, err := TileDeathCoverageContext(context.Background(), cfg, "uniform", TileDeathOptions{MaxSlotsPerType: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

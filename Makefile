@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -95,6 +95,14 @@ coverage-fuzz:
 # Result or an error within 2 s. CI runs it in the serve job.
 serve-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResolveRequest -fuzztime 20s ./internal/serve
+
+# canon-fuzz fuzzes the canonical JSON behind every job ID for 20 s:
+# arbitrary JSON text (escapes, repeated keys, invalid UTF-8, long
+# numbers) must canonicalise and hash to exactly the bytes, hash and error
+# of the decode-into-a-tree oracle in canon_test.go, and never panic. CI
+# runs it in the serve job, beside serve-fuzz.
+canon-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCanonMarshal -fuzztime 20s ./internal/canon
 
 # serve-check builds the ftserve binary and runs the experiment-serving
 # e2e suite under the race detector: concurrent duplicate submissions

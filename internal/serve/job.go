@@ -66,6 +66,9 @@ func (r *resolved) key() (string, error) {
 	return canon.Hash(r)
 }
 
+// workloadNames lists every workload a request may name.
+var workloadNames = append(repro.Workloads(), repro.WorkloadExtras()...)
+
 // resolveRequest parses and validates a request body into its resolved
 // form. All errors are client errors (HTTP 400).
 func resolveRequest(body []byte) (*resolved, error) {
@@ -80,8 +83,8 @@ func resolveRequest(body []byte) (*resolved, error) {
 	if req.Workload == "" {
 		req.Workload = c.workload
 	}
-	if names := append(repro.Workloads(), repro.WorkloadExtras()...); !slices.Contains(names, req.Workload) {
-		return nil, fmt.Errorf("unknown workload %q (want one of %v)", req.Workload, names)
+	if !slices.Contains(workloadNames, req.Workload) {
+		return nil, fmt.Errorf("unknown workload %q (want one of %v)", req.Workload, workloadNames)
 	}
 
 	cfg := repro.DefaultConfig()

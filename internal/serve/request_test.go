@@ -168,3 +168,13 @@ func TestCheckMemberNames(t *testing.T) {
 		}
 	}
 }
+
+// The unknown-workload error names every workload a request may use; its
+// text reaches clients in the 400 body, so it is pinned byte for byte.
+func TestUnknownWorkloadMessage(t *testing.T) {
+	_, err := resolveRequest([]byte(`{"type":"run","workload":"mystery"}`))
+	const want = `unknown workload "mystery" (want one of [uniform readmostly migratory producer hotspot private locks scan handoff])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+}

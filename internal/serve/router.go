@@ -178,7 +178,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard int, bod
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {
@@ -194,6 +196,12 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard int, bod
 		}
 	}
 }
+
+// copyBufs recycles forward's 32 KB response copy buffers.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 // send issues one proxied request to backends[shard]. Submissions carry the
 // trace headers: the request ID and the router's receive time, from which

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // newTestTopology builds the 2-shard deployment the docs describe: two
@@ -474,4 +476,48 @@ func TestRouterRejectsBadConfigs(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad submission via router: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// FuzzMisdirectOwner fuzzes the router's parse of a backend's 421 body,
+// which names the shard that owns a misdirected submission. The parse must
+// never panic and may name only a shard that exists: 0 <= shard < n. The
+// seeds are the 421 bodies a backend's handleSubmit writes for the class
+// bodies it does not own, and each must parse to the owner it names.
+func FuzzMisdirectOwner(f *testing.F) {
+	for _, n := range []int{2, 3, 5} {
+		s, err := New(Options{Workers: 1, Shard: 0, ShardCount: n})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, c := range classBodies {
+			owner := ShardOf(c.key, n)
+			if owner == 0 {
+				continue // shard 0 would run it
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/experiments", strings.NewReader(c.body)))
+			if rec.Code != http.StatusMisdirectedRequest {
+				f.Fatalf("%s on shard 0/%d: status %d, want 421", c.class, n, rec.Code)
+			}
+			body := rec.Body.Bytes()
+			if got, ok := misdirectOwner(body, n); !ok || got != owner {
+				f.Fatalf("421 body %s parsed to shard %d (ok=%v), want %d", body, got, ok, owner)
+			}
+			f.Add(body, n)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		s.Shutdown(ctx)
+		cancel()
+	}
+	for _, body := range []string{`{"shard":-1}`, `{"shard":2}`, `{"shard":1e400}`, `{"shard":1.5}`,
+		`{"shard":null}`, `{"shard":"1"}`, `{}`, `[]`, ``, `{"shard":1}{"shard":0}`} {
+		f.Add([]byte(body), 2)
+	}
+	f.Add([]byte(`{"shard":0}`), 0)
+	f.Add([]byte(`{"shard":0}`), -1)
+	f.Fuzz(func(t *testing.T, payload []byte, n int) {
+		if shard, ok := misdirectOwner(payload, n); ok && (shard < 0 || shard >= n) {
+			t.Fatalf("misdirectOwner(%q, %d) = %d, ok: not a shard", payload, n, shard)
+		}
+	})
 }

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check mc-fuzz sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -48,10 +48,21 @@ tile-check:
 # parallelism-independence), then the quick exhaustive exploration itself
 # — FtDirCMP must exhaust every delivery interleaving with a one-loss
 # budget violation-free while DirCMP yields a replayable deadlock
-# counterexample. See docs/MODELCHECK.md.
+# counterexample. The reset differential tests run again with message
+# pooling off: a reset system must match a fresh one either way. See
+# docs/MODELCHECK.md.
 mc-check:
 	$(GO) test -race ./internal/mc
+	REPRO_NOPOOL=1 $(GO) test -run 'Reset' ./internal/mc
 	$(GO) run ./cmd/ftcheck -interleave
+
+# mc-fuzz fuzzes System.Reset for 20 s: two decision prefixes decoded from
+# fuzz bytes, on every gate shape and protocol, where the second prefix
+# must end in exactly the same state, choices, verdict and memory image
+# on a system reset after the first as on a fresh system. CI runs it in
+# the mc job, beside sim-fuzz.
+mc-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzResetMatchesFresh -fuzztime 20s ./internal/mc
 
 # sim-fuzz fuzzes the simulation engine's event queue for 20 s: decoded
 # schedules at delays on both sides of the bucket ring's horizon, timer

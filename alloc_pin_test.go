@@ -41,14 +41,16 @@ func TestFig3QuickAllocsPin(t *testing.T) {
 
 // TestInterleavePathBytesPin pins the model checker's allocation per
 // executed path on the quick handoff gate at fault budget 1. Every path
-// re-executes its decision prefix on a freshly built system, so per-system
-// setup is paid once per path: with each cache set's frames allocated on
-// that set's first fill and a message fingerprint that builds no wire
-// encoding, a path costs ~28 KB. Allocating a whole array's frames on its
-// first fill measured ~64 KB per path, which the 48 KB bound rejects
-// (building the caches eagerly, ~190 KB).
+// re-executes its decision prefix on its worker's system, reset to the
+// initial state rather than built anew, so a path costs ~1.2 KB: its
+// workload streams, the protocol's per-event closures and its successor
+// schedules. Building a fresh system per path measured ~28 KB, which the
+// 4 KB bound rejects. The exploration runs on one worker: each worker
+// builds one system per exploration, which on a many-core host would
+// otherwise show up as per-path cost.
 func TestInterleavePathBytesPin(t *testing.T) {
 	cfg := quickInterleaveConfig()
+	cfg.Parallelism = 1
 	opts := InterleaveOptions{FaultBudget: 1}
 	if _, err := Interleave(cfg, InterleaveWorkload, opts); err != nil { // warm pools
 		t.Fatal(err)
@@ -65,9 +67,42 @@ func TestInterleavePathBytesPin(t *testing.T) {
 	}
 	perPath := (after.TotalAlloc - before.TotalAlloc) / uint64(rep.Transitions)
 	t.Logf("%d paths, %d B allocated per path", rep.Transitions, perPath)
-	const maxBytes = 48 << 10
+	const maxBytes = 4 << 10
 	if perPath > maxBytes {
 		t.Errorf("quick interleave gate: %d B per executed path, want <= %d", perPath, maxBytes)
+	}
+}
+
+// TestInterleavePathAllocsPin pins the model checker's allocation count
+// per executed path on the quick handoff gate at fault budget 1. Each
+// worker keeps one system and resets it before every path, so a path pays
+// only for its own execution: the workload streams Begin builds, the
+// protocol's per-event closures, the copied choices and the successor
+// schedules: ~18 allocations. Building a fresh system per path measured
+// ~252, which the bound of 32 rejects. As in TestInterleavePathBytesPin,
+// the exploration runs on one worker.
+func TestInterleavePathAllocsPin(t *testing.T) {
+	cfg := quickInterleaveConfig()
+	cfg.Parallelism = 1
+	opts := InterleaveOptions{FaultBudget: 1}
+	if _, err := Interleave(cfg, InterleaveWorkload, opts); err != nil { // warm pools
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Interleave(cfg, InterleaveWorkload, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Transitions == 0 {
+		t.Fatal("exploration executed no paths")
+	}
+	perPath := (after.Mallocs - before.Mallocs) / uint64(rep.Transitions)
+	t.Logf("%d paths, %d allocations per path", rep.Transitions, perPath)
+	const maxAllocs = 32
+	if perPath > maxAllocs {
+		t.Errorf("quick interleave gate: %d allocations per executed path, want <= %d", perPath, maxAllocs)
 	}
 }
 

@@ -77,6 +77,18 @@ func NewArray(sizeBytes, ways, lineSize int) (*Array, error) {
 	}, nil
 }
 
+// Reset invalidates every frame and restarts the LRU clock, returning the
+// array to the behaviour of a fresh one: Victim picks the same ways,
+// Lookup misses everywhere and ForEach visits nothing. The frames carved
+// so far are kept (invalid) for reuse, so a reset array fills without
+// allocating.
+func (a *Array) Reset() {
+	for _, set := range a.sets {
+		clear(set)
+	}
+	a.tick = 0
+}
+
 // LineSize returns the line size in bytes.
 func (a *Array) LineSize() int { return 1 << a.lineShift }
 

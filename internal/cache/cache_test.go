@@ -262,3 +262,28 @@ func TestTableUnbounded(t *testing.T) {
 		t.Fatalf("ForEach visited %d", count)
 	}
 }
+
+func TestTableReset(t *testing.T) {
+	hooked := 0
+	tb := NewTableReset[int](2, func(e *int) { hooked++; *e = 0 })
+	*tb.Alloc(0x40) = 1
+	*tb.Alloc(0x80) = 2
+	tb.Free(0x80)
+	tb.Reset()
+	if hooked != 2 {
+		t.Fatalf("reset hook ran %d times over one freed and one live entry, want 2", hooked)
+	}
+	if tb.Len() != 0 || tb.Peak() != 0 || tb.Get(0x40) != nil {
+		t.Fatalf("after Reset: Len %d, Peak %d, Get %v; want an empty table", tb.Len(), tb.Peak(), tb.Get(0x40))
+	}
+	// Both entries are reused, fresh, and the capacity still holds.
+	if n := testing.AllocsPerRun(1, func() {
+		a, b := tb.Alloc(0x40), tb.Alloc(0xc0)
+		if a == nil || b == nil || *a != 0 || *b != 0 || tb.Alloc(0x100) != nil {
+			t.Fatal("reset table did not hand out two fresh entries up to its capacity")
+		}
+		tb.Reset()
+	}); n != 0 {
+		t.Fatalf("refilling a reset table allocated %.0f times", n)
+	}
+}

@@ -11,12 +11,15 @@ import (
 // reference geometry. Every fill must land on the reference's (set, way),
 // Lookup must agree on every address, ForEach must visit the valid frames
 // in the reference's (set, way) order, Count must match, and a frame, once
-// handed out, must never change address.
+// handed out, must never change address. A script may Reset the array
+// mid-way; from then on it must behave as a fresh array would, while
+// keeping the frames it handed out.
 func FuzzArrayMatchesReference(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint8(0), []byte{0, 1, 0, 9, 0, 17, 0, 25, 0, 33, 0, 41, 0xc0, 9, 0, 1})
 	f.Add(uint8(0), uint8(1), uint8(1), []byte{0, 1, 0, 2, 0xc0, 1, 0, 1, 0, 3})
 	f.Add(uint8(7), uint8(8), uint8(2), []byte{255, 127, 63, 31, 15, 7, 3, 1, 0, 0})
 	f.Add(uint8(2), uint8(2), uint8(2), []byte{0, 0, 0, 4, 0, 8, 0, 12, 0, 4, 0, 16, 0xc0, 8, 0, 20})
+	f.Add(uint8(1), uint8(2), uint8(0), []byte{0, 1, 0, 3, 0, 5, 0, 7, 0, 9, 0xbf, 0, 0, 9, 0, 7, 0, 1, 0, 11, 0xbf, 0, 0, 3})
 	f.Fuzz(fuzzArrayScript)
 }
 
@@ -62,8 +65,9 @@ func fuzzArrayScript(t *testing.T, setBits, waySel, lineSel uint8, script []byte
 		}
 	}
 
-	// Each step is two bytes: the top two bits select an invalidate
-	// (0b11) of a hit line, the low 14 bits the line. Scripts are capped
+	// Each step is two bytes: a first byte of 0xbf resets the array,
+	// otherwise the top two bits select an invalidate (0b11) of a hit
+	// line, the low 14 bits the line. Scripts are capped
 	// and the order is checked every 16 steps, which keeps an execution
 	// cheap enough for the fuzzer to minimize new inputs quickly.
 	if len(script) > 512 {
@@ -72,6 +76,15 @@ func fuzzArrayScript(t *testing.T, setBits, waySel, lineSel uint8, script []byte
 	for step := 0; step+1 < len(script); step += 2 {
 		if step%32 == 0 {
 			checkOrder(step)
+		}
+		if script[step] == 0xbf {
+			a.Reset()
+			for _, set := range ref.sets {
+				clear(set)
+			}
+			ref.tick = 0
+			checkOrder(step)
+			continue
 		}
 		op := int(script[step])<<8 | int(script[step+1])
 		addr := msg.Addr(op & 0x3fff % lines * line)

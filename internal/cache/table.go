@@ -17,8 +17,12 @@ import "repro/internal/msg"
 // The entry map is created by the first Alloc; Get, Free, Len and ForEach
 // work on the nil map, so a table that is never used costs only its header.
 type Table[E any] struct {
-	entries  map[msg.Addr]*E
-	free     []*E
+	entries map[msg.Addr]*E
+	free    []*E
+	// all holds every entry the table ever created, in creation order, so
+	// Reset can rebuild the freelist in an order that does not depend on
+	// map iteration.
+	all      []*E
 	reset    func(*E)
 	capacity int
 	peak     int
@@ -67,6 +71,7 @@ func (t *Table[E]) Alloc(addr msg.Addr) *E {
 		t.free = t.free[:n-1]
 	} else {
 		e = new(E)
+		t.all = append(t.all, e)
 	}
 	t.entries[addr] = e
 	if len(t.entries) > t.peak {
@@ -86,6 +91,20 @@ func (t *Table[E]) Free(addr msg.Addr) {
 	delete(t.entries, addr)
 	t.reset(e)
 	t.free = append(t.free, e)
+}
+
+// Reset frees every live entry through the reset hook and zeroes Peak,
+// returning the table to its just-built behaviour while keeping its
+// entries and map storage for reuse. The freelist is rebuilt from every
+// entry in creation order, so which entry a later Alloc hands out does not
+// depend on map iteration.
+func (t *Table[E]) Reset() {
+	for _, e := range t.entries {
+		t.reset(e)
+	}
+	clear(t.entries)
+	t.free = append(t.free[:0], t.all...)
+	t.peak = 0
 }
 
 // Len returns the number of live entries.

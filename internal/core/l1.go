@@ -170,7 +170,6 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		wb:      cache.NewTableReset[l1WB](0, resetL1WB),
 		backups: cache.NewTableReset[backupEntry](0, resetBackup),
 		blocked: cache.NewTableReset[blockedEntry](0, resetBlocked),
-		tids:    proto.NewTIDSource(id),
 		onWrite: onWrite,
 	}
 	if ft {
@@ -179,7 +178,25 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.mshr.Get(c.Addr) == nil && l.wb.Get(c.Addr) == nil && l.blocked.Get(c.Addr) == nil
 	}
+	l.Reset()
 	return l, nil
+}
+
+// Reset returns the controller to the state NewL1 leaves it in: every
+// table entry is freed through its reset hook (stopping its timers), the
+// cache frames are invalidated but kept, and the serial space and TID
+// source restart. The observer and failure detector stay attached.
+func (l *L1) Reset() {
+	l.mshr.Reset()
+	l.wb.Reset()
+	l.backups.Reset()
+	l.blocked.Reset()
+	l.array.Reset()
+	if l.serial != nil {
+		l.serial.Reset()
+	}
+	l.tids = proto.NewTIDSource(l.id)
+	l.halted = false
 }
 
 // Reset hooks for the recycled entry tables. Each one stops the entry's

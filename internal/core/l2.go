@@ -241,7 +241,6 @@ func NewL2(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		trans:  cache.NewTableReset[l2Trans](0, resetL2Trans),
 		ext:    cache.NewTableReset[extBlock](0, resetExtBlock),
 		mig:    make(map[msg.Addr]migInfo),
-		tids:   proto.NewTIDSource(id),
 	}
 	if ft {
 		l.serial = msg.NewSerialSpace(params.SerialBits)
@@ -249,7 +248,25 @@ func NewL2(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.trans.Get(c.Addr) == nil && l.ext.Get(c.Addr) == nil
 	}
+	l.Reset()
 	return l, nil
+}
+
+// Reset returns the bank to the state NewL2 leaves it in: transactions
+// and external blocks are freed through their reset hooks (stopping their
+// timers), the cache frames are invalidated but kept, the migratory
+// detector forgets every line, and the serial space and TID source
+// restart. The observer and failure detector stay attached.
+func (l *L2) Reset() {
+	l.trans.Reset()
+	l.ext.Reset()
+	l.array.Reset()
+	clear(l.mig)
+	if l.serial != nil {
+		l.serial.Reset()
+	}
+	l.tids = proto.NewTIDSource(l.id)
+	l.halted = false
 }
 
 // NodeID implements proto.Inspectable.

@@ -149,7 +149,20 @@ func NewMem(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim
 		c.serial = msg.NewSerialSpace(params.SerialBits)
 	}
 	c.sendDelayed = func(arg any, _ uint64) { c.net.Send(arg.(*msg.Message)) }
+	c.Reset()
 	return c
+}
+
+// Reset returns the controller to the state NewMem leaves it in:
+// transactions are freed through their reset hook (stopping their
+// timers), no line is on-chip owned, and the serial space restarts. The
+// store is shared between controllers; its owner resets it.
+func (c *Mem) Reset() {
+	c.trans.Reset()
+	clear(c.owned)
+	if c.serial != nil {
+		c.serial.Reset()
+	}
 }
 
 // NodeID implements proto.Inspectable.

@@ -16,11 +16,13 @@
 // queue holds live closures and pooled objects, so instead of
 // snapshotting, the checker replays each decision prefix from the initial
 // state (every run is deterministic, so a prefix always reaches the same
-// state). Revisited states are pruned via a canonical fingerprint:
-// System.StateFingerprint (every agent's interned per-line protocol
-// state + core progress + the memory image) combined with the in-flight
-// message multiset, tracked incrementally through a network recorder
-// summing msg.Fingerprint values. The remaining fault budget is part of
+// state). Each worker keeps one system and reaches the initial state by
+// System.Reset, which returns it to exactly what system.New built, so a
+// path pays for no construction. Revisited states are pruned via a
+// canonical fingerprint: System.StateFingerprint (every agent's interned
+// per-line protocol state + core progress + the memory image) combined
+// with the in-flight message multiset, tracked incrementally through a
+// network recorder summing msg.Fingerprint values. The remaining fault budget is part of
 // the state identity — a state reached with budget left has successors
 // one with no budget lacks.
 //
@@ -157,6 +159,10 @@ type flightTracker struct {
 	descs map[uint64]string
 }
 
+// reset empties the in-flight multiset, as a discarded path's messages
+// vanish with the system's reset.
+func (f *flightTracker) reset() { f.sum, f.count = 0, 0 }
+
 func (f *flightTracker) MessageSent(m *msg.Message, _ int) {
 	fp := msg.Fingerprint(m)
 	f.sum += fp
@@ -178,16 +184,19 @@ func (f *flightTracker) MessageDelivered(m *msg.Message, _ uint64) {
 	f.count--
 }
 
-// instance is one freshly constructed system ready for (re-)execution.
+// instance is one system set up for (re-)execution, with its in-flight
+// tracker and its decision script.
 type instance struct {
 	sys    *system.System
 	eng    *sim.Engine
 	flight *flightTracker
+	ch     scriptChooser
 }
 
-// newInstance builds a system for checker-driven execution: choice-point
-// delivery on, integrity oracle on, in-flight tracking wired in. cfg.Obs
-// may carry a recorder (replay export); exploration leaves it nil.
+// newInstance builds a system for checker-driven execution and begins the
+// workload on it: choice-point delivery on, integrity oracle on, in-flight
+// tracking wired in. cfg.Obs may carry a recorder (replay export);
+// exploration leaves it nil, so its instances can be restarted.
 func newInstance(cfg system.Config, w workload.Workload, descs map[uint64]string) (*instance, error) {
 	cfg.Net.ChoiceDelivery = true
 	cfg.CheckIntegrity = true
@@ -200,6 +209,17 @@ func newInstance(cfg system.Config, w workload.Workload, descs map[uint64]string
 	}
 	sys.Begin(w)
 	return &instance{sys: sys, eng: sys.Engine(), flight: ft}, nil
+}
+
+// restart resets a used instance to the initial state and begins the
+// workload again, exactly as newInstance left a fresh one.
+func (in *instance) restart(w workload.Workload) error {
+	if err := in.sys.Reset(); err != nil {
+		return err
+	}
+	in.flight.reset()
+	in.sys.Begin(w)
+	return nil
 }
 
 // stateHash combines the system fingerprint with the in-flight multiset.
@@ -252,15 +272,12 @@ type evalResult struct {
 	cycles    uint64
 }
 
-// evaluate re-executes one decision prefix from the initial state and
-// reports what it reached: a choice point (with the eligible choices), a
-// clean terminal state, or a violation.
-func evaluate(cfg system.Config, w workload.Workload, base coverage.Outcome, actions []Action) (evalResult, error) {
-	in, err := newInstance(cfg, w, nil)
-	if err != nil {
-		return evalResult{}, err
-	}
-	ch := &scriptChooser{script: actions, infos: make([]uint64, 0, len(actions))}
+// evaluate executes one decision prefix on an instance in its initial
+// state and reports what it reached: a choice point (with the eligible
+// choices), a clean terminal state, or a violation.
+func evaluate(in *instance, cfg system.Config, base coverage.Outcome, actions []Action) (evalResult, error) {
+	ch := &in.ch // reused across paths, with its buffers
+	*ch = scriptChooser{script: actions, infos: ch.infos[:0], captured: ch.captured[:0]}
 	in.eng.SetChooser(ch)
 	runErr := in.eng.Run(cfg.Limit)
 	if ch.diverged != nil {
@@ -362,6 +379,30 @@ func ExploreContext(ctx context.Context, cfg system.Config, w workload.Workload,
 	// re-execute in parallel (runner returns results in submission order),
 	// then a serial pass dedups against the seen-state set and builds the
 	// next layer — so the result is byte-identical at any parallelism.
+	//
+	// Each worker takes an instance from the free list, restarts it, runs
+	// one path and puts it back: the list holds at most one instance per
+	// worker, built on first use. It is a buffered channel rather than a
+	// sync.Pool, which the GC may empty, so how many systems an
+	// exploration builds does not depend on GC timing.
+	free := make(chan *instance, runner.Parallelism(opt.Parallelism))
+	path := func(actions []Action) (evalResult, error) {
+		var in *instance
+		select {
+		case in = <-free:
+			if err := in.restart(w); err != nil {
+				return evalResult{}, err
+			}
+		default:
+			var err error
+			if in, err = newInstance(cfg, w, nil); err != nil {
+				return evalResult{}, err
+			}
+		}
+		res, err := evaluate(in, cfg, base, actions)
+		free <- in
+		return res, err
+	}
 	seen := make(map[uint64]bool)
 	frontier := []pathNode{{}}
 	stopped := false
@@ -370,7 +411,7 @@ func ExploreContext(ctx context.Context, cfg system.Config, w workload.Workload,
 			return nil, err
 		}
 		results, err := runner.MapContext(ctx, opt.Parallelism, len(frontier), func(ctx context.Context, i int) (evalResult, error) {
-			return evaluate(cfg, w, base, frontier[i].actions)
+			return path(frontier[i].actions)
 		})
 		if err != nil {
 			return nil, err

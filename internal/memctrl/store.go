@@ -23,6 +23,9 @@ func NewStore() *Store {
 	return &Store{lines: make(map[msg.Addr]msg.Payload)}
 }
 
+// Reset returns the store to zero-filled memory, keeping its map storage.
+func (s *Store) Reset() { clear(s.lines) }
+
 // Read returns the payload stored at the line address.
 func (s *Store) Read(addr msg.Addr) msg.Payload {
 	return s.lines[addr]

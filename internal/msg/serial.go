@@ -24,6 +24,10 @@ func NewSerialSpace(bits int) *SerialSpace {
 	return &SerialSpace{mask: SerialNumber(1<<bits) - 1}
 }
 
+// Reset restarts the counter, so the next request draws the serial number
+// a fresh space's first request does.
+func (s *SerialSpace) Reset() { s.counter = 0 }
+
 // Next returns a fresh serial number for a new request. The initial value is
 // unimportant (paper: "we can choose it randomly"); a wrapping counter keeps
 // the simulation deterministic.

@@ -42,7 +42,9 @@ type flight struct {
 
 func (n *Network) getFlight() *flight {
 	if len(n.flights) == 0 {
-		return &flight{net: n}
+		f := &flight{net: n}
+		n.allFlights = append(n.allFlights, f)
+		return f
 	}
 	f := n.flights[len(n.flights)-1]
 	n.flights = n.flights[:len(n.flights)-1]

@@ -179,14 +179,18 @@ type Network struct {
 	// links[router][dir] is the output link of router in direction dir.
 	links [][numDirections]link
 	nodes map[msg.NodeID]node
-	rng   *sim.RNG
+	rng   sim.RNG
 	bufs  map[detailedBufKey]*vcBuf
 
 	// transits and flights are freelists of per-message traversal state;
 	// the simulation is single-goroutine per engine, so a plain slice
-	// suffices. In steady state every hop is allocation-free.
-	transits []*transit
-	flights  []*flight
+	// suffices. In steady state every hop is allocation-free. allTransits
+	// and allFlights hold every one ever built, so Reset can reclaim those
+	// still in flight (their m is non-nil).
+	transits    []*transit
+	flights     []*flight
+	allTransits []*transit
+	allFlights  []*flight
 
 	// Dead-link state (see deadlink.go). deadOut[router][dir] marks a dead
 	// output link; nextHop is the BFS detour table consulted by route()
@@ -212,7 +216,9 @@ type transit struct {
 
 func (n *Network) getTransit() *transit {
 	if len(n.transits) == 0 {
-		return &transit{net: n}
+		t := &transit{net: n}
+		n.allTransits = append(n.allTransits, t)
+		return t
 	}
 	t := n.transits[len(n.transits)-1]
 	n.transits = n.transits[:len(n.transits)-1]
@@ -232,16 +238,50 @@ func New(engine *sim.Engine, cfg Config, drop DropFunc, rec Recorder) (*Network,
 	if rec == nil {
 		rec = nopRecorder{}
 	}
-	return &Network{
+	n := &Network{
 		engine: engine,
 		cfg:    cfg,
 		drop:   drop,
 		rec:    rec,
 		links:  make([][numDirections]link, cfg.Width*cfg.Height),
 		nodes:  make(map[msg.NodeID]node),
-		rng:    sim.NewRNG(cfg.RoutingSeed ^ 0x5eed),
 		bufs:   make(map[detailedBufKey]*vcBuf),
-	}, nil
+	}
+	n.Reset()
+	return n, nil
+}
+
+// Reset returns the network to the state New leaves it in, with the same
+// attached endpoints: every link free, every detailed-mode buffer empty,
+// no dead link, and the adaptive-routing generator reseeded. Messages
+// still in flight are abandoned — returned to the msg pool without
+// reaching a recorder — and their traversal state to the freelists. The
+// events that would have advanced them must be discarded too, by
+// resetting the engine.
+func (n *Network) Reset() {
+	clear(n.links)
+	for _, b := range n.bufs {
+		b.used = 0
+		clear(b.waiters)
+		b.waiters = b.waiters[:0]
+	}
+	clear(n.deadOut)
+	n.anyDead = false
+	n.rng = *sim.NewRNG(n.cfg.RoutingSeed ^ 0x5eed)
+	n.transits = n.transits[:0]
+	for _, t := range n.allTransits {
+		if t.m != nil {
+			msg.Recycle(t.m)
+		}
+		n.putTransit(t)
+	}
+	n.flights = n.flights[:0]
+	for _, f := range n.allFlights {
+		if f.m != nil {
+			msg.Recycle(f.m)
+		}
+		n.putFlight(f)
+	}
 }
 
 // Attach registers a protocol agent at the given router (0..W*H-1).

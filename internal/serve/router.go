@@ -45,15 +45,25 @@ type Router struct {
 	retried421 uint64   // misdirected submissions re-proxied to the named owner
 }
 
+// proxyIdleConnsPerHost is how many idle connections the router keeps
+// open to each shard. http.DefaultTransport keeps 2 and closes the rest
+// as their responses end, so under more concurrent requests than that
+// the router would dial its shards again and again; this many covers
+// every concurrent request a fleet's clients proxy in practice.
+const proxyIdleConnsPerHost = 256
+
 // NewRouter builds a Router over the given backend base URLs, in shard
 // order: backends[i] must be the ftserve process started with -shard i/n.
 func NewRouter(backends []string) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("router needs at least one backend")
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = proxyIdleConnsPerHost
+	transport.MaxIdleConns = proxyIdleConnsPerHost * len(backends)
 	rt := &Router{
 		mux:    http.NewServeMux(),
-		proxy:  &http.Client{},
+		proxy:  &http.Client{Transport: transport},
 		probe:  &http.Client{Timeout: 5 * time.Second},
 		log:    discardLogger(),
 		routed: make([]uint64, len(backends)),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -520,4 +521,74 @@ func FuzzMisdirectOwner(f *testing.F) {
 			t.Fatalf("misdirectOwner(%q, %d) = %d, ok: not a shard", payload, n, shard)
 		}
 	})
+}
+
+// TestRouterReusesShardConnections: the router keeps its connections to a
+// shard open between requests. Three rounds of 16 concurrent requests to
+// one backend, each round held until all 16 have arrived, must open at
+// most 16 backend connections in total; a transport that keeps only two
+// idle connections per host opens 14 more every round.
+func TestRouterReusesShardConnections(t *testing.T) {
+	const concurrent, rounds = 16, 3
+	var (
+		mu      sync.Mutex
+		dials   int
+		arrived int
+		release = make(chan struct{})
+	)
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hold each request until its whole round has arrived, so the
+		// round really needs 16 connections at once.
+		mu.Lock()
+		wait := release
+		arrived++
+		if arrived == concurrent {
+			arrived = 0
+			close(release)
+			release = make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-wait:
+		case <-time.After(5 * time.Second):
+		}
+		writeJSON(w, http.StatusOK, map[string]string{"state": "done"})
+	}))
+	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			mu.Lock()
+			dials++
+			mu.Unlock()
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+
+	rt, err := NewRouter([]string{backend.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < concurrent; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				code, _ := getBody(t, front.URL+"/v1/experiments/sha256:00")
+				if code != http.StatusOK {
+					t.Errorf("proxied read: status %d, want 200", code)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dials > concurrent {
+		t.Fatalf("router opened %d connections to the shard for %d rounds of %d concurrent requests, want at most %d",
+			dials, rounds, concurrent, concurrent)
+	}
 }

@@ -109,7 +109,29 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{free: -1}
+	e := &Engine{}
+	e.Reset()
+	return e
+}
+
+// Reset returns the engine to the state NewEngine leaves it in: cycle 0,
+// an empty queue, sequence and event counts at zero, no chooser, not
+// halted. Every queued event is discarded without firing; callers stop
+// the timers whose firings they discard first, so a stopped timer never
+// refers to a vanished event. The slab, the overflow heap and the choice
+// scratch keep their capacity, so a reset engine schedules without
+// growing them again.
+func (e *Engine) Reset() {
+	clear(e.slab) // drop the discarded events' callbacks and arguments
+	e.slab = e.slab[:0]
+	e.free = -1
+	e.occ = 0
+	e.overflow = e.overflow[:0]
+	e.queued = 0
+	e.stale = 0
+	e.now, e.seq, e.events = 0, 0, 0
+	e.chooser = nil
+	e.halted = false
 }
 
 // Now returns the current simulation time in cycles.

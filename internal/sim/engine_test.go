@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -395,3 +396,48 @@ func BenchmarkRNG(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
+
+// TestEngineResetMatchesNew: an engine reset while events sit in the ring,
+// in the overflow heap and behind a halting chooser fires a new schedule
+// exactly as a new engine does, and keeps its slab.
+func TestEngineResetMatchesNew(t *testing.T) {
+	trace := func(e *Engine) []uint64 {
+		var got []uint64
+		for i, d := range []uint64{3, 0, ringSize + 5, 3, 4096, 1} {
+			i := i
+			e.Schedule(d, func() { got = append(got, e.Now()<<8|uint64(i)) })
+		}
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return append(got, e.EventsExecuted(), uint64(e.Pending()))
+	}
+	want := trace(NewEngine())
+
+	e := NewEngine()
+	var tm Timer
+	tm.Bind(e)
+	tm.Start(2*ringSize, func() { t.Error("a timer armed before Reset fired after it") })
+	for _, d := range []uint64{0, 7, ringSize, 3 * ringSize} {
+		e.Schedule(d, func() {})
+	}
+	e.ScheduleChoiceAt(1, runFunc, nil, func() {}, 0, 1, 0)
+	e.SetChooser(haltChooser{})
+	if err := e.Run(0); err != nil || !e.Halted() || e.Pending() == 0 {
+		t.Fatalf("setup: Run = %v, halted %v, pending %d; want a halted engine with events queued", err, e.Halted(), e.Pending())
+	}
+	tm.Stop()
+	slab := cap(e.slab)
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Halted() || e.EventsExecuted() != 0 || cap(e.slab) != slab {
+		t.Fatalf("after Reset: now %d, pending %d, halted %v, events %d, slab cap %d (was %d)",
+			e.Now(), e.Pending(), e.Halted(), e.EventsExecuted(), cap(e.slab), slab)
+	}
+	if got := trace(e); !slices.Equal(got, want) {
+		t.Fatalf("reset engine fired %v, a new one %v", got, want)
+	}
+}
+
+type haltChooser struct{}
+
+func (haltChooser) Choose(uint64, []Choice) Decision { return Decision{Halt: true} }

@@ -35,6 +35,16 @@ func NewNetwork() *Network {
 	}
 }
 
+// reset zeroes every counter, keeping the per-type slices.
+func (s *Network) reset() {
+	clear(s.SentByType)
+	clear(s.BytesByType)
+	clear(s.DeliveredByType)
+	clear(s.DroppedByType)
+	s.LatencySum, s.LatencyCount = 0, 0
+	s.LatencyHist = Histogram{}
+}
+
 // MessageSent implements noc.Recorder.
 func (s *Network) MessageSent(m *msg.Message, bytes int) {
 	s.SentByType[m.Type]++
@@ -174,12 +184,24 @@ type Run struct {
 
 // NewRun returns an empty result shell.
 func NewRun(protocol, workload string) *Run {
-	return &Run{
+	r := &Run{
 		Protocol: protocol,
-		Workload: workload,
 		Net:      NewNetwork(),
 		Proto:    &Protocol{},
 	}
+	r.Reset()
+	r.Workload = workload
+	return r
+}
+
+// Reset returns the run to the state NewRun(r.Protocol, "") leaves it
+// in: no workload name and every counter zero. The counter storage is
+// kept, so Net and Proto stay the same pointers.
+func (r *Run) Reset() {
+	r.Workload = ""
+	r.Cycles, r.Ops = 0, 0
+	r.Net.reset()
+	*r.Proto = Protocol{}
 }
 
 // MessageOverhead returns the relative increase in messages vs a baseline

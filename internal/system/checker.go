@@ -34,21 +34,35 @@ func (s *System) CheckCoherence() []error {
 	// Dead agents are excluded: their state froze mid-transaction at the
 	// death instant, and the reconstruction flush re-established the
 	// invariants over the survivors alone.
-	var views []agentView
+	//
+	// The slice is System scratch, as memoryImage's is: a reset system
+	// checks each terminal state without allocating. A fresh system counts
+	// the views first and allocates the slice once at that size.
+	if s.views == nil {
+		n := 0
+		s.inspectLive(func(proto.LineView) { n++ })
+		s.views = make([]agentView, 0, n)
+	}
+	s.views = s.views[:0]
+	s.inspectLive(s.viewLine)
+	expectTokens := 0
+	if s.cfg.Protocol.tokenBased() {
+		expectTokens = s.topo.Tiles
+	}
+	return checkViews(s.topo, s.views, expectTokens)
+}
+
+// inspectLive calls fn for every line view of every agent not dead, with
+// viewNode naming the agent.
+func (s *System) inspectLive(fn func(proto.LineView)) {
 	for _, a := range s.agents {
 		id := a.NodeID()
 		if s.deadNodes[id] {
 			continue
 		}
-		a.InspectLines(func(v proto.LineView) {
-			views = append(views, agentView{node: int32(id), ord: int32(len(views)), v: v})
-		})
+		s.viewNode = int32(id)
+		a.InspectLines(fn)
 	}
-	expectTokens := 0
-	if s.cfg.Protocol.tokenBased() {
-		expectTokens = s.topo.Tiles
-	}
-	return checkViews(s.topo, views, expectTokens)
 }
 
 // checkViews sorts views (in collection order, ord = index) by line and

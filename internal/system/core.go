@@ -44,7 +44,6 @@ func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
 		port:      port,
 		engine:    engine,
 		thinkTime: thinkTime,
-		stream:    stream,
 		integrity: integrity,
 	}
 	c.nextFn = c.next
@@ -60,7 +59,17 @@ func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
 		}
 		c.completeOp()
 	}
+	c.restart(stream)
 	return c
+}
+
+// restart returns the core to the state NewCore leaves it in, bound to a
+// new operation stream: nothing issued, completed or killed.
+func (c *Core) restart(stream workload.Stream) {
+	c.stream = stream
+	c.seq, c.completed = 0, 0
+	c.done, c.killed = false, false
+	c.curAddr = 0
 }
 
 // Start schedules the first operation.

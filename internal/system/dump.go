@@ -43,9 +43,9 @@ func (s *System) DumpStuck() string {
 				e.node, e.v.Perm, e.v.Owner, e.v.Backup, e.v.Payload.Version)
 		}
 	}
-	for _, q := range s.quiesce {
-		if !q.fn() {
-			fmt.Fprintf(&b, "%s has in-flight transactions\n", q.name)
+	for _, a := range s.agents {
+		if !a.Quiesced() {
+			fmt.Fprintf(&b, "%s has in-flight transactions\n", s.nodeName(a.NodeID()))
 		}
 	}
 	fmt.Fprintf(&b, "cycle=%d pending events=%d\n", s.engine.Now(), s.engine.Pending())

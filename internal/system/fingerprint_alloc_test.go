@@ -44,3 +44,32 @@ func TestStateFingerprintAllocsPin(t *testing.T) {
 		t.Errorf("StateFingerprint: %.0f allocs, want <= %d", n, maxAllocs)
 	}
 }
+
+// TestCheckCoherenceAllocsPin: CheckCoherence gathers its views into
+// System scratch, so once a system (fresh or reset) has checked a state,
+// checking the next terminal state allocates nothing. The model checker
+// checks every terminal state it reaches.
+func TestCheckCoherenceAllocsPin(t *testing.T) {
+	cfg := smallConfig(FtDirCMP)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(workload.Suite()[0]); err != nil { // Run ends with a check
+		t.Fatal(err)
+	}
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(workload.Suite()[0]); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if errs := s.CheckCoherence(); len(errs) != 0 {
+			t.Fatal(errs[0])
+		}
+	})
+	if n != 0 {
+		t.Errorf("CheckCoherence on a checked system: %.0f allocs, want 0", n)
+	}
+}

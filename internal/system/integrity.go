@@ -51,6 +51,18 @@ func NewIntegrity(cores int) *Integrity {
 	}
 }
 
+// Reset forgets every committed write, observation and error, returning
+// the oracle to the state NewIntegrity leaves it in. The maps are cleared,
+// not reallocated.
+func (g *Integrity) Reset() {
+	clear(g.lastVersion)
+	clear(g.valueAt)
+	for _, seen := range g.coreSeen {
+		clear(seen)
+	}
+	g.errs = nil
+}
+
 // OnWriteCommit is the proto.WriteObserver hook, called by L1 controllers
 // at the serialization point of every store.
 func (g *Integrity) OnWriteCommit(addr msg.Addr, version, value uint64) {

@@ -185,12 +185,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// quiesceEntry pairs an agent with its quiescence predicate, for the
-// post-drain sanity check and the deadlock dump.
-type quiesceEntry struct {
-	name string
-	id   msg.NodeID
-	fn   func() bool
+// agent is what the system needs of every protocol controller: its line
+// views (checkers, fingerprints), its idleness (the post-drain sanity
+// check and the deadlock dump) and its Reset.
+type agent interface {
+	proto.Inspectable
+	Quiesced() bool
+	Reset()
 }
 
 // System is a fully assembled simulation.
@@ -203,9 +204,9 @@ type System struct {
 
 	ports     []proto.L1Port
 	cores     []*Core
-	agents    []proto.Inspectable
+	agents    []agent
+	store     *memctrl.Store
 	integrity *Integrity
-	quiesce   []quiesceEntry
 
 	// midRunErrs collects post-recovery invariant violations caught by the
 	// recovery probe (capped at maxMidRunErrs).
@@ -235,6 +236,12 @@ type System struct {
 	fpLine    func(proto.LineView)
 	image     []imageEntry
 	imageLine func(proto.LineView)
+
+	// views is CheckCoherence's reused scratch; viewLine appends one view
+	// of agent viewNode to it.
+	views    []agentView
+	viewNode int32
+	viewLine func(proto.LineView)
 }
 
 // imageEntry is one owner view of a line: its address and version.
@@ -292,12 +299,20 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 
+	tiles := cfg.Tiles()
+	agents := 2 * tiles
+	if !cfg.Protocol.tokenBased() {
+		agents += cfg.Mems
+	}
 	s := &System{
 		cfg:    cfg,
 		topo:   topo,
 		engine: engine,
 		net:    net,
 		run:    run,
+		ports:  make([]proto.L1Port, 0, tiles),
+		agents: make([]agent, 0, agents),
+		store:  memctrl.NewStore(),
 	}
 	s.fpLine = func(v proto.LineView) { s.fpSum += lineFingerprint(v) }
 	s.imageLine = func(v proto.LineView) {
@@ -305,8 +320,11 @@ func New(cfg Config) (*System, error) {
 			s.image = append(s.image, imageEntry{v.Addr, v.Payload.Version})
 		}
 	}
+	s.viewLine = func(v proto.LineView) {
+		s.views = append(s.views, agentView{node: s.viewNode, ord: int32(len(s.views)), v: v})
+	}
 	if cfg.CheckIntegrity {
-		s.integrity = NewIntegrity(cfg.Tiles())
+		s.integrity = NewIntegrity(tiles)
 	}
 
 	var onWrite proto.WriteObserver
@@ -314,12 +332,12 @@ func New(cfg Config) (*System, error) {
 		onWrite = s.integrity.OnWriteCommit
 	}
 
-	store := memctrl.NewStore()
-
 	switch cfg.Protocol {
 	case DirCMP, FtDirCMP:
 		ft := cfg.Protocol == FtDirCMP
-		for i := 0; i < cfg.Tiles(); i++ {
+		s.l1s = make([]*core.L1, 0, tiles)
+		s.l2s = make([]*core.L2, 0, tiles)
+		for i := 0; i < tiles; i++ {
 			l1, err := core.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite, ft)
 			if err != nil {
 				return nil, err
@@ -338,22 +356,19 @@ func New(cfg Config) (*System, error) {
 			s.agents = append(s.agents, l1, l2)
 			s.l1s = append(s.l1s, l1)
 			s.l2s = append(s.l2s, l2)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L2 bank %d", l2.NodeID()), l2.NodeID(), l2.Quiesced})
 		}
 		s.memByID = make(map[msg.NodeID]*core.Mem, cfg.Mems)
 		for i := 0; i < cfg.Mems; i++ {
-			mc := core.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, store, ft)
+			mc := core.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, s.store, ft)
 			if err := attach(net, mc.NodeID(), memRouter(cfg, i), mc.Handle); err != nil {
 				return nil, err
 			}
 			s.agents = append(s.agents, mc)
 			s.memByID[mc.NodeID()] = mc
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("memory %d", mc.NodeID()), mc.NodeID(), mc.Quiesced})
 		}
 	case TokenCMP, FtTokenCMP:
 		ft := cfg.Protocol == FtTokenCMP
-		for i := 0; i < cfg.Tiles(); i++ {
+		for i := 0; i < tiles; i++ {
 			l1, err := token.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite, ft)
 			if err != nil {
 				return nil, err
@@ -367,14 +382,13 @@ func New(cfg Config) (*System, error) {
 			}
 			s.ports = append(s.ports, l1)
 			s.agents = append(s.agents, l1, home)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("home %d", home.NodeID()), home.NodeID(), home.Quiesced})
 		}
 		// Token protocols have no separate memory controllers: the home
 		// nodes are the memory-side token holders (see internal/token).
 	default:
 		return nil, fmt.Errorf("system: unknown protocol %v", cfg.Protocol)
 	}
+	s.reset()
 	if err := s.armStructural(); err != nil {
 		return nil, err
 	}
@@ -405,6 +419,54 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// Reset returns the system to exactly the state New(cfg) left it in, with
+// the same cfg, so the next Begin or Run behaves as on a fresh system. It
+// keeps what earlier runs allocated — table entries, cache frames, the
+// event slab, network traversal state, map storage and cores — so a reset
+// system runs with far fewer allocations than a new one. cfg.ExtraRecorder
+// belongs to the caller and is not reset.
+//
+// A system built with a fault Injector (which covers every structural
+// fault) or an Obs recorder cannot be reset: their state lives outside the
+// system. Reset returns an error for those and leaves the system as it
+// was.
+func (s *System) Reset() error {
+	if s.cfg.Injector != nil {
+		return errors.New("system: cannot reset a system built with a fault injector")
+	}
+	if s.cfg.Obs != nil {
+		return errors.New("system: cannot reset a system built with an event recorder")
+	}
+	s.reset()
+	return nil
+}
+
+// reset is the one definition of the state New leaves a system in; New
+// calls it once everything is built, and Reset calls it again. The
+// controllers go first: their table hooks stop timers, which tells the
+// engine about the firings the engine reset then discards. The network
+// goes before the engine too: it reclaims the in-flight messages whose
+// delivery events the engine reset discards.
+func (s *System) reset() {
+	for _, a := range s.agents {
+		a.Reset()
+	}
+	s.store.Reset()
+	if s.integrity != nil {
+		s.integrity.Reset()
+	}
+	s.run.Reset()
+	s.net.Reset()
+	s.engine.Reset()
+	s.cores = s.cores[:0] // kept for Begin to rebind
+	s.midRunErrs = nil
+	s.probeOff, s.reconstructed = false, false
+	s.recovery = RecoveryReport{}
+	s.fpSum = 0
+	s.image = s.image[:0]
+	s.views = s.views[:0]
 }
 
 // Obs returns the event recorder the system was built with (nil if none).
@@ -522,14 +584,23 @@ func (s *System) Run(w workload.Workload) (*stats.Run, error) {
 // Begin creates and starts the workload's cores without running the
 // engine. Normal callers use Run, which does both; the model checker
 // (internal/mc) drives event execution itself, one delivery decision at a
-// time, and uses Begin to set the system in motion.
+// time, and uses Begin to set the system in motion. After a Reset, Begin
+// rebinds the cores the earlier run built instead of building new ones.
 func (s *System) Begin(w workload.Workload) {
 	s.run.Workload = w.Name()
 	master := sim.NewRNG(s.cfg.Seed)
 	tiles := s.cfg.Tiles()
 	for i := 0; i < tiles; i++ {
-		c := NewCore(i, s.topo, s.ports[i], s.engine, s.cfg.ThinkTime,
-			w.Stream(i, tiles, s.cfg.OpsPerCore, master.Fork(uint64(i)+1)), s.integrity)
+		stream := w.Stream(i, tiles, s.cfg.OpsPerCore, master.Fork(uint64(i)+1))
+		var c *Core
+		if n := len(s.cores); n < cap(s.cores) {
+			c = s.cores[:n+1][n] // kept by reset, or nil past the cores built
+		}
+		if c != nil {
+			c.restart(stream)
+		} else {
+			c = NewCore(i, s.topo, s.ports[i], s.engine, s.cfg.ThinkTime, stream, s.integrity)
+		}
 		s.cores = append(s.cores, c)
 		c.Start()
 	}
@@ -556,12 +627,13 @@ func (s *System) VerifyQuiescent() error {
 	// means a recovery loop is spinning without progress. Dead agents are
 	// exempt — their state froze at the death instant and the flush already
 	// absorbed every line they held.
-	for _, q := range s.quiesce {
-		if s.deadNodes[q.id] {
+	for _, a := range s.agents {
+		id := a.NodeID()
+		if s.deadNodes[id] {
 			continue
 		}
-		if !q.fn() {
-			return fmt.Errorf("system: %s not quiescent after drain", q.name)
+		if !a.Quiesced() {
+			return fmt.Errorf("system: %s not quiescent after drain", s.nodeName(id))
 		}
 	}
 
@@ -697,7 +769,8 @@ func (s *System) deadlockError(tiles int) *DeadlockError {
 	return e
 }
 
-// nodeName renders a node ID the way the quiescence checker names agents.
+// nodeName renders a node ID as the quiescence checker and the deadlock
+// dump name agents: "L1 4", "L2 bank 5", "home 5", "memory 8".
 func (s *System) nodeName(id msg.NodeID) string {
 	switch {
 	case s.topo.IsL1(id):

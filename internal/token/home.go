@@ -58,7 +58,7 @@ var _ proto.Inspectable = (*Home)(nil)
 // NewHome builds a token-protocol home node. ft selects FtTokenCMP.
 func NewHome(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
 	net proto.Sender, run *stats.Run, ft bool) *Home {
-	return &Home{
+	h := &Home{
 		id:          id,
 		topo:        topo,
 		params:      params,
@@ -69,6 +69,19 @@ func NewHome(id msg.NodeID, topo proto.Topology, params proto.Params, engine *si
 		totalTokens: topo.Tiles,
 		lines:       make(map[msg.Addr]*homeLine),
 	}
+	h.Reset()
+	return h
+}
+
+// Reset returns the home node to the state NewHome leaves it in: every
+// line record is dropped with its timers stopped, so each line starts
+// again with all tokens and zero data. The observer stays attached.
+func (h *Home) Reset() {
+	for _, ln := range h.lines {
+		stopTimer(ln.activeTimer)
+		stopTimer(ln.recTimer)
+	}
+	clear(h.lines)
 }
 
 // NodeID implements proto.Inspectable.

@@ -92,7 +92,7 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 	if err != nil {
 		return nil, err
 	}
-	return &L1{
+	l := &L1{
 		id:          id,
 		topo:        topo,
 		params:      params,
@@ -109,7 +109,39 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		blocked:     make(map[msg.Addr]*blockedEntry),
 		recStash:    make(map[msg.Addr]*recStash),
 		onWrite:     onWrite,
-	}, nil
+	}
+	l.Reset()
+	return l, nil
+}
+
+// Reset returns the controller to the state NewL1 leaves it in: every
+// outstanding miss, backup and blocked handshake is dropped with its
+// timers stopped, the cache frames are invalidated but kept, and the
+// persistent, serial and recreation tables are cleared. The observer
+// stays attached.
+func (l *L1) Reset() {
+	l.mshr.ForEach(func(_ msg.Addr, e *tokenMiss) {
+		stopTimer(e.timer)
+		stopTimer(e.lostTimer)
+	})
+	l.mshr.Reset()
+	l.backups.ForEach(func(_ msg.Addr, b *backupEntry) { stopTimer(b.timer) })
+	l.backups.Reset()
+	for _, b := range l.blocked {
+		stopTimer(b.timer)
+	}
+	clear(l.blocked)
+	clear(l.persistent)
+	clear(l.serials)
+	clear(l.recStash)
+	l.array.Reset()
+}
+
+// stopTimer stops t unless it was never created.
+func stopTimer(t *sim.Timer) {
+	if t != nil {
+		t.Stop()
+	}
 }
 
 // NodeID implements proto.Inspectable.

@@ -109,3 +109,29 @@ func TestProgressOnStderr(t *testing.T) {
 		t.Fatalf("no progress lines on stderr: %q", loudErr)
 	}
 }
+
+// TestFigure1Golden pins `ftexp -fig=1` byte for byte: the scripted
+// cache-to-cache write miss under DirCMP and FtDirCMP, with every message
+// header field the figure shows (serial numbers, requestor, forwarded
+// flag, the AckO/AckBD handshake). Regenerate with
+// `go test -run TestFigure1Golden -update-golden ./cmd/ftexp`.
+func TestFigure1Golden(t *testing.T) {
+	out, _, err := runWith(t, "-fig=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "fig1.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+	}
+	if out != string(want) {
+		t.Fatalf("-fig=1 output differs from golden file; regenerate with -update-golden if intentional.\ngot:\n%s", out)
+	}
+}

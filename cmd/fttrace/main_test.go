@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -17,6 +18,7 @@ import (
 func runWith(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	flag.CommandLine = flag.NewFlagSet("fttrace", flag.ContinueOnError)
+	flag.CommandLine.Bool("update-golden", false, "ignored in CLI invocations")
 	oldArgs := os.Args
 	os.Args = append([]string{"fttrace"}, args...)
 	defer func() { os.Args = oldArgs }()
@@ -171,5 +173,49 @@ func TestReplayRejectsNegativeOps(t *testing.T) {
 	_, err = runWith(t, "-replay", path)
 	if err == nil || !strings.Contains(err.Error(), "system: negative operations per core -1") {
 		t.Fatalf("replay of a negative-ops document: err = %v", err)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+
+// TestTextGolden pins the text-mode message log byte for byte: a
+// line-filtered tail, a faulty run whose line shows the §3.1 piggybacked
+// UnblockEx+AckO, and an unfiltered faulty tail that holds a DROP line.
+// Regenerate with `go test -run TestTextGolden -update-golden ./cmd/fttrace`.
+func TestTextGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+		want   string // a line the output must hold
+	}{
+		{"text_migratory_addr.txt", []string{"-workload=migratory", "-addr=0x40", "-last=60"}, " send "},
+		{"text_faults_addr.txt", []string{"-workload=uniform", "-faults=5000", "-addr=0x1000"}, "+AckO"},
+		{"text_faults_tail.txt", []string{"-workload=uniform", "-faults=5000"}, " DROP "},
+	}
+	for _, tc := range cases {
+		out, err := runWith(t, tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: output holds no %q line", tc.args, tc.want)
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (regenerate with -update-golden): %v", err)
+		}
+		if out != string(want) {
+			t.Errorf("%v: output differs from %s; regenerate with -update-golden if intentional.\ngot:\n%s", tc.args, path, out)
+		}
 	}
 }

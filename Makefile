@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check mc-fuzz sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check mc-fuzz replay-fuzz sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
 
 check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
 
@@ -63,6 +63,15 @@ mc-check:
 # the mc job, beside sim-fuzz.
 mc-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResetMatchesFresh -fuzztime 20s ./internal/mc
+
+# replay-fuzz fuzzes the `fttrace -replay` input boundary for 20 s:
+# arbitrary bytes go to ReadInterleaveDoc and, if accepted, twice to
+# ReplayCounterexampleTrace; neither may panic, and both replays must give
+# the same error or the same verdict, event log and message log. Documents
+# over the interleave class's limits (4 tiles, 8 ops per core) are
+# skipped. CI runs it in the mc job, beside mc-fuzz.
+replay-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReadInterleaveDoc -fuzztime 20s .
 
 # sim-fuzz fuzzes the simulation engine's event queue for 20 s: decoded
 # schedules at delays on both sides of the bucket ring's horizon, timer

@@ -67,7 +67,7 @@ func main() {
 	}
 }
 
-// progressFn returns a progress callback (for runner.MapProgress or
+// progressFn returns a progress callback (for runner.MapProgressContext or
 // repro.CoverageOptions.Progress) that prints live campaign status for one
 // phase to stderr, or nil when -progress is off. Both callers invoke the
 // callback serially, and it writes only to stderr, so the checked stdout is

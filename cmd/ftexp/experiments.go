@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/system"
@@ -319,9 +320,9 @@ func stageOwnershipChange(p system.Protocol) (string, error) {
 	cfg.MeshWidth = 2
 	cfg.MeshHeight = 2
 	cfg.Mems = 1
-	ring := trace.NewRing(64)
+	rec := obs.NewRecorder(0)
+	cfg.Obs = rec
 	const addr = 0x40
-	cfg.ExtraRecorder = ring
 	s, err := system.New(cfg)
 	if err != nil {
 		return "", err
@@ -342,13 +343,14 @@ func stageOwnershipChange(p system.Protocol) (string, error) {
 	}
 
 	// Phase 2: the traced transaction — L1a requests write access.
-	ring.SetFilter(addr)
-	ring.Reset()
+	wire := obs.NewWireLog(64, addr)
+	rec.EnableMessageFeed()
+	rec.SetSink(wire.Observe)
 	ports[0].Write(addr, 0xa0a, func(proto.AccessResult) {})
 	if err := s.Engine().Run(0); err != nil {
 		return "", err
 	}
-	return ring.Dump(), nil
+	return wire.String(), nil
 }
 
 // figure2 demonstrates the request-serial-number mechanism (§3.5): under

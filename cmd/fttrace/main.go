@@ -56,7 +56,6 @@ import (
 	"repro/internal/proto"
 	"repro/internal/span"
 	"repro/internal/system"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -78,7 +77,7 @@ func run() error {
 		addr     = flag.Uint64("addr", 0, "record only this line address (0 = all)")
 		last     = flag.Int("last", 80, "how many trailing events to print")
 		format   = flag.String("format", "text", "output: text (message flow), jsonl or chrome (structured event log), spans (transaction spans), service (remote only: fleet request trace)")
-		events   = flag.Int("events", 65536, "how many structured events to retain for jsonl/chrome export")
+		events   = flag.Int("events", 65536, "how many structured events to retain for jsonl/chrome export and the deadlock dump")
 		url      = flag.String("url", "", "ftserve base URL: fetch the trace from a running fleet instead of simulating")
 		id       = flag.String("id", "", "experiment ID to fetch (requires -url)")
 		replay   = flag.String("replay", "", "replay the counterexample from this `ftcheck -interleave -json` document instead of simulating")
@@ -120,22 +119,19 @@ func run() error {
 		cfg.Injector = fault.NewRate(*faults, *seed*101)
 	}
 
-	ring := trace.NewRing(*last)
-	if *addr != 0 {
-		ring.SetFilter(msg.Addr(*addr))
-	}
-	cfg.ExtraRecorder = ring
-	var rec *obs.Recorder
+	rec := obs.NewRecorder(*events)
+	cfg.Obs = rec
 	var spanEvents []obs.Event
-	if *format != "text" {
-		rec = obs.NewRecorder(*events)
-		cfg.Obs = rec
-	}
-	if *format == "spans" {
+	wire := obs.NewWireLog(*last, msg.Addr(*addr))
+	switch *format {
+	case "spans":
 		// Span reconstruction needs the per-message feed and the complete
 		// stream, not just the retained ring.
 		rec.EnableMessageFeed()
 		rec.SetSink(func(e obs.Event) { spanEvents = append(spanEvents, e) })
+	case "text":
+		rec.EnableMessageFeed()
+		rec.SetSink(wire.Observe)
 	}
 
 	s, err := system.New(cfg)
@@ -200,7 +196,7 @@ func run() error {
 		return nil
 	}
 
-	fmt.Print(ring.Dump())
+	fmt.Print(wire.String())
 	fmt.Printf("\n%d cycles, %d messages total", run.Cycles, run.Net.TotalMessages())
 	if *addr != 0 {
 		fmt.Printf(" (trace filtered to addr %#x)", *addr)

@@ -8,7 +8,9 @@
 // only a nil check per event. The network feeds the Recorder too (it
 // implements the noc.Recorder hook set): message drops become fault.inject
 // events and recovery-ping traffic becomes ping/cancel events, without any
-// extra instrumentation in the protocol layers.
+// extra instrumentation in the protocol layers. With the message feed on,
+// every send and delivery becomes an event too; these wire events carry
+// the message header, and WireLog renders them as the per-line message log.
 //
 // Storage is a bounded ring buffer (the last N events), allocated in chunks
 // as events arrive, plus an optional streaming sink that observes every
@@ -168,6 +170,13 @@ type Event struct {
 	// Cycle is the simulation time the event was recorded at.
 	Cycle uint64
 	Kind  Kind
+	// Timeout is set on KindTimeout events.
+	Timeout TimeoutKind
+	// Flags holds the message's header flags (FlagAckO, FlagFwd, FlagMigr,
+	// FlagNoPayload) on wire events: msg.send, msg.recv and fault.inject.
+	Flags uint8
+	// Acks is the message's invalidation-ack count on wire events.
+	Acks int32
 	// Unit tags the emitting controller: "l1", "l2", "mem", "home" (token
 	// protocols), or "net" for events derived from the network feed.
 	Unit string
@@ -182,12 +191,16 @@ type Event struct {
 	// destination, backup receiver.
 	Dst  msg.NodeID
 	Addr msg.Addr
-	// Timeout is set on KindTimeout events.
-	Timeout TimeoutKind
-	// Type is the message type on reissue/ping/cancel/fault.inject events.
+	// Type is the message type on reissue/ping/cancel and wire events.
 	Type msg.Type
-	// OldSN/NewSN are the superseded and fresh serial numbers on reissues.
+	// OldSN/NewSN are the superseded and fresh serial numbers on reissues;
+	// NewSN is also the token serial number on recreate events and the
+	// message's serial number on wire events.
 	OldSN, NewSN msg.SerialNumber
+	// Req is the message's requestor on wire events.
+	Req int32
+	// Version is the data version the message carries on wire events.
+	Version uint64
 	// Old/New are the state names on KindState events.
 	Old, New string
 	// Latency is, on KindRecover events, the cycles elapsed since the
@@ -285,7 +298,9 @@ type Recorder struct {
 	// chunks of ringChunk events (the last one shorter when the capacity is
 	// not a multiple), each allocated when the first event lands in it, so
 	// a run that emits fewer events than the capacity pays only for the
-	// chunks it touched. Chunks are never copied or reallocated.
+	// chunks it touched. Chunks are never copied or reallocated; the chunk
+	// list grows by one as each is allocated, so no capacity, however
+	// large, costs anything up front.
 	capacity int
 	chunks   [][]Event
 	next     int
@@ -314,10 +329,7 @@ func NewRecorder(capacity int) *Recorder {
 		pending: make(map[msg.Addr][]uint64),
 	}
 	r.met.ByMsgType = make([]uint64, msg.NumTypes()+1)
-	if capacity > 0 {
-		r.capacity = capacity
-		r.chunks = make([][]Event, (capacity+ringChunk-1)/ringChunk)
-	}
+	r.capacity = max(capacity, 0)
 	return r
 }
 
@@ -327,13 +339,14 @@ func NewRecorder(capacity int) *Recorder {
 const ringChunk = 1024
 
 // slot returns ring position i, allocating its chunk on first use.
+// Positions are first written in order, so a position's chunk is new
+// exactly when it is one past the last chunk allocated.
 func (r *Recorder) slot(i int) *Event {
-	c := r.chunks[i/ringChunk]
-	if c == nil {
-		c = make([]Event, min(ringChunk, r.capacity-i/ringChunk*ringChunk))
-		r.chunks[i/ringChunk] = c
+	k := i / ringChunk
+	if k == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(ringChunk, r.capacity-k*ringChunk)))
 	}
-	return &c[i%ringChunk]
+	return &r.chunks[k][i%ringChunk]
 }
 
 // retained returns the number of events the ring holds.
@@ -597,7 +610,7 @@ func (r *Recorder) EnableMessageFeed() {
 
 // MessageSent derives ping/cancel events from the recovery traffic on the
 // wire, and (with the message feed enabled) a msg.send event for every
-// message; other sends are left to the statistics and debug-trace layers.
+// message; without the feed, other sends are left to the statistics layer.
 func (r *Recorder) MessageSent(m *msg.Message, bytes int) {
 	if r == nil {
 		return
@@ -609,7 +622,7 @@ func (r *Recorder) MessageSent(m *msg.Message, bytes int) {
 		r.emit(Event{Kind: KindCancel, Unit: "net", Node: m.Src, Dst: m.Dst, Addr: m.Addr, TID: m.TID, Type: m.Type})
 	}
 	if r.msgFeed {
-		r.emit(Event{Kind: KindMsgSend, Unit: "net", Node: m.Src, Dst: m.Dst, Addr: m.Addr, TID: m.TID, Type: m.Type})
+		r.emit(wireEvent(KindMsgSend, m.Src, m.Dst, m))
 	}
 }
 
@@ -620,7 +633,7 @@ func (r *Recorder) MessageDropped(m *msg.Message) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: KindFaultInject, Unit: "net", Node: m.Src, Dst: m.Dst, Addr: m.Addr, TID: m.TID, Type: m.Type})
+	r.emit(wireEvent(KindFaultInject, m.Src, m.Dst, m))
 	r.open(m.Addr)
 }
 
@@ -631,5 +644,7 @@ func (r *Recorder) MessageDelivered(m *msg.Message, latency uint64) {
 	if r == nil || !r.msgFeed {
 		return
 	}
-	r.emit(Event{Kind: KindMsgRecv, Unit: "net", Node: m.Dst, Dst: m.Src, Addr: m.Addr, TID: m.TID, Type: m.Type, Latency: latency})
+	e := wireEvent(KindMsgRecv, m.Dst, m.Src, m)
+	e.Latency = latency
+	r.emit(e)
 }

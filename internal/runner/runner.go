@@ -15,8 +15,9 @@
 //     loop's early return. Jobs already in flight run to completion.
 //   - A panicking job is captured as a *PanicError instead of taking down
 //     the whole campaign.
-//   - Parallelism 1 runs the jobs inline on the calling goroutine, in
-//     order, stopping at the first error — exactly the serial loop.
+//   - The calling goroutine is one of the workers, so parallelism 1 runs
+//     the jobs inline, in order, stopping at the first error — exactly
+//     the serial loop.
 //
 // Jobs must not share mutable state; in particular each job must own its
 // RNG streams. Seed derives decorrelated per-job seeds from a campaign
@@ -51,14 +52,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Map runs job(0), …, job(n-1) on min(Parallelism(parallelism), n) workers
-// and returns the n results in index order. If any job fails, Map returns
-// a nil slice and the error of the lowest-index failing job.
-func Map[T any](parallelism, n int, job func(i int) (T, error)) ([]T, error) {
-	return MapProgress(parallelism, n, job, nil)
-}
-
-// MapContext is Map with cancellation: a job sees the context and is
+// MapContext runs job(ctx, 0), …, job(ctx, n-1) on
+// min(Parallelism(parallelism), n) workers and returns the n results in
+// index order. If any job fails, MapContext returns a nil slice and the
+// error of the lowest-index failing job. A job sees the context and is
 // expected to honor it (simulations poll ctx.Done through the system cancel
 // hook), and once ctx is cancelled no further job is dispatched — the batch
 // returns the cancellation error, mirroring a serial loop interrupted
@@ -68,35 +65,15 @@ func MapContext[T any](ctx context.Context, parallelism, n int, job func(ctx con
 	return MapProgressContext(ctx, parallelism, n, job, nil)
 }
 
-// MapProgressContext is MapContext with the MapProgress callback.
+// MapProgressContext is MapContext with an optional progress callback,
+// invoked serially after each job completes with the number of completed
+// jobs and the batch size. Completion order is not submission order, so
+// progress only conveys counts, not which jobs finished.
 func MapProgressContext[T any](ctx context.Context, parallelism, n int, job func(ctx context.Context, i int) (T, error), progress func(done, total int)) ([]T, error) {
-	return MapProgress(parallelism, n, func(i int) (T, error) {
-		// Checking before dispatch (not only inside the job) makes a
-		// cancelled batch stop scheduling work immediately, and makes the
-		// lowest-index-error rule surface the context error itself.
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-		return job(ctx, i)
-	}, progress)
-}
-
-// MapProgress is Map with an optional progress callback, invoked serially
-// after each job completes with the number of completed jobs and the batch
-// size. Completion order is not submission order, so progress only conveys
-// counts, not which jobs finished.
-func MapProgress[T any](parallelism, n int, job func(i int) (T, error), progress func(done, total int)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	p := Parallelism(parallelism)
-	if p > n {
-		p = n
-	}
-	if p == 1 {
-		return mapSerial(n, job, progress)
-	}
+	p := min(Parallelism(parallelism), n)
 
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -106,36 +83,44 @@ func MapProgress[T any](parallelism, n int, job func(i int) (T, error), progress
 		done   int
 		failed bool
 	)
+	// work pulls jobs in index order until the batch is exhausted or a job
+	// has failed. The calling goroutine is one of the p workers, so at
+	// parallelism 1 the batch runs inline, in order, and stops at the first
+	// error — exactly the serial loop.
+	work := func() {
+		for {
+			mu.Lock()
+			if failed || next >= n {
+				mu.Unlock()
+				return
+			}
+			i := next
+			next++
+			mu.Unlock()
+
+			v, err := runJob(ctx, i, job)
+
+			mu.Lock()
+			out[i], errs[i] = v, err
+			if err != nil {
+				failed = true
+			}
+			done++
+			if progress != nil {
+				progress(done, n)
+			}
+			mu.Unlock()
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
+	wg.Add(p - 1)
+	for w := 1; w < p; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				if failed || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-
-				v, err := runJob(i, job)
-
-				mu.Lock()
-				out[i], errs[i] = v, err
-				if err != nil {
-					failed = true
-				}
-				done++
-				if progress != nil {
-					progress(done, n)
-				}
-				mu.Unlock()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 
 	// The lowest-index error is the one the serial loop would have hit:
@@ -149,31 +134,20 @@ func MapProgress[T any](parallelism, n int, job func(i int) (T, error), progress
 	return out, nil
 }
 
-// mapSerial is the parallelism-1 path: inline, in order, first error wins
-// and no later job starts.
-func mapSerial[T any](n int, job func(i int) (T, error), progress func(done, total int)) ([]T, error) {
-	out := make([]T, n)
-	for i := 0; i < n; i++ {
-		v, err := runJob(i, job)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-		if progress != nil {
-			progress(i+1, n)
-		}
-	}
-	return out, nil
-}
-
-// runJob invokes job(i), converting a panic into a *PanicError.
-func runJob[T any](i int, job func(i int) (T, error)) (v T, err error) {
+// runJob invokes job(ctx, i), converting a panic into a *PanicError.
+// Checking ctx before the call (not only inside the job) makes a cancelled
+// batch stop scheduling work immediately, and makes the lowest-index-error
+// rule surface the context error itself.
+func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return job(i)
+	if err := ctx.Err(); err != nil {
+		return v, err
+	}
+	return job(ctx, i)
 }
 
 // Seed derives the i-th job's seed from a campaign base seed using

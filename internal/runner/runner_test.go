@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -8,9 +9,11 @@ import (
 	"time"
 )
 
+var ctx = context.Background()
+
 func TestMapPreservesSubmissionOrder(t *testing.T) {
 	const n = 200
-	out, err := Map(8, n, func(i int) (int, error) {
+	out, err := MapContext(ctx, 8, n, func(_ context.Context, i int) (int, error) {
 		// Stagger completion so late-submitted jobs finish first.
 		if i%3 == 0 {
 			time.Sleep(time.Duration(n-i) * time.Microsecond)
@@ -31,7 +34,7 @@ func TestMapPreservesSubmissionOrder(t *testing.T) {
 }
 
 func TestMapEmptyBatch(t *testing.T) {
-	out, err := Map(4, 0, func(int) (int, error) { return 0, nil })
+	out, err := MapContext(ctx, 4, 0, func(context.Context, int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("empty batch: out=%v err=%v", out, err)
 	}
@@ -41,7 +44,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 	// Every job from 5 up fails with a distinct error; the winner must be
 	// job 5's, like a serial loop's first error, for every parallelism.
 	for _, p := range []int{1, 2, 8} {
-		out, err := Map(p, 50, func(i int) (int, error) {
+		out, err := MapContext(ctx, p, 50, func(_ context.Context, i int) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("job %d failed", i)
 			}
@@ -58,7 +61,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 
 func TestMapPanicCaptured(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		_, err := Map(p, 10, func(i int) (int, error) {
+		_, err := MapContext(ctx, p, 10, func(_ context.Context, i int) (int, error) {
 			if i == 2 {
 				panic("boom")
 			}
@@ -76,7 +79,7 @@ func TestMapPanicCaptured(t *testing.T) {
 
 func TestMapSerialStopsAtFirstError(t *testing.T) {
 	var ran [5]bool
-	_, err := Map(1, 5, func(i int) (int, error) {
+	_, err := MapContext(ctx, 1, 5, func(_ context.Context, i int) (int, error) {
 		ran[i] = true
 		if i == 1 {
 			return 0, errors.New("stop")
@@ -98,7 +101,7 @@ func TestMapSkipsUnstartedAfterFailure(t *testing.T) {
 	// are the interesting ones: they may already be claimed by the second
 	// worker, but the tail must be skipped.
 	var started atomic.Int32
-	_, err := Map(2, 1000, func(i int) (int, error) {
+	_, err := MapContext(ctx, 2, 1000, func(_ context.Context, i int) (int, error) {
 		started.Add(1)
 		return 0, errors.New("immediate failure")
 	})
@@ -113,10 +116,10 @@ func TestMapSkipsUnstartedAfterFailure(t *testing.T) {
 func TestMapProgress(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		var calls []int
-		out, err := MapProgress(p, 20, func(i int) (int, error) { return i, nil },
+		out, err := MapProgressContext(ctx, p, 20, func(_ context.Context, i int) (int, error) { return i, nil },
 			func(done, total int) {
 				if total != 20 {
-					t.Fatalf("total = %d", total)
+					t.Errorf("total = %d", total)
 				}
 				calls = append(calls, done)
 			})
@@ -137,7 +140,7 @@ func TestMapProgress(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const limit = 3
 	var cur, peak atomic.Int32
-	_, err := Map(limit, 100, func(i int) (int, error) {
+	_, err := MapContext(ctx, limit, 100, func(_ context.Context, i int) (int, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()

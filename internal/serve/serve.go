@@ -674,7 +674,7 @@ func (s *Server) runExperiment(ctx context.Context, j *job) (payload any, res *r
 	cfg := j.req.Config
 	cfg.Parallelism = s.opts.Parallelism
 	if cfg.Parallelism < 0 {
-		cfg.Parallelism = 0 // 0 = all cores, in runner.Map's convention
+		cfg.Parallelism = 0 // 0 = all cores, in runner.MapContext's convention
 	}
 	c, err := classOf(j.req.Type)
 	if err != nil {

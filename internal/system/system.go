@@ -127,9 +127,10 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// ExtraRecorder, when non-nil, is fanned network events alongside the
-	// statistics and obs recorders. fttrace and ftexp attach a trace.Ring
-	// here to record messages for debugging; the model checker tracks the
-	// in-flight message multiset incrementally (see internal/mc).
+	// statistics and obs recorders. Only the model checker sets it, to
+	// track the in-flight message multiset incrementally (see internal/mc);
+	// a message log is an Obs recorder with the message feed on (see
+	// obs.WireLog).
 	ExtraRecorder noc.Recorder
 
 	// Cancel, when non-nil, aborts the simulation when it becomes

@@ -1,3 +1,12 @@
+// Package trace is the single source of truth for the paper's message
+// vocabulary: Describe returns the one-line description of each message
+// type, and Table1/Table2/Table3/Table4 render the paper's tables from it.
+// PROTOCOL.md §0 reproduces Tables 1–2 verbatim, pinned by a test that
+// diffs the document against Describe.
+//
+// The package records nothing: the message flow on the wire is obs's
+// msg.send, msg.recv and fault.inject events (see obs.WireLog for the
+// text log command fttrace prints).
 package trace
 
 import (

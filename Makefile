@@ -1,12 +1,13 @@
-# Developer/CI entry points. `make check` is the CI gate: vet, build, and
-# the full test suite under the race detector — the parallel campaign
-# runner (internal/runner) must stay race-clean.
+# Developer/CI entry points. `make check` is the CI gate: vet, build, the
+# full test suite under the race detector — the parallel campaign runner
+# (internal/runner) must stay race-clean — and the allocation pins, which
+# only build without it.
 
 GO ?= go
 
-.PHONY: check vet build test race sweep-bench docs-check coverage-quick tile-check mc-check mc-fuzz replay-fuzz sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
+.PHONY: check vet build test race alloc-check sweep-bench docs-check coverage-quick tile-check mc-check mc-fuzz replay-fuzz sim-fuzz obs-fuzz cache-fuzz coverage-fuzz serve-fuzz canon-fuzz serve-check trace-check load-check
 
-check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
+check: vet build race alloc-check docs-check coverage-quick tile-check mc-check serve-check load-check
 
 # vet also covers the nested bench module, so deleting a repro function
 # that bench/ calls fails here and not only in CI's bench-smoke.
@@ -22,6 +23,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-check runs the allocation and byte pins without the race detector:
+# their files are `//go:build !race`, because -race makes sync.Pool drop
+# recycled items at random, so the race target never runs them. They pin
+# the pooled simulation hot path, the model checker's per-path cost, a
+# reset system's restart, the engine's steady state and the serve layer's
+# request keying.
+alloc-check:
+	$(GO) test -run '^Test.*(Allocs|Bytes)Pin$$|^TestEngineSteadyStateAllocs$$' . ./internal/sim ./internal/system ./internal/serve
 
 # docs-check keeps the documentation honest: markdown links must resolve,
 # PROTOCOL.md's message tables must match internal/trace.Describe, and

@@ -110,10 +110,26 @@ type blockedEntry struct {
 	sn     msg.SerialNumber
 	piggy  bool // the AckO rides the UnblockEx to the home L2
 	timer  sim.Timer
-	// deferred holds the newest forwarded request per requester, by value:
-	// the network recycles delivered messages when the handler returns, so
-	// anything kept for later replay must be copied out.
-	deferred map[msg.NodeID]msg.Message
+	// deferred holds the newest forwarded request per requester, by value
+	// and in ascending Requestor order, the order handleAckBD replays them
+	// in: the network recycles delivered messages when the handler
+	// returns, so anything kept for later replay must be copied out.
+	deferred []msg.Message
+}
+
+// deferFwd records m as the newest forwarded request from its requester.
+func (b *blockedEntry) deferFwd(m *msg.Message) {
+	i := 0
+	for i < len(b.deferred) && b.deferred[i].Requestor < m.Requestor {
+		i++
+	}
+	if i < len(b.deferred) && b.deferred[i].Requestor == m.Requestor {
+		b.deferred[i] = *m
+		return
+	}
+	b.deferred = append(b.deferred, msg.Message{})
+	copy(b.deferred[i+1:], b.deferred[i:])
+	b.deferred[i] = *m
 }
 
 // L1 is a level-1 cache controller: FtDirCMP when ft is set, DirCMP
@@ -145,6 +161,10 @@ type L1 struct {
 	// victimFilter is the eviction predicate passed to cache.Array.Victim,
 	// built once so the miss path does not allocate a closure per install.
 	victimFilter func(*cache.Line) bool
+	// replayFwd handles a deferred forward copied into a pooled message
+	// (handleAckBD) and recycles it, as the network does after a delivery;
+	// built once so a replay allocates nothing.
+	replayFwd func(arg any, _ uint64)
 }
 
 var _ proto.L1Port = (*L1)(nil)
@@ -177,6 +197,11 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 	}
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.mshr.Get(c.Addr) == nil && l.wb.Get(c.Addr) == nil && l.blocked.Get(c.Addr) == nil
+	}
+	l.replayFwd = func(arg any, _ uint64) {
+		m := arg.(*msg.Message)
+		l.Handle(m)
+		msg.Recycle(m)
 	}
 	l.Reset()
 	return l, nil
@@ -224,8 +249,7 @@ func resetBackup(b *backupEntry) {
 
 func resetBlocked(b *blockedEntry) {
 	b.timer.Stop()
-	clear(b.deferred)
-	*b = blockedEntry{timer: b.timer, deferred: b.deferred}
+	*b = blockedEntry{timer: b.timer, deferred: b.deferred[:0]}
 }
 
 // NodeID implements proto.Inspectable.
@@ -285,7 +309,10 @@ func (l *L1) Read(addr msg.Addr, done func(proto.AccessResult)) {
 		proto.DeferResult(l.engine, l.params.L1HitLatency, done, res)
 		return
 	}
-	if l.defer_(addr, func() { l.Read(addr, done) }) {
+	if ws := l.waiters(addr); ws != nil {
+		// The retry closure is built only for a deferred access, so a
+		// miss that starts at once allocates none.
+		*ws = append(*ws, func() { l.Read(addr, done) })
 		return
 	}
 	l.run.Proto.ReadMisses++
@@ -319,23 +346,25 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 		proto.DeferResult(l.engine, l.params.L1HitLatency, done, res)
 		return
 	}
-	if l.defer_(addr, func() { l.Write(addr, value, done) }) {
+	if ws := l.waiters(addr); ws != nil {
+		*ws = append(*ws, func() { l.Write(addr, value, done) })
 		return
 	}
 	l.run.Proto.WriteMisses++
 	l.startMiss(addr, true, value, done)
 }
 
-func (l *L1) defer_(addr msg.Addr, retry func()) bool {
+// waiters returns the waiter list of the miss or writeback in progress on
+// addr, where an access to the line waits for it to end, or nil when a new
+// miss may start.
+func (l *L1) waiters(addr msg.Addr) *[]func() {
 	if e := l.mshr.Get(addr); e != nil {
-		e.waiters = append(e.waiters, retry)
-		return true
+		return &e.waiters
 	}
 	if w := l.wb.Get(addr); w != nil {
-		w.waiters = append(w.waiters, retry)
-		return true
+		return &w.waiters
 	}
-	return false
+	return nil
 }
 
 // startMiss allocates an MSHR, picks a serial number and issues the
@@ -500,10 +529,7 @@ func (l *L1) handleFwd(m *msg.Message) {
 	if b := l.blocked.Get(addr); b != nil {
 		// Blocked ownership: we may not transfer the line until the AckBD
 		// arrives; remember the newest forward per requester.
-		if b.deferred == nil {
-			b.deferred = make(map[msg.NodeID]msg.Message, 1)
-		}
-		b.deferred[m.Requestor] = *m
+		b.deferFwd(m)
 		return
 	}
 
@@ -724,9 +750,10 @@ func (l *L1) handleAckBD(m *msg.Message) {
 	}
 	b.timer.Stop()
 	tid := b.tid
-	for _, fwd := range b.deferred {
-		fwd := fwd
-		l.engine.Schedule(0, func() { l.Handle(&fwd) })
+	for i := range b.deferred {
+		fwd := msg.NewMessage()
+		*fwd = b.deferred[i]
+		l.engine.ScheduleCall(0, l.replayFwd, fwd, 0)
 	}
 	l.blocked.Free(m.Addr)
 	l.obs.TransactionEnd("l1", l.id, m.Addr, tid)

@@ -309,6 +309,61 @@ func TestL1BlockedOwnershipDefersAndReplays(t *testing.T) {
 	}
 }
 
+// TestL1DeferredForwardsReplayInRequestorOrder: a blocked line keeps the
+// newest forward per requester and, once the AckBD arrives, replays them
+// in ascending Requestor order, whatever order they arrived in.
+func TestL1DeferredForwardsReplayInRequestorOrder(t *testing.T) {
+	l, net, _ := testL1(t)
+	const addr = 0x40
+	l.Write(addr, 5, func(proto.AccessResult) {})
+	req := net.lastOfType(msg.GetX)
+	l.Handle(&msg.Message{
+		Type: msg.DataEx, Src: 2, Dst: l.id, Addr: addr, SN: req.SN,
+		Payload: msg.Payload{Value: 7, Version: 3}, Dirty: true,
+	})
+	acko := net.lastOfType(msg.AckO)
+	if acko == nil {
+		t.Fatalf("no AckO: %v", net.sent)
+	}
+	net.take()
+
+	// Plain GetS forwards keep ownership here, so every replay answers.
+	home := l.topo.HomeL2(addr)
+	for _, f := range []struct {
+		from msg.NodeID
+		sn   msg.SerialNumber
+	}{{3, 50}, {1, 51}, {3, 52}, {2, 53}} {
+		l.Handle(&msg.Message{
+			Type: msg.GetS, Src: home, Dst: l.id, Addr: addr, SN: f.sn,
+			Forwarded: true, Requestor: f.from,
+		})
+	}
+	if len(net.take()) != 0 {
+		t.Fatal("blocked line answered a forward")
+	}
+
+	l.Handle(&msg.Message{Type: msg.AckBD, Src: 2, Dst: l.id, Addr: addr, SN: acko.SN})
+	l.engine.Run(1000)
+	var got []msg.Message
+	for _, m := range net.take() {
+		if m.Type == msg.Data {
+			got = append(got, *m)
+		}
+	}
+	want := []struct {
+		dst msg.NodeID
+		sn  msg.SerialNumber
+	}{{1, 51}, {2, 53}, {3, 52}}
+	if len(got) != len(want) {
+		t.Fatalf("%d Data replies, want %d: %v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i].Dst != w.dst || got[i].SN != w.sn {
+			t.Fatalf("reply %d went to %d with SN %d, want %d with SN %d", i, got[i].Dst, got[i].SN, w.dst, w.sn)
+		}
+	}
+}
+
 func TestL1QuiescedLifecycle(t *testing.T) {
 	l, net, engine := testL1(t)
 	if !l.Quiesced() {

@@ -395,7 +395,7 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 	r := t.req
 	t.tid = r.tid
 	t.respKind = respNone
-	t.invTargets = nil
+	t.invTargets = t.invTargets[:0] // keeps its capacity, like the queue
 	t.unblockReceived = false
 	t.backupCleared = false
 	t.sentDataExTo = 0
@@ -468,7 +468,7 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 			return
 		}
 		l.array.Touch(line)
-		t.invTargets = l.invTargets(line, r.from)
+		t.invTargets = l.appendInvTargets(t.invTargets, line, r.from)
 		t.ackCount = len(t.invTargets)
 		l.sendInvs(addr, t)
 		if line.State == L2StateS {
@@ -513,9 +513,9 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 	}
 }
 
-// invTargets returns the sharers to invalidate for a write by requester.
-func (l *L2) invTargets(line *cache.Line, requester msg.NodeID) []msg.NodeID {
-	var targets []msg.NodeID
+// appendInvTargets appends to targets the sharers to invalidate for a
+// write by requester.
+func (l *L2) appendInvTargets(targets []msg.NodeID, line *cache.Line, requester msg.NodeID) []msg.NodeID {
 	line.Sharers.ForEach(func(i int) {
 		dst := l.topo.L1FromSharerIndex(i)
 		if dst != requester {
@@ -1345,8 +1345,10 @@ func (l *L2) finish(addr msg.Addr, t *l2Trans) {
 		l.trans.Free(addr)
 		return
 	}
+	// Pop the head in place, so the queue keeps its capacity across pops
+	// and, through resetL2Trans, across transactions.
 	t.req = t.queue[0]
-	t.queue = t.queue[1:]
+	t.queue = t.queue[:copy(t.queue, t.queue[1:])]
 	l.service(addr, t)
 }
 

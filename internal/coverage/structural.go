@@ -21,7 +21,7 @@ import (
 // uncommitted write tail and any dirty-exclusive data with it. The extended
 // verdict (tileDeathVerdict) therefore compares the final memory image
 // line by line against the fault-free baseline: no line may ever be AHEAD
-// of the baseline, lines the victim's workload stream writes may lag it,
+// of the baseline, lines the victim's operation list writes may lag it,
 // lines reported unrecoverable by the reconstruction are skipped but
 // counted, and every other line must match exactly — so a lost survivor
 // write can never hide behind the dead tile.
@@ -41,7 +41,7 @@ type StructuralOptions struct {
 	// row per link; empty skips the link-death sweep.
 	Links [][2]int
 	// VictimWrites returns the set of line addresses the victim tile's
-	// workload stream writes; required when Tiles > 0 (the restricted
+	// operation list writes; required when Tiles > 0 (the restricted
 	// verdict allows exactly those lines to lag the baseline).
 	VictimWrites func(tile int) map[msg.Addr]bool
 	// Progress, when set, is called after each run with running counts.

@@ -185,19 +185,28 @@ func (f *flightTracker) MessageDelivered(m *msg.Message, _ uint64) {
 }
 
 // instance is one system set up for (re-)execution, with its in-flight
-// tracker and its decision script.
+// tracker, its decision script and the operation lists it begins on.
 type instance struct {
 	sys    *system.System
 	eng    *sim.Engine
 	flight *flightTracker
 	ch     scriptChooser
+	name   string
+	ops    [][]workload.Op // read-only, shared by every instance of one exploration
+}
+
+// coreOps builds every core's operation list for cfg, as Begin would.
+// An exploration builds them once and starts every path on them.
+func coreOps(cfg system.Config, w workload.Workload) [][]workload.Op {
+	return workload.PerCore(w, cfg.Tiles(), cfg.OpsPerCore, cfg.Seed)
 }
 
 // newInstance builds a system for checker-driven execution and begins the
-// workload on it: choice-point delivery on, integrity oracle on, in-flight
-// tracking wired in. cfg.Obs may carry a recorder (replay export);
-// exploration leaves it nil, so its instances can be restarted.
-func newInstance(cfg system.Config, w workload.Workload, descs map[uint64]string) (*instance, error) {
+// workload on it from ops (coreOps): choice-point delivery on, integrity
+// oracle on, in-flight tracking wired in. cfg.Obs may carry a recorder
+// (replay export); exploration leaves it nil, so its instances can be
+// restarted.
+func newInstance(cfg system.Config, w workload.Workload, ops [][]workload.Op, descs map[uint64]string) (*instance, error) {
 	cfg.Net.ChoiceDelivery = true
 	cfg.CheckIntegrity = true
 	cfg.Injector = nil // losses are decisions here, not random events
@@ -207,18 +216,20 @@ func newInstance(cfg system.Config, w workload.Workload, descs map[uint64]string
 	if err != nil {
 		return nil, err
 	}
-	sys.Begin(w)
-	return &instance{sys: sys, eng: sys.Engine(), flight: ft}, nil
+	in := &instance{sys: sys, eng: sys.Engine(), flight: ft, name: w.Name(), ops: ops}
+	sys.BeginOps(in.name, ops)
+	return in, nil
 }
 
 // restart resets a used instance to the initial state and begins the
-// workload again, exactly as newInstance left a fresh one.
-func (in *instance) restart(w workload.Workload) error {
+// workload again on the same lists, exactly as newInstance left a fresh
+// one.
+func (in *instance) restart() error {
 	if err := in.sys.Reset(); err != nil {
 		return err
 	}
 	in.flight.reset()
-	in.sys.Begin(w)
+	in.sys.BeginOps(in.name, in.ops)
 	return nil
 }
 
@@ -385,17 +396,21 @@ func ExploreContext(ctx context.Context, cfg system.Config, w workload.Workload,
 	// worker, built on first use. It is a buffered channel rather than a
 	// sync.Pool, which the GC may empty, so how many systems an
 	// exploration builds does not depend on GC timing.
+	//
+	// Every core's operation list is built once here and shared, read
+	// only, by every worker's instance.
+	ops := coreOps(cfg, w)
 	free := make(chan *instance, runner.Parallelism(opt.Parallelism))
 	path := func(actions []Action) (evalResult, error) {
 		var in *instance
 		select {
 		case in = <-free:
-			if err := in.restart(w); err != nil {
+			if err := in.restart(); err != nil {
 				return evalResult{}, err
 			}
 		default:
 			var err error
-			if in, err = newInstance(cfg, w, nil); err != nil {
+			if in, err = newInstance(cfg, w, ops, nil); err != nil {
 				return evalResult{}, err
 			}
 		}

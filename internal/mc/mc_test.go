@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestStateHashByteIdentical(t *testing.T) {
 	w := workload.Handoff()
 	prefix := []Action{{Choice: 0}, {Choice: 0}}
 	hash := func() uint64 {
-		in, err := newInstance(cfg, w, nil)
+		in, err := newInstance(cfg, w, coreOps(cfg, w), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestStateHashPerturbation(t *testing.T) {
 	cfg := mcConfig(system.FtDirCMP, 2)
 	w := workload.Handoff()
 	run := func(perturb bool) uint64 {
-		in, err := newInstance(cfg, w, nil)
+		in, err := newInstance(cfg, w, coreOps(cfg, w), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,6 +187,35 @@ func TestExploreDeterministicAtAnyParallelism(t *testing.T) {
 		v1, v2 := r1.Violations[i], r2.Violations[i]
 		if v1.Kind != v2.Kind || v1.Err != v2.Err || v1.StateHash != v2.StateHash || len(v1.Schedule) != len(v2.Schedule) {
 			t.Fatalf("violation %d differs across parallelism: %+v vs %+v", i, v1, v2)
+		}
+	}
+}
+
+// TestExploreSharedOpsAtParallelism4: four workers begin every path on the
+// one set of operation lists the exploration builds, and must produce
+// exactly the serial report, violations and schedules included. Under
+// -race (make mc-check) this also checks that no worker writes to the
+// shared lists.
+func TestExploreSharedOpsAtParallelism4(t *testing.T) {
+	for _, c := range []struct {
+		p      system.Protocol
+		ops    int
+		budget int
+	}{
+		{system.FtDirCMP, 2, 0},
+		{system.DirCMP, 1, 1},
+	} {
+		cfg := mcConfig(c.p, c.ops)
+		serial, err := Explore(cfg, workload.Handoff(), Options{FaultBudget: c.budget, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := Explore(cfg, workload.Handoff(), Options{FaultBudget: c.budget, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("%v: four workers changed the exploration:\n  -j1: %+v\n  -j4: %+v", c.p, serial, parallel)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func Replay(cfg system.Config, w workload.Workload, schedule []Action) (*ReplayR
 		return nil, err
 	}
 	descs := make(map[uint64]string)
-	in, err := newInstance(cfg, w, descs)
+	in, err := newInstance(cfg, w, coreOps(cfg, w), descs)
 	if err != nil {
 		return nil, err
 	}

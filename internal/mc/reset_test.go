@@ -54,7 +54,7 @@ func (c *byteChooser) Choose(_ uint64, choices []sim.Choice) sim.Decision {
 // system.
 func decodePrefix(t testing.TB, cfg system.Config, w workload.Workload, data []byte) []Action {
 	t.Helper()
-	in, err := newInstance(cfg, w, nil)
+	in, err := newInstance(cfg, w, coreOps(cfg, w), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +120,20 @@ func checkResetMatchesFresh(t testing.TB, p system.Protocol, shape string, first
 	s1 := decodePrefix(t, cfg, w, first)
 	s2 := decodePrefix(t, cfg, w, second)
 
-	reused, err := newInstance(cfg, w, nil)
+	// The reused instance runs on lists built before either path, as an
+	// exploration's instances do; the fresh one builds its own.
+	shared := coreOps(cfg, w)
+	reused, err := newInstance(cfg, w, shared, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	endOf(t, reused, cfg, base, s1)
-	if err := reused.restart(w); err != nil {
+	if err := reused.restart(); err != nil {
 		t.Fatal(err)
 	}
 	got := endOf(t, reused, cfg, base, s2)
 
-	fresh, err := newInstance(cfg, w, nil)
+	fresh, err := newInstance(cfg, w, coreOps(cfg, w), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +141,9 @@ func checkResetMatchesFresh(t testing.TB, p system.Protocol, shape string, first
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%v/%s: after %d decisions and a reset, %d decisions end at\n  %+v\nbut on a fresh system at\n  %+v",
 			p, shape, len(s1), len(s2), got, want)
+	}
+	if !reflect.DeepEqual(shared, coreOps(cfg, w)) {
+		t.Fatalf("%v/%s: running two paths changed the shared operation lists", p, shape)
 	}
 }
 

@@ -16,7 +16,8 @@ type Core struct {
 	port      proto.L1Port
 	engine    *sim.Engine
 	thinkTime uint64
-	stream    workload.Stream
+	ops       []workload.Op // read-only; may be shared with other systems
+	pos       int           // index of the next operation to issue
 	integrity *Integrity
 
 	seq       uint64
@@ -34,10 +35,10 @@ type Core struct {
 	onWrite func(proto.AccessResult)
 }
 
-// NewCore builds a core bound to an L1 port and an operation stream.
-// integrity may be nil.
+// NewCore builds a core bound to an L1 port and an operation list, which
+// it only reads. integrity may be nil.
 func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
-	thinkTime uint64, stream workload.Stream, integrity *Integrity) *Core {
+	thinkTime uint64, ops []workload.Op, integrity *Integrity) *Core {
 	c := &Core{
 		id:        id,
 		topo:      topo,
@@ -59,14 +60,14 @@ func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
 		}
 		c.completeOp()
 	}
-	c.restart(stream)
+	c.restart(ops)
 	return c
 }
 
 // restart returns the core to the state NewCore leaves it in, bound to a
-// new operation stream: nothing issued, completed or killed.
-func (c *Core) restart(stream workload.Stream) {
-	c.stream = stream
+// new operation list: nothing issued, completed or killed.
+func (c *Core) restart(ops []workload.Op) {
+	c.ops, c.pos = ops, 0
 	c.seq, c.completed = 0, 0
 	c.done, c.killed = false, false
 	c.curAddr = 0
@@ -77,7 +78,8 @@ func (c *Core) Start() {
 	c.engine.Schedule(0, c.nextFn)
 }
 
-// Done reports whether the stream is exhausted (or the core was killed).
+// Done reports whether every operation has issued and completed (or the
+// core was killed).
 func (c *Core) Done() bool { return c.done }
 
 // Kill permanently stops the core at a tile death: the in-flight operation
@@ -99,11 +101,12 @@ func (c *Core) next() {
 	if c.killed {
 		return
 	}
-	op, ok := c.stream.Next()
-	if !ok {
+	if c.pos == len(c.ops) {
 		c.done = true
 		return
 	}
+	op := c.ops[c.pos]
+	c.pos++
 	addr := msg.Addr(op.Line) * msg.Addr(c.topo.LineSize)
 	c.curAddr = addr
 	if op.Write {

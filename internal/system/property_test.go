@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// randomWorkload generates an arbitrary finite operation stream per core.
+// randomWorkload generates an arbitrary finite operation list per core.
 type randomWorkload struct {
 	lines     int
 	writeFrac float64
@@ -24,25 +24,15 @@ type randomWorkload struct {
 
 func (w *randomWorkload) Name() string { return "random" }
 
-func (w *randomWorkload) Stream(core, cores, ops int, rng *sim.RNG) workload.Stream {
-	return &randomStream{w: w, rng: rng, remaining: ops}
-}
-
-type randomStream struct {
-	w         *randomWorkload
-	rng       *sim.RNG
-	remaining int
-}
-
-func (s *randomStream) Next() (workload.Op, bool) {
-	if s.remaining == 0 {
-		return workload.Op{}, false
+func (w *randomWorkload) Ops(core, cores, ops int, rng *sim.RNG) []workload.Op {
+	out := make([]workload.Op, ops)
+	for i := range out {
+		out[i] = workload.Op{
+			Line:  uint64(rng.Intn(w.lines)),
+			Write: rng.Bool(w.writeFrac),
+		}
 	}
-	s.remaining--
-	return workload.Op{
-		Line:  uint64(s.rng.Intn(s.w.lines)),
-		Write: s.rng.Bool(s.w.writeFrac),
-	}, true
+	return out
 }
 
 // TestPropertyRandomRunsStayCoherent: random workload shapes and fault

@@ -585,29 +585,38 @@ func (s *System) Run(w workload.Workload) (*stats.Run, error) {
 // Begin creates and starts the workload's cores without running the
 // engine. Normal callers use Run, which does both; the model checker
 // (internal/mc) drives event execution itself, one delivery decision at a
-// time, and uses Begin to set the system in motion. After a Reset, Begin
-// rebinds the cores the earlier run built instead of building new ones.
+// time, and uses BeginOps to set the system in motion.
 func (s *System) Begin(w workload.Workload) {
-	s.run.Workload = w.Name()
-	master := sim.NewRNG(s.cfg.Seed)
-	tiles := s.cfg.Tiles()
-	for i := 0; i < tiles; i++ {
-		stream := w.Stream(i, tiles, s.cfg.OpsPerCore, master.Fork(uint64(i)+1))
+	s.BeginOps(w.Name(), workload.PerCore(w, s.cfg.Tiles(), s.cfg.OpsPerCore, s.cfg.Seed))
+}
+
+// BeginOps is Begin on prebuilt operation lists, one per tile, as
+// workload.PerCore builds them for this system's configuration; name
+// labels the run's statistics. The cores only read the lists, so one set
+// may start any number of systems, concurrently too. After a Reset,
+// BeginOps rebinds the cores the earlier run built instead of building new
+// ones, and then allocates nothing.
+func (s *System) BeginOps(name string, ops [][]workload.Op) {
+	if tiles := s.cfg.Tiles(); len(ops) != tiles {
+		panic(fmt.Sprintf("system: BeginOps got %d operation lists for %d tiles", len(ops), tiles))
+	}
+	s.run.Workload = name
+	for i, list := range ops {
 		var c *Core
 		if n := len(s.cores); n < cap(s.cores) {
 			c = s.cores[:n+1][n] // kept by reset, or nil past the cores built
 		}
 		if c != nil {
-			c.restart(stream)
+			c.restart(list)
 		} else {
-			c = NewCore(i, s.topo, s.ports[i], s.engine, s.cfg.ThinkTime, stream, s.integrity)
+			c = NewCore(i, s.topo, s.ports[i], s.engine, s.cfg.ThinkTime, list, s.integrity)
 		}
 		s.cores = append(s.cores, c)
 		c.Start()
 	}
 }
 
-// AllDone reports whether every core has finished its operation stream.
+// AllDone reports whether every core has finished its operation list.
 // Before Begin there are no cores and AllDone is vacuously true.
 func (s *System) AllDone() bool {
 	for _, c := range s.cores {

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzParseTrace: arbitrary text must never panic; accepted traces must be
-// structurally sound (non-negative cores, streams that terminate).
+// structurally sound (non-negative cores, per-core lists that add up to the
+// trace's operation count).
 func FuzzParseTrace(f *testing.F) {
 	f.Add("0 r 5\n0 w 5\n")
 	f.Add("# comment\n\n3 w 0x10\n")
@@ -21,20 +22,10 @@ func FuzzParseTrace(f *testing.F) {
 		}
 		total := 0
 		for core := 0; core < w.Cores(); core++ {
-			s := w.Stream(core, w.Cores(), 0, nil)
-			for {
-				_, ok := s.Next()
-				if !ok {
-					break
-				}
-				total++
-				if total > 1<<22 {
-					t.Fatal("stream does not terminate")
-				}
-			}
+			total += len(w.Ops(core, w.Cores(), 0, nil))
 		}
-		if total != w.Ops() {
-			t.Fatalf("streams yield %d ops, Ops() says %d", total, w.Ops())
+		if total != w.TotalOps() {
+			t.Fatalf("per-core lists hold %d ops, TotalOps() says %d", total, w.TotalOps())
 		}
 	})
 }

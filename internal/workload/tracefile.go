@@ -21,7 +21,7 @@ import (
 // usable with access patterns captured from real programs.
 
 // traceWorkload replays parsed per-core operation lists. It implements
-// Workload; the ops argument of Stream is ignored (the trace defines each
+// Workload; the ops argument of Ops is ignored (the trace defines each
 // core's length).
 type traceWorkload struct {
 	name    string
@@ -31,9 +31,9 @@ type traceWorkload struct {
 // Name implements Workload.
 func (w *traceWorkload) Name() string { return w.name }
 
-// Stream implements Workload.
-func (w *traceWorkload) Stream(core, cores, ops int, rng *sim.RNG) Stream {
-	return &sliceStream{ops: w.perCore[core]}
+// Ops implements Workload.
+func (w *traceWorkload) Ops(core, cores, ops int, rng *sim.RNG) []Op {
+	return w.perCore[core]
 }
 
 // Cores returns the highest core index present in the trace plus one.
@@ -47,8 +47,8 @@ func (w *traceWorkload) Cores() int {
 	return max + 1
 }
 
-// Ops returns the total number of operations in the trace.
-func (w *traceWorkload) Ops() int {
+// TotalOps returns the total number of operations in the trace.
+func (w *traceWorkload) TotalOps() int {
 	total := 0
 	for _, ops := range w.perCore {
 		total += len(ops)
@@ -106,14 +106,8 @@ func ParseTrace(name string, r io.Reader) (*traceWorkload, error) {
 func WriteTrace(out io.Writer, w Workload, cores, ops int, seed uint64) error {
 	bw := bufio.NewWriter(out)
 	fmt.Fprintf(bw, "# workload=%s cores=%d ops=%d seed=%d\n", w.Name(), cores, ops, seed)
-	master := sim.NewRNG(seed)
-	for core := 0; core < cores; core++ {
-		s := w.Stream(core, cores, ops, master.Fork(uint64(core)+1))
-		for {
-			op, ok := s.Next()
-			if !ok {
-				break
-			}
+	for core, list := range PerCore(w, cores, ops, seed) {
+		for _, op := range list {
 			kind := "r"
 			if op.Write {
 				kind = "w"

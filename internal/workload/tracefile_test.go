@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestParseTraceBasic(t *testing.T) {
@@ -19,8 +17,8 @@ func TestParseTraceBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Name() != "test" || w.Cores() != 2 || w.Ops() != 3 {
-		t.Fatalf("cores=%d ops=%d", w.Cores(), w.Ops())
+	if w.Name() != "test" || w.Cores() != 2 || w.TotalOps() != 3 {
+		t.Fatalf("cores=%d ops=%d", w.Cores(), w.TotalOps())
 	}
 	ops := collect(w, 0, 2, 999 /* ignored */, 1)
 	if len(ops) != 2 || ops[0] != (Op{Line: 5}) || ops[1] != (Op{Line: 5, Write: true}) {
@@ -59,25 +57,18 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay.Cores() != 4 || replay.Ops() != 800 {
-		t.Fatalf("cores=%d ops=%d", replay.Cores(), replay.Ops())
+	if replay.Cores() != 4 || replay.TotalOps() != 800 {
+		t.Fatalf("cores=%d ops=%d", replay.Cores(), replay.TotalOps())
 	}
-	// The replayed streams must equal the original generation.
-	master := sim.NewRNG(7)
-	for core := 0; core < 4; core++ {
-		want := orig.Stream(core, 4, 200, master.Fork(uint64(core)+1))
-		got := replay.Stream(core, 4, 0, nil)
-		for i := 0; ; i++ {
-			wop, wok := want.Next()
-			gop, gok := got.Next()
-			if wok != gok {
-				t.Fatalf("core %d stream length mismatch at %d", core, i)
-			}
-			if !wok {
-				break
-			}
-			if wop != gop {
-				t.Fatalf("core %d op %d: %+v vs %+v", core, i, wop, gop)
+	// The replayed lists must equal the original generation.
+	for core, want := range PerCore(orig, 4, 200, 7) {
+		got := replay.Ops(core, 4, 0, nil)
+		if len(got) != len(want) {
+			t.Fatalf("core %d: %d ops replayed, want %d", core, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("core %d op %d: %+v vs %+v", core, i, want[i], got[i])
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package workload provides the synthetic memory-access kernels that stand
 // in for the paper's benchmark suite. Each workload produces one
-// deterministic operation stream per core; the streams span the sharing
+// deterministic operation list per core; the lists span the sharing
 // patterns that drive directory-protocol traffic (wide read sharing,
 // migratory read-modify-write, producer/consumer handoff, contention,
 // private working sets and streaming).
@@ -20,34 +20,31 @@ type Op struct {
 	Write bool
 }
 
-// Stream yields a core's operations in order.
-type Stream interface {
-	// Next returns the next operation, or ok=false when the core is done.
-	Next() (Op, bool)
-}
-
-// Workload builds per-core streams.
+// Workload builds per-core operation lists.
 type Workload interface {
 	// Name identifies the workload in reports.
 	Name() string
-	// Stream returns core's operation stream. rng is a per-core
-	// deterministic stream; cores and ops describe the run shape.
-	Stream(core, cores, ops int, rng *sim.RNG) Stream
+	// Ops returns core's operations in issue order. rng is a per-core
+	// deterministic stream; cores and ops describe the run shape. The
+	// caller must treat the list as read-only: a list may be shared by
+	// every run of one exploration.
+	Ops(core, cores, ops int, rng *sim.RNG) []Op
 }
 
-// sliceStream yields a pre-built operation list.
-type sliceStream struct {
-	ops []Op
-	pos int
-}
-
-func (s *sliceStream) Next() (Op, bool) {
-	if s.pos >= len(s.ops) {
-		return Op{}, false
+// PerCore builds every core's operation list for a run seeded with seed.
+// It is the one place that derives the per-core RNGs: each core's stream
+// is forked from one master RNG in core order, and Fork advances the
+// master, so every caller must go through here to see the lists a run
+// executes. The per-core RNGs share one backing array.
+func PerCore(w Workload, cores, ops int, seed uint64) [][]Op {
+	master := sim.NewRNG(seed)
+	rngs := make([]sim.RNG, cores)
+	out := make([][]Op, cores)
+	for core := range out {
+		rngs[core] = *master.Fork(uint64(core) + 1)
+		out[core] = w.Ops(core, cores, ops, &rngs[core])
 	}
-	op := s.ops[s.pos]
-	s.pos++
-	return op, true
+	return out
 }
 
 // funcWorkload adapts a generator function.
@@ -58,8 +55,8 @@ type funcWorkload struct {
 
 func (w *funcWorkload) Name() string { return w.name }
 
-func (w *funcWorkload) Stream(core, cores, ops int, rng *sim.RNG) Stream {
-	return &sliceStream{ops: w.gen(core, cores, ops, rng)}
+func (w *funcWorkload) Ops(core, cores, ops int, rng *sim.RNG) []Op {
+	return w.gen(core, cores, ops, rng)
 }
 
 // Uniform accesses a shared array of lines uniformly at random with the

@@ -7,15 +7,7 @@ import (
 )
 
 func collect(w Workload, core, cores, ops int, seed uint64) []Op {
-	s := w.Stream(core, cores, ops, sim.NewRNG(seed))
-	var out []Op
-	for {
-		op, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, op)
-	}
+	return w.Ops(core, cores, ops, sim.NewRNG(seed))
 }
 
 func TestSuiteNamesUniqueAndResolvable(t *testing.T) {

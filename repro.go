@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/stats"
 	"repro/internal/system"
@@ -744,23 +743,15 @@ func TileDeathCoverageContext(ctx context.Context, cfg Config, workloadName stri
 }
 
 // victimWriteSets precomputes, per tile, the line addresses the tile's
-// workload stream writes, by replaying the exact stream construction the
-// system performs (same master RNG, same fork order). The restricted
-// tile-death verdict allows exactly those lines to lag the baseline.
+// operation list writes, from the lists the system itself runs
+// (workload.PerCore). The restricted tile-death verdict allows exactly
+// those lines to lag the baseline.
 func victimWriteSets(cfg Config, w workload.Workload) func(tile int) map[msg.Addr]bool {
-	tiles := cfg.MeshWidth * cfg.MeshHeight
-	master := sim.NewRNG(cfg.Seed)
-	sets := make([]map[msg.Addr]bool, tiles)
-	for i := 0; i < tiles; i++ {
-		// Fork advances the master RNG, so forks must happen in core order
-		// even though only one stream per set is consumed here.
-		st := w.Stream(i, tiles, cfg.OpsPerCore, master.Fork(uint64(i)+1))
+	perCore := workload.PerCore(w, cfg.MeshWidth*cfg.MeshHeight, cfg.OpsPerCore, cfg.Seed)
+	sets := make([]map[msg.Addr]bool, len(perCore))
+	for i, ops := range perCore {
 		set := make(map[msg.Addr]bool)
-		for {
-			op, ok := st.Next()
-			if !ok {
-				break
-			}
+		for _, op := range ops {
 			if op.Write {
 				set[msg.Addr(op.Line)*msg.Addr(cfg.LineSize)] = true
 			}

@@ -102,10 +102,14 @@ obs-fuzz:
 # cache-fuzz fuzzes the cache array's set-granular frames for 20 s: a
 # random geometry and fill/evict/invalidate script must pick, look up and
 # visit (ForEach, Count) exactly the frames a fully allocated reference
-# geometry does, and no frame handed out may change address. CI runs it in
-# the mc job, beside sim-fuzz and obs-fuzz.
+# geometry does, and no frame handed out may change address. It then
+# fuzzes the slice-backed cache.Table for 20 s against a map oracle: a
+# random Alloc/Get/Free/Reset/ForEach script must return the oracle's
+# entries, and Alloc must reuse freed entries as the freelist model says.
+# CI runs it in the mc job, beside sim-fuzz and obs-fuzz.
 cache-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzArrayMatchesReference -fuzztime 20s ./internal/cache
+	$(GO) test -run '^$$' -fuzz FuzzTableMatchesMap -fuzztime 20s ./internal/cache
 
 # coverage-fuzz fuzzes the fault-campaign engine for 20 s: decoded
 # synthetic protocols (a message stream plus fatal and diverging drop types)

@@ -244,8 +244,8 @@ func TestLineIs64Bytes(t *testing.T) {
 
 func TestTableBeforeFirstAlloc(t *testing.T) {
 	tb := NewTable[int](4)
-	if tb.entries != nil {
-		t.Fatal("NewTable allocated its map before the first Alloc")
+	if tb.live != nil {
+		t.Fatal("NewTable allocated its live slice before the first Alloc")
 	}
 	if tb.Get(0x40) != nil {
 		t.Fatal("Get on an empty table returned an entry")
@@ -259,11 +259,21 @@ func TestTableBeforeFirstAlloc(t *testing.T) {
 	if visited != 0 {
 		t.Fatalf("ForEach on an empty table visited %d entries", visited)
 	}
-	if tb.entries != nil {
-		t.Fatal("Get/Free/Len/ForEach allocated the map")
+	if tb.live != nil {
+		t.Fatal("Get/Free/Len/ForEach allocated the live slice")
 	}
 	if e := tb.Alloc(0x40); e == nil || tb.Get(0x40) != e || tb.Len() != 1 {
 		t.Fatal("first Alloc did not create a retrievable entry")
+	}
+	// The first Alloc sizes the slice once: for the table's capacity when
+	// that is below tableInitCap, for tableInitCap otherwise.
+	if got := cap(tb.live); got != 4 {
+		t.Fatalf("first Alloc of a 4-entry table made room for %d entries, want 4", got)
+	}
+	unbounded := NewTable[int](0)
+	unbounded.Alloc(0x40)
+	if got := cap(unbounded.live); got != tableInitCap {
+		t.Fatalf("first Alloc of an unbounded table made room for %d entries, want %d", got, tableInitCap)
 	}
 }
 

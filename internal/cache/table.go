@@ -6,6 +6,15 @@ import "repro/internal/msg"
 // It backs MSHRs, writeback buffers and backup buffers. A capacity of 0
 // means unbounded.
 //
+// A table holds few live entries — Table-4 runs of every protocol and
+// workload peak at 16 in one table, the quick loss-coverage campaigns at
+// 7, the interleave gate at 1 — so the live entries sit in one slice of
+// (address, entry) pairs and a lookup is a linear scan, which beats
+// hashing at that size. The slice is created by
+// the first Alloc with room for tableInitCap entries (or capacity, if
+// smaller) and grows only past that; Get, Free, Len and ForEach work on
+// the nil slice, so a table that is never used costs only its header.
+//
 // Freed entries are recycled through a freelist, so the steady-state churn
 // of a simulation (an MSHR entry per miss, a writeback entry per eviction)
 // allocates nothing. Recycled entries are handed back by Alloc exactly as
@@ -13,20 +22,25 @@ import "repro/internal/msg"
 // that is indistinguishable from a fresh allocation, while a custom reset
 // (NewTableReset) can preserve capacity-carrying fields — slices, timers,
 // prepared callbacks — across lives of the same slot.
-//
-// The entry map is created by the first Alloc; Get, Free, Len and ForEach
-// work on the nil map, so a table that is never used costs only its header.
 type Table[E any] struct {
-	entries map[msg.Addr]*E
-	free    []*E
+	live []tableEntry[E]
+	free []*E
 	// all holds every entry the table ever created, in creation order, so
-	// Reset can rebuild the freelist in an order that does not depend on
-	// map iteration.
+	// Reset can rebuild the freelist in creation order.
 	all      []*E
 	reset    func(*E)
 	capacity int
 	peak     int
 }
+
+// tableEntry is one live entry and its address.
+type tableEntry[E any] struct {
+	addr msg.Addr
+	e    *E
+}
+
+// tableInitCap is the live slice's room at the first Alloc.
+const tableInitCap = 8
 
 // NewTable returns a table holding at most capacity entries (0 = unbounded).
 // Freed entries are zeroed before reuse.
@@ -46,23 +60,37 @@ func NewTableReset[E any](capacity int, reset func(*E)) *Table[E] {
 	return &Table[E]{reset: reset, capacity: capacity}
 }
 
+// index returns the position of addr in the live slice, or -1.
+func (t *Table[E]) index(addr msg.Addr) int {
+	for i := range t.live {
+		if t.live[i].addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
 // Get returns the entry for addr, or nil.
 func (t *Table[E]) Get(addr msg.Addr) *E {
-	return t.entries[addr]
+	if i := t.index(addr); i >= 0 {
+		return t.live[i].e
+	}
+	return nil
 }
 
 // Alloc creates an entry for addr. It returns nil when the table is full or
 // the address already has an entry (callers must check Get first when
 // merging is intended).
 func (t *Table[E]) Alloc(addr msg.Addr) *E {
-	if _, dup := t.entries[addr]; dup {
+	if t.Full() || t.index(addr) >= 0 {
 		return nil
 	}
-	if t.capacity > 0 && len(t.entries) >= t.capacity {
-		return nil
-	}
-	if t.entries == nil {
-		t.entries = make(map[msg.Addr]*E, t.capacity)
+	if t.live == nil {
+		n := tableInitCap
+		if t.capacity > 0 && t.capacity < n {
+			n = t.capacity
+		}
+		t.live = make([]tableEntry[E], 0, n)
 	}
 	var e *E
 	if n := len(t.free); n > 0 {
@@ -73,55 +101,62 @@ func (t *Table[E]) Alloc(addr msg.Addr) *E {
 		e = new(E)
 		t.all = append(t.all, e)
 	}
-	t.entries[addr] = e
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
+	t.live = append(t.live, tableEntry[E]{addr, e})
+	if len(t.live) > t.peak {
+		t.peak = len(t.live)
 	}
 	return e
 }
 
 // Free removes the entry for addr and recycles it: the reset hook runs and
-// the entry joins the freelist. Callers must not retain pointers to a freed
-// entry (or anything the reset hook discards) past the Free call.
+// the entry joins the freelist. The last live entry takes the freed one's
+// place. Callers must not retain pointers to a freed entry (or anything
+// the reset hook discards) past the Free call.
 func (t *Table[E]) Free(addr msg.Addr) {
-	e, ok := t.entries[addr]
-	if !ok {
+	i := t.index(addr)
+	if i < 0 {
 		return
 	}
-	delete(t.entries, addr)
+	e := t.live[i].e
+	last := len(t.live) - 1
+	t.live[i] = t.live[last]
+	t.live = t.live[:last]
 	t.reset(e)
 	t.free = append(t.free, e)
 }
 
 // Reset frees every live entry through the reset hook and zeroes Peak,
 // returning the table to its just-built behaviour while keeping its
-// entries and map storage for reuse. The freelist is rebuilt from every
-// entry in creation order, so which entry a later Alloc hands out does not
-// depend on map iteration.
+// entries and slice storage for reuse. The freelist is rebuilt from every
+// entry in creation order, so which entry a later Alloc hands out depends
+// only on how many entries the table ever created.
 func (t *Table[E]) Reset() {
-	for _, e := range t.entries {
-		t.reset(e)
+	for i := range t.live {
+		t.reset(t.live[i].e)
 	}
-	clear(t.entries)
+	t.live = t.live[:0]
 	t.free = append(t.free[:0], t.all...)
 	t.peak = 0
 }
 
 // Len returns the number of live entries.
-func (t *Table[E]) Len() int { return len(t.entries) }
+func (t *Table[E]) Len() int { return len(t.live) }
 
 // Peak returns the maximum occupancy observed (hardware sizing statistic).
 func (t *Table[E]) Peak() int { return t.peak }
 
 // Full reports whether Alloc would fail for a new address.
 func (t *Table[E]) Full() bool {
-	return t.capacity > 0 && len(t.entries) >= t.capacity
+	return t.capacity > 0 && len(t.live) >= t.capacity
 }
 
-// ForEach visits every entry. Iteration order is unspecified; callers that
-// need determinism must not derive simulation behaviour from the order.
+// ForEach visits every live entry. The order is deterministic — allocation
+// order, except that Free moves the last entry into the freed one's place
+// — but callers must not derive simulation behaviour from it. fn must not
+// Free or Alloc entries of this table: a Free moves an entry not yet
+// visited into a visited place.
 func (t *Table[E]) ForEach(fn func(addr msg.Addr, e *E)) {
-	for a, e := range t.entries {
-		fn(a, e)
+	for _, le := range t.live {
+		fn(le.addr, le.e)
 	}
 }

@@ -152,6 +152,7 @@ type L1 struct {
 	tids    proto.TIDSource
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
+	results proto.DeferredResults // hit completions in flight
 
 	// domains is the structural-fault failure detector (nil without
 	// structural faults); halted is set when this tile dies.
@@ -222,6 +223,7 @@ func (l *L1) Reset() {
 	}
 	l.tids = proto.NewTIDSource(l.id)
 	l.halted = false
+	l.results.Reset()
 }
 
 // Reset hooks for the recycled entry tables. Each one stops the entry's
@@ -306,7 +308,7 @@ func (l *L1) Read(addr msg.Addr, done func(proto.AccessResult)) {
 			Version: line.Payload.Version,
 			Latency: l.params.L1HitLatency,
 		}
-		proto.DeferResult(l.engine, l.params.L1HitLatency, done, res)
+		proto.DeferResult(&l.results, l.engine, l.params.L1HitLatency, done, res)
 		return
 	}
 	if ws := l.waiters(addr); ws != nil {
@@ -343,7 +345,7 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 			Version: line.Payload.Version,
 			Latency: l.params.L1HitLatency,
 		}
-		proto.DeferResult(l.engine, l.params.L1HitLatency, done, res)
+		proto.DeferResult(&l.results, l.engine, l.params.L1HitLatency, done, res)
 		return
 	}
 	if ws := l.waiters(addr); ws != nil {

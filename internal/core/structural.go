@@ -17,8 +17,12 @@ import (
 // The methods here are that flush's view into each controller: enumerate
 // lines (ForEachLine), find lines referencing dead nodes (RefsDead), read
 // the freshest local payload (BestPayload), and drop one line's state
-// (DropLine). Enumeration order is map order — callers must sort before
-// deriving simulation behaviour.
+// (DropLine). Enumeration follows the cache array's frame order and each
+// cache.Table's live-entry order: deterministic, but not address order,
+// and an address held in several structures is visited once per
+// structure — callers must deduplicate and sort before deriving
+// simulation behaviour. The visit callbacks must not free table entries
+// (see cache.Table.ForEach).
 
 // ForEachLine visits every address this L1 holds any state for: array
 // lines, misses, writebacks, backups and blocked-ownership entries.

@@ -20,11 +20,14 @@
 // System.Reset, which returns it to exactly what system.New built, so a
 // path pays for no construction. Revisited states are pruned via a
 // canonical fingerprint: System.StateFingerprint (every agent's interned
-// per-line protocol state + core progress + the memory image) combined
-// with the in-flight message multiset, tracked incrementally through a
-// network recorder summing msg.Fingerprint values. The remaining fault budget is part of
-// the state identity — a state reached with budget left has successors
-// one with no budget lacks.
+// per-line protocol state + core progress + the memory image, from one
+// walk of each agent's lines) combined with the in-flight message
+// multiset, which the network keeps as it goes (noc.Network.InFlight: the
+// sum and count of msg.Fingerprint over the messages in flight, each
+// fingerprint computed once, at Send, and offered as the delivery
+// choice's Info). The remaining fault budget is part of the state
+// identity — a state reached with budget left has successors one with no
+// budget lacks.
 //
 // A terminal state (event queue drained) is checked with the same verdict
 // the coverage campaigns use (coverage.Recovered): the run must have
@@ -44,6 +47,7 @@ import (
 
 	"repro/internal/coverage"
 	"repro/internal/msg"
+	"repro/internal/noc"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/system"
@@ -148,51 +152,31 @@ type Report struct {
 	Exhausted bool `json:"exhausted"`
 }
 
-// flightTracker is the in-flight half of the state fingerprint: a network
-// recorder summing the canonical fingerprint of every message currently in
-// the network. Addition (not XOR) makes it a multiset hash — two copies of
-// an identical message count twice. descs, when non-nil, additionally
-// captures a rendering of each message for counterexample schedules.
-type flightTracker struct {
-	sum   uint64
-	count int
-	descs map[uint64]string
-}
+// describer is the network recorder Replay attaches to render
+// counterexample schedules: it keeps one rendering of every message sent,
+// keyed by the message's fingerprint — the Info of the choice that
+// delivers or loses it.
+type describer map[uint64]string
 
-// reset empties the in-flight multiset, as a discarded path's messages
-// vanish with the system's reset.
-func (f *flightTracker) reset() { f.sum, f.count = 0, 0 }
-
-func (f *flightTracker) MessageSent(m *msg.Message, _ int) {
+func (d describer) MessageSent(m *msg.Message, _ int) {
 	fp := msg.Fingerprint(m)
-	f.sum += fp
-	f.count++
-	if f.descs != nil {
-		if _, ok := f.descs[fp]; !ok {
-			f.descs[fp] = m.String()
-		}
+	if _, ok := d[fp]; !ok {
+		d[fp] = m.String()
 	}
 }
 
-func (f *flightTracker) MessageDropped(m *msg.Message) {
-	f.sum -= msg.Fingerprint(m)
-	f.count--
-}
+func (describer) MessageDropped(*msg.Message)           {}
+func (describer) MessageDelivered(*msg.Message, uint64) {}
 
-func (f *flightTracker) MessageDelivered(m *msg.Message, _ uint64) {
-	f.sum -= msg.Fingerprint(m)
-	f.count--
-}
-
-// instance is one system set up for (re-)execution, with its in-flight
-// tracker, its decision script and the operation lists it begins on.
+// instance is one system set up for (re-)execution, with its decision
+// script and the operation lists it begins on.
 type instance struct {
-	sys    *system.System
-	eng    *sim.Engine
-	flight *flightTracker
-	ch     scriptChooser
-	name   string
-	ops    [][]workload.Op // read-only, shared by every instance of one exploration
+	sys  *system.System
+	eng  *sim.Engine
+	net  *noc.Network
+	ch   scriptChooser
+	name string
+	ops  [][]workload.Op // read-only, shared by every instance of one exploration
 }
 
 // coreOps builds every core's operation list for cfg, as Begin would.
@@ -202,21 +186,25 @@ func coreOps(cfg system.Config, w workload.Workload) [][]workload.Op {
 }
 
 // newInstance builds a system for checker-driven execution and begins the
-// workload on it from ops (coreOps): choice-point delivery on, integrity
-// oracle on, in-flight tracking wired in. cfg.Obs may carry a recorder
-// (replay export); exploration leaves it nil, so its instances can be
-// restarted.
-func newInstance(cfg system.Config, w workload.Workload, ops [][]workload.Op, descs map[uint64]string) (*instance, error) {
+// workload on it from ops (coreOps): choice-point delivery on, which also
+// makes the network keep the in-flight message multiset, and integrity
+// oracle on. With descs non-nil a describer records every message sent
+// into it. cfg.Obs may carry a recorder (replay export); exploration
+// leaves it and descs nil, so its instances can be restarted and its
+// network events reach only the statistics.
+func newInstance(cfg system.Config, w workload.Workload, ops [][]workload.Op, descs describer) (*instance, error) {
 	cfg.Net.ChoiceDelivery = true
 	cfg.CheckIntegrity = true
 	cfg.Injector = nil // losses are decisions here, not random events
-	ft := &flightTracker{descs: descs}
-	cfg.ExtraRecorder = ft
+	cfg.ExtraRecorder = nil
+	if descs != nil { // a nil describer would still be a non-nil recorder
+		cfg.ExtraRecorder = descs
+	}
 	sys, err := system.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	in := &instance{sys: sys, eng: sys.Engine(), flight: ft, name: w.Name(), ops: ops}
+	in := &instance{sys: sys, eng: sys.Engine(), net: sys.Network(), name: w.Name(), ops: ops}
 	sys.BeginOps(in.name, ops)
 	return in, nil
 }
@@ -228,16 +216,17 @@ func (in *instance) restart() error {
 	if err := in.sys.Reset(); err != nil {
 		return err
 	}
-	in.flight.reset()
 	in.sys.BeginOps(in.name, in.ops)
 	return nil
 }
 
-// stateHash combines the system fingerprint with the in-flight multiset.
+// stateHash combines the system fingerprint with the in-flight multiset
+// the network keeps.
 func (in *instance) stateHash() uint64 {
+	sum, count := in.net.InFlight()
 	h := in.sys.StateFingerprint()
-	h = h*0x100000001b3 ^ in.flight.sum
-	h = h*0x100000001b3 ^ uint64(in.flight.count)
+	h = h*0x100000001b3 ^ sum
+	h = h*0x100000001b3 ^ uint64(count)
 	return h
 }
 

@@ -36,7 +36,7 @@ func Replay(cfg system.Config, w workload.Workload, schedule []Action) (*ReplayR
 	if err != nil {
 		return nil, err
 	}
-	descs := make(map[uint64]string)
+	descs := make(describer)
 	in, err := newInstance(cfg, w, coreOps(cfg, w), descs)
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func Replay(cfg system.Config, w workload.Workload, schedule []Action) (*ReplayR
 
 // describe copies the schedule with Desc filled from the replay's message
 // descriptions: each decision's Info is the chosen message's fingerprint.
-func describe(schedule []Action, ch *scriptChooser, descs map[uint64]string) []Action {
+func describe(schedule []Action, ch *scriptChooser, descs describer) []Action {
 	out := make([]Action, len(schedule))
 	copy(out, schedule)
 	for i := range out {

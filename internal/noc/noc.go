@@ -16,6 +16,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -178,7 +179,9 @@ type Network struct {
 
 	// links[router][dir] is the output link of router in direction dir.
 	links [][numDirections]link
-	nodes map[msg.NodeID]node
+	// nodes is indexed by node ID; IDs are dense from 1 (proto.Topology),
+	// and a slot with a nil handler is unattached.
+	nodes []node
 	rng   sim.RNG
 	bufs  map[detailedBufKey]*vcBuf
 
@@ -198,6 +201,15 @@ type Network struct {
 	deadOut [][numDirections]bool
 	anyDead bool
 	nextHop []int8
+
+	// flightSum and flightCount are the in-flight message multiset the
+	// model checker folds into its state identity, kept with
+	// ChoiceDelivery on: the sum of msg.Fingerprint over every message
+	// between Send and its delivery or loss, and their number. Addition
+	// (not XOR) makes the sum a multiset hash — two copies of an identical
+	// message count twice.
+	flightSum   uint64
+	flightCount int
 }
 
 // transit is the traversal state of one in-flight message in the simple
@@ -210,6 +222,7 @@ type transit struct {
 	vc        int
 	serLat    uint64
 	sentAt    uint64
+	fp        uint64 // msg.Fingerprint(m), computed once by Send with ChoiceDelivery on
 	dropped   bool
 	yFirst    bool
 }
@@ -244,7 +257,6 @@ func New(engine *sim.Engine, cfg Config, drop DropFunc, rec Recorder) (*Network,
 		drop:   drop,
 		rec:    rec,
 		links:  make([][numDirections]link, cfg.Width*cfg.Height),
-		nodes:  make(map[msg.NodeID]node),
 		bufs:   make(map[detailedBufKey]*vcBuf),
 	}
 	n.Reset()
@@ -253,11 +265,11 @@ func New(engine *sim.Engine, cfg Config, drop DropFunc, rec Recorder) (*Network,
 
 // Reset returns the network to the state New leaves it in, with the same
 // attached endpoints: every link free, every detailed-mode buffer empty,
-// no dead link, and the adaptive-routing generator reseeded. Messages
-// still in flight are abandoned — returned to the msg pool without
-// reaching a recorder — and their traversal state to the freelists. The
-// events that would have advanced them must be discarded too, by
-// resetting the engine.
+// no dead link, no message in flight, and the adaptive-routing generator
+// reseeded. Messages still in flight are abandoned — returned to the msg
+// pool without reaching a recorder — and their traversal state to the
+// freelists. The events that would have advanced them must be discarded
+// too, by resetting the engine.
 func (n *Network) Reset() {
 	clear(n.links)
 	for _, b := range n.bufs {
@@ -268,6 +280,7 @@ func (n *Network) Reset() {
 	clear(n.deadOut)
 	n.anyDead = false
 	n.rng = *sim.NewRNG(n.cfg.RoutingSeed ^ 0x5eed)
+	n.flightSum, n.flightCount = 0, 0
 	n.transits = n.transits[:0]
 	for _, t := range n.allTransits {
 		if t.m != nil {
@@ -286,33 +299,50 @@ func (n *Network) Reset() {
 
 // Attach registers a protocol agent at the given router (0..W*H-1).
 // Multiple agents may share a router (an L1 and an L2 bank on one tile).
+// Node IDs are positive and at most math.MaxUint16: the network indexes
+// its node table by ID, and a delivery channel packs both endpoints into
+// 16 bits each (proto.Topology numbers agents densely from 1).
 func (n *Network) Attach(id msg.NodeID, router int, h Handler) error {
+	if id < 1 || id > math.MaxUint16 {
+		return fmt.Errorf("noc: node ID %d out of range 1..%d", id, math.MaxUint16)
+	}
 	if router < 0 || router >= len(n.links) {
 		return fmt.Errorf("noc: router %d out of range", router)
 	}
-	if _, dup := n.nodes[id]; dup {
+	if _, dup := n.node(id); dup {
 		return fmt.Errorf("noc: node %d already attached", id)
 	}
 	if h == nil {
 		return fmt.Errorf("noc: nil handler for node %d", id)
 	}
+	if int(id) >= len(n.nodes) {
+		n.nodes = append(n.nodes, make([]node, int(id)+1-len(n.nodes))...)
+	}
 	n.nodes[id] = node{router: router, handler: h}
 	return nil
 }
 
+// node returns the attachment of id, and whether id is attached.
+func (n *Network) node(id msg.NodeID) (node, bool) {
+	if id < 0 || int(id) >= len(n.nodes) || n.nodes[id].handler == nil {
+		return node{}, false
+	}
+	return n.nodes[id], true
+}
+
 // RouterOf returns the router a node is attached to.
 func (n *Network) RouterOf(id msg.NodeID) (int, bool) {
-	nd, ok := n.nodes[id]
+	nd, ok := n.node(id)
 	return nd.router, ok
 }
 
 // Hops returns the XY hop count between two nodes' routers.
 func (n *Network) Hops(a, b msg.NodeID) int {
-	ra, ok := n.nodes[a]
+	ra, ok := n.node(a)
 	if !ok {
 		return 0
 	}
-	rb, ok := n.nodes[b]
+	rb, ok := n.node(b)
 	if !ok {
 		return 0
 	}
@@ -321,14 +351,35 @@ func (n *Network) Hops(a, b msg.NodeID) int {
 	return abs(ax-bx) + abs(ay-by)
 }
 
+// InFlight returns the in-flight message multiset: the sum of
+// msg.Fingerprint over every message sent and not yet delivered or lost,
+// and their number. The network keeps it only with ChoiceDelivery on
+// (both are zero otherwise); the model checker folds it into its state
+// identity.
+func (n *Network) InFlight() (sum uint64, count int) {
+	return n.flightSum, n.flightCount
+}
+
+// ForEachInFlight visits every message in flight in the simple link model
+// with the fingerprint Send stored for it (zero with ChoiceDelivery off).
+// It walks every traversal record, so it is a test oracle for InFlight,
+// not a hot-path call.
+func (n *Network) ForEachInFlight(fn func(m *msg.Message, fp uint64)) {
+	for _, t := range n.allTransits {
+		if t.m != nil {
+			fn(t.m, t.fp)
+		}
+	}
+}
+
 // Send injects a message. Src, Dst and Type must be set. Delivery (or the
 // drop) happens via scheduled events; Send itself never invokes handlers.
 func (n *Network) Send(m *msg.Message) {
-	src, ok := n.nodes[m.Src]
+	src, ok := n.node(m.Src)
 	if !ok {
 		panic(fmt.Sprintf("noc: send from unattached node %d", m.Src))
 	}
-	dst, ok := n.nodes[m.Dst]
+	dst, ok := n.node(m.Dst)
 	if !ok {
 		panic(fmt.Sprintf("noc: send to unattached node %d", m.Dst))
 	}
@@ -368,6 +419,11 @@ func (n *Network) Send(m *msg.Message) {
 	t.sentAt = n.engine.Now()
 	t.dropped = dropped
 	t.yFirst = yFirst
+	if n.cfg.ChoiceDelivery {
+		t.fp = msg.Fingerprint(m)
+		n.flightSum += t.fp
+		n.flightCount++
+	}
 
 	// Injection through the local port of the source router.
 	n.traverse(t)
@@ -384,6 +440,7 @@ func transitHop(arg any, _ uint64) {
 func transitDeliver(arg any, _ uint64) {
 	t := arg.(*transit)
 	n, m, dropped, sentAt := t.net, t.m, t.dropped, t.sentAt
+	n.landed(t)
 	n.putTransit(t)
 	if dropped {
 		n.rec.MessageDropped(m)
@@ -403,9 +460,19 @@ func transitDeliver(arg any, _ uint64) {
 func transitDropChoice(arg any, _ uint64) {
 	t := arg.(*transit)
 	n, m := t.net, t.m
+	n.landed(t)
 	n.putTransit(t)
 	n.rec.MessageDropped(m)
 	msg.Recycle(m)
+}
+
+// landed removes a transit's message from the in-flight multiset as it
+// leaves the network, delivered or lost.
+func (n *Network) landed(t *transit) {
+	if n.cfg.ChoiceDelivery {
+		n.flightSum -= t.fp
+		n.flightCount--
+	}
 }
 
 // channelKey packs a message's point-to-point ordered channel identity —
@@ -439,7 +506,7 @@ func (n *Network) traverse(t *transit) {
 		if n.cfg.ChoiceDelivery && !t.dropped {
 			// Injector-dropped messages are already lost; only real
 			// deliveries become model-checking choices.
-			n.engine.ScheduleChoiceAt(at, transitDeliver, transitDropChoice, t, 0, channelKey(t.m), msg.Fingerprint(t.m))
+			n.engine.ScheduleChoiceAt(at, transitDeliver, transitDropChoice, t, 0, channelKey(t.m), t.fp)
 			return
 		}
 		n.engine.ScheduleCallAt(at, transitDeliver, t, 0)

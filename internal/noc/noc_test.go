@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +84,50 @@ func TestAttachErrors(t *testing.T) {
 	}
 	if err := n.Attach(3, 0, nil); err == nil {
 		t.Error("nil handler accepted")
+	}
+	// Node IDs index the node table and pack into 16-bit channel keys.
+	for _, id := range []msg.NodeID{0, -1, math.MinInt16, math.MaxUint16 + 1} {
+		if err := n.Attach(id, 0, h); err == nil {
+			t.Errorf("node ID %d accepted", id)
+		}
+	}
+	if err := n.Attach(math.MaxUint16, 3, h); err != nil {
+		t.Fatalf("largest node ID rejected: %v", err)
+	}
+	if r, ok := n.RouterOf(math.MaxUint16); !ok || r != 3 {
+		t.Errorf("RouterOf(largest ID) = %d, %t; want 3, true", r, ok)
+	}
+}
+
+// TestUnattachedLookups: RouterOf and Hops on IDs never attached — zero,
+// negative, between attached IDs, and past the node table — report
+// false and 0 rather than panicking.
+func TestUnattachedLookups(t *testing.T) {
+	e := sim.NewEngine()
+	n, err := New(e, testConfig(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := func(*msg.Message) {}
+	if err := n.Attach(1, 0, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Attach(4, 15, h); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Hops(1, 4); got != 6 {
+		t.Fatalf("Hops(1, 4) = %d, want 6", got)
+	}
+	for _, id := range []msg.NodeID{0, -1, 2, 3, 5, 1 << 20} {
+		if r, ok := n.RouterOf(id); ok || r != 0 {
+			t.Errorf("RouterOf(%d) = %d, %t; want 0, false", id, r, ok)
+		}
+		if got := n.Hops(1, id); got != 0 {
+			t.Errorf("Hops(1, %d) = %d, want 0", id, got)
+		}
+		if got := n.Hops(id, 4); got != 0 {
+			t.Errorf("Hops(%d, 4) = %d, want 0", id, got)
+		}
 	}
 }
 
@@ -384,5 +429,65 @@ func TestRouterOf(t *testing.T) {
 	}
 	if _, ok := n.RouterOf(99); ok {
 		t.Fatal("unattached node resolved")
+	}
+}
+
+// alternateChooser takes the first choice at every choice point, losing
+// every other one.
+type alternateChooser struct{ n, drops int }
+
+func (c *alternateChooser) Choose(_ uint64, choices []sim.Choice) sim.Decision {
+	c.n++
+	drop := c.n%2 == 0 && choices[0].CanDrop
+	if drop {
+		c.drops++
+	}
+	return sim.Decision{Index: 0, Drop: drop}
+}
+
+// TestInFlightSumAcrossExits: with ChoiceDelivery on, the in-flight sum
+// and count take every sent message in and every one out again, whichever
+// way it leaves — delivery, a loss chosen at its ejection, an injector
+// drop, a dead link on its path, or no path at Send.
+func TestInFlightSumAcrossExits(t *testing.T) {
+	cfg := testConfig()
+	cfg.ChoiceDelivery = true
+	rec := &capture{}
+	injector := func(m *msg.Message) bool { return m.Addr%3 == 1 } // drops 4 of the 12 to node 16
+	e, n, _ := buildNet(t, cfg, injector, rec)
+	ch := &alternateChooser{}
+	e.SetChooser(ch)
+	var sum uint64
+	send := func(m *msg.Message) {
+		sum += msg.Fingerprint(m)
+		n.Send(m)
+	}
+	for i := 0; i < 12; i++ {
+		send(&msg.Message{Type: msg.GetS, Src: msg.NodeID(i + 1), Dst: 16, Addr: msg.Addr(i)})
+	}
+	send(&msg.Message{Type: msg.GetS, Src: 16, Dst: 1, Addr: 0x80})
+	const sent = 13
+	if got, count := n.InFlight(); got != sum || count != sent {
+		t.Fatalf("after %d sends InFlight = (%#x, %d), want (%#x, %d)", sent, got, count, sum, sent)
+	}
+	// Cut router 0 off: the message on its way to node 1 is lost where it
+	// stands, and one sent from node 1 now is lost at Send without ever
+	// counting.
+	n.KillLink(0, 1)
+	n.KillLink(0, 4)
+	n.Send(&msg.Message{Type: msg.GetS, Src: 1, Dst: 16, Addr: 0x40})
+	if got, count := n.InFlight(); got != sum || count != sent {
+		t.Fatalf("a message with no path counted: InFlight = (%#x, %d), want (%#x, %d)", got, count, sum, sent)
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, count := n.InFlight(); got != 0 || count != 0 {
+		t.Fatalf("drained network: InFlight = (%#x, %d), want (0, 0)", got, count)
+	}
+	// 4 injector drops, 1 dead link on the way, 1 with no path at Send.
+	if ch.drops == 0 || len(rec.delivered) == 0 || len(rec.dropped) != ch.drops+6 {
+		t.Fatalf("exits not all taken: %d delivered, %d dropped, %d of them chosen losses",
+			len(rec.delivered), len(rec.dropped), ch.drops)
 	}
 }

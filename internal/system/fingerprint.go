@@ -12,13 +12,16 @@ import (
 // Two states with equal fingerprints are treated as the same state by the
 // checker's revisit pruning, so the hash must be a pure function of
 // protocol state — in particular it must not depend on the order
-// InspectLines happens to enumerate lines (Go map iteration), nor on the
-// simulation clock (the checker's untimed abstraction identifies states
-// that differ only in timing).
+// InspectLines happens to enumerate lines (the memory controllers and the
+// token homes still enumerate Go maps), nor on the simulation clock (the
+// checker's untimed abstraction identifies states that differ only in
+// timing). Each line is visited once per fingerprint: the one walk feeds
+// both the per-agent line sums and the memory image.
 //
 // The in-flight message multiset — the other half of a model-checking
-// state — is tracked incrementally by the checker through
-// Config.ExtraRecorder and combined with this fingerprint there.
+// state — is kept by the network itself (noc.Network.InFlight: each
+// message's msg.Fingerprint is computed once, at Send) and combined with
+// this fingerprint by the checker.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -70,13 +73,19 @@ func lineFingerprint(v proto.LineView) uint64 {
 // progress and the memory image. Per-agent line hashes are combined by
 // commutative addition (InspectLines order varies run to run); the
 // per-agent sums are then folded in the deterministic agent construction
-// order, so state at L1 0 and state at L1 1 do not cancel. The per-line
-// accumulator (fpLine, summing into fpSum) is bound once by New, so a
-// fingerprint builds no closure per agent.
+// order, so state at L1 0 and state at L1 1 do not cancel. Each agent's
+// lines are walked once: the per-line accumulator (fpLine, bound once by
+// New, so a fingerprint builds no closure per agent) adds the line's hash
+// to fpSum and gathers the owner views of live agents into the memory
+// image, which is then sorted and hashed exactly as MemoryImageHash does.
 func (s *System) StateFingerprint() uint64 {
 	h := uint64(fnvOffset64)
+	s.image = s.image[:0]
 	for _, a := range s.agents {
 		s.fpSum = 0
+		// A dead agent's lines still count as state, but not toward the
+		// memory image (see memoryImage).
+		s.fpImage = !s.deadNodes[a.NodeID()]
 		a.InspectLines(s.fpLine)
 		h = fnvMix(h, s.fpSum)
 	}
@@ -87,6 +96,6 @@ func (s *System) StateFingerprint() uint64 {
 		}
 		h = fnvMix(h, progress)
 	}
-	h = fnvMix(h, s.MemoryImageHash())
+	h = fnvMix(h, imageHash(s.sortImage()))
 	return h
 }

@@ -6,8 +6,10 @@
 package system
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/workload"
 )
 
@@ -103,6 +105,65 @@ func TestResetBeginOpsAllocsPin(t *testing.T) {
 			if n != 0 {
 				t.Errorf("%v/%s: Reset then BeginOps: %.0f allocs, want 0", p, w.Name(), n)
 			}
+		}
+	}
+}
+
+// TestResetPathAcrossGCAllocsPin: a path run on a reset system allocates
+// as much with two collections forced before it as without. The L1s keep
+// their deferred hit completions on freelists of their own
+// (proto.DeferredResults), which a collection leaves alone; with the
+// records in a sync.Pool, which a collection empties (its victim cache
+// outlives one), every path after the collections built its records
+// again. Message pooling is off here, so every message allocates on both
+// sides alike: the msg pool is a sync.Pool by design (see
+// docs/PERFORMANCE.md). A map cleared by Reset draws a new hash seed, so
+// a path now and then allocates a few more times as a map rehashes; the
+// pin compares the least count of ten paths on each side.
+func TestResetPathAcrossGCAllocsPin(t *testing.T) {
+	msg.SetPooling(false)
+	defer msg.SetPooling(true)
+	for _, p := range []Protocol{DirCMP, FtDirCMP, TokenCMP, FtTokenCMP} {
+		cfg := smallConfig(p)
+		w := workload.Suite()[0]
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := workload.PerCore(w, cfg.Tiles(), cfg.OpsPerCore, cfg.Seed)
+		path := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := s.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			s.BeginOps(w.Name(), ops)
+			if err := s.Engine().Run(cfg.Limit); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if !s.AllDone() {
+				t.Fatalf("%v: path did not complete", p)
+			}
+			return after.Mallocs - before.Mallocs
+		}
+		least := func(collect bool) uint64 {
+			n := ^uint64(0)
+			for i := 0; i < 10; i++ {
+				if collect {
+					runtime.GC()
+					runtime.GC()
+				}
+				n = min(n, path())
+			}
+			return n
+		}
+		path() // the first path sizes every freelist
+		quiet, collected := least(false), least(true)
+		t.Logf("%v/%s: %d allocations per path, %d after two collections", p, w.Name(), quiet, collected)
+		if collected != quiet {
+			t.Errorf("%v/%s: a reset path allocated %d times after two collections, %d without",
+				p, w.Name(), collected, quiet)
 		}
 	}
 }

@@ -127,10 +127,11 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// ExtraRecorder, when non-nil, is fanned network events alongside the
-	// statistics and obs recorders. Only the model checker sets it, to
-	// track the in-flight message multiset incrementally (see internal/mc);
-	// a message log is an Obs recorder with the message feed on (see
-	// obs.WireLog).
+	// statistics and obs recorders. Only the model checker's replay sets
+	// it, to render the messages a counterexample delivers or loses (see
+	// internal/mc); the in-flight message multiset is kept by the network
+	// itself, and a message log is an Obs recorder with the message feed
+	// on (see obs.WireLog).
 	ExtraRecorder noc.Recorder
 
 	// Cancel, when non-nil, aborts the simulation when it becomes
@@ -231,9 +232,12 @@ type System struct {
 	memByID map[msg.NodeID]*core.Mem
 
 	// Per-line accumulators bound once by New, so fingerprinting builds no
-	// closure per agent: fpLine adds one line's hash to fpSum, imageLine
-	// appends an owner view to image (reused scratch, see memoryImage).
+	// closure per agent: imageLine appends an owner view to image (reused
+	// scratch, see memoryImage); fpLine adds one line's hash to fpSum and,
+	// while fpImage is set (the agent is alive), does what imageLine does,
+	// so StateFingerprint walks every line once.
 	fpSum     uint64
+	fpImage   bool
 	fpLine    func(proto.LineView)
 	image     []imageEntry
 	imageLine func(proto.LineView)
@@ -315,7 +319,12 @@ func New(cfg Config) (*System, error) {
 		agents: make([]agent, 0, agents),
 		store:  memctrl.NewStore(),
 	}
-	s.fpLine = func(v proto.LineView) { s.fpSum += lineFingerprint(v) }
+	s.fpLine = func(v proto.LineView) {
+		s.fpSum += lineFingerprint(v)
+		if v.Owner && s.fpImage {
+			s.image = append(s.image, imageEntry{v.Addr, v.Payload.Version})
+		}
+	}
 	s.imageLine = func(v proto.LineView) {
 		if v.Owner {
 			s.image = append(s.image, imageEntry{v.Addr, v.Payload.Version})
@@ -489,6 +498,10 @@ func memRouter(cfg Config, i int) int {
 
 // Engine exposes the simulation clock (for tests and tools).
 func (s *System) Engine() *sim.Engine { return s.engine }
+
+// Network exposes the interconnect; the model checker reads its in-flight
+// message multiset (noc.Network.InFlight).
+func (s *System) Network() *noc.Network { return s.net }
 
 // Stats exposes the run statistics.
 func (s *System) Stats() *stats.Run { return s.run }
@@ -832,6 +845,12 @@ func (s *System) memoryImage() []imageEntry {
 		}
 		a.InspectLines(s.imageLine)
 	}
+	return s.sortImage()
+}
+
+// sortImage turns the owner views gathered in s.image into the memory
+// image: sorted by address, keeping each address's highest version.
+func (s *System) sortImage() []imageEntry {
 	slices.SortFunc(s.image, func(a, b imageEntry) int {
 		return cmp.Or(cmp.Compare(a.addr, b.addr), cmp.Compare(a.version, b.version))
 	})
@@ -850,9 +869,15 @@ func (s *System) memoryImage() []imageEntry {
 // MemoryImageHash condenses MemoryImage into one FNV-1a hash over the
 // sorted (address, version) pairs, for cheap cross-run comparison.
 func (s *System) MemoryImageHash() uint64 {
+	return imageHash(s.memoryImage())
+}
+
+// imageHash is MemoryImageHash over an image memoryImage or sortImage
+// built.
+func imageHash(image []imageEntry) uint64 {
 	h := fnv.New64a()
 	var buf [16]byte
-	for _, e := range s.memoryImage() {
+	for _, e := range image {
 		put64(buf[:8], uint64(e.addr))
 		put64(buf[8:], e.version)
 		h.Write(buf[:])

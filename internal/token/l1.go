@@ -61,6 +61,7 @@ type L1 struct {
 
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
+	results proto.DeferredResults // hit completions in flight
 }
 
 // blockedEntry: we received the owner token and owe/await the backup
@@ -135,6 +136,7 @@ func (l *L1) Reset() {
 	clear(l.serials)
 	clear(l.recStash)
 	l.array.Reset()
+	l.results.Reset()
 }
 
 // stopTimer stops t unless it was never created.
@@ -166,7 +168,7 @@ func (l *L1) Read(addr msg.Addr, done func(proto.AccessResult)) {
 			Hit: true, Value: line.Payload.Value, Version: line.Payload.Version,
 			Latency: l.params.L1HitLatency,
 		}
-		proto.DeferResult(l.engine, l.params.L1HitLatency, done, res)
+		proto.DeferResult(&l.results, l.engine, l.params.L1HitLatency, done, res)
 		return
 	}
 	if e := l.mshr.Get(addr); e != nil {
@@ -194,7 +196,7 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 			Hit: true, Value: value, Version: line.Payload.Version,
 			Latency: l.params.L1HitLatency,
 		}
-		proto.DeferResult(l.engine, l.params.L1HitLatency, done, res)
+		proto.DeferResult(&l.results, l.engine, l.params.L1HitLatency, done, res)
 		return
 	}
 	if e := l.mshr.Get(addr); e != nil {

@@ -151,7 +151,7 @@ func TestDocsPerformanceMatchesCode(t *testing.T) {
 	doc := string(data)
 	for _, want := range []string{
 		"REPRO_NOPOOL", "msg.SetPooling", "msg.NewMessage", "msg.Recycle",
-		"StartCall", "proto.DeferResult", "msg.EncodeAppend",
+		"Timer.Start", "proto.DeferResult", "msg.EncodeAppend",
 		"TestPoolingOffGoldenIdentity", "TestFig3QuickAllocsPin",
 		"TestDisabledInstrumentationZeroAlloc",
 	} {

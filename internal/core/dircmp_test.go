@@ -156,8 +156,13 @@ type loopNet struct {
 
 func (n *loopNet) Send(m *msg.Message) {
 	n.sent = append(n.sent, *m)
-	h := n.handlers[m.Dst]
-	n.engine.Schedule(1, func() { h(m) })
+	n.engine.ScheduleCall(1, n.deliver, m, 0)
+}
+
+// deliver is the delivery event: arg is the message.
+func (n *loopNet) deliver(arg any, _ uint64) {
+	m := arg.(*msg.Message)
+	n.handlers[m.Dst](m)
 }
 
 // dirSystem wires four L1s, four L2 banks and two memory controllers over

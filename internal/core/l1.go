@@ -13,7 +13,7 @@ import (
 // carries the request serial number and the lost-request timer.
 //
 // owner/addr are back-references set at Alloc so the entry itself can be the
-// argument of a package-level timer callback (Timer.StartCall); arming a
+// argument of a package-level timer handler (Timer.Start); arming a
 // timeout then allocates nothing.
 type l1Miss struct {
 	owner *L1
@@ -47,7 +47,7 @@ type l1Miss struct {
 	acksSeen      int
 
 	done    func(proto.AccessResult)
-	waiters []func()
+	waiters []proto.Access
 }
 
 // usedSN reports whether this miss has used sn in any of its attempts.
@@ -79,7 +79,7 @@ type l1WB struct {
 
 	putTimer    sim.Timer
 	backupTimer sim.Timer
-	waiters     []func()
+	waiters     []proto.Access
 }
 
 // backupEntry is a backup copy kept after sending owned data to another L1
@@ -152,7 +152,7 @@ type L1 struct {
 	tids    proto.TIDSource
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
-	results proto.DeferredResults // hit completions in flight
+	results proto.DeferredResults // hit completions and retries in flight
 
 	// domains is the structural-fault failure detector (nil without
 	// structural faults); halted is set when this tile dies.
@@ -312,9 +312,7 @@ func (l *L1) Read(addr msg.Addr, done func(proto.AccessResult)) {
 		return
 	}
 	if ws := l.waiters(addr); ws != nil {
-		// The retry closure is built only for a deferred access, so a
-		// miss that starts at once allocates none.
-		*ws = append(*ws, func() { l.Read(addr, done) })
+		*ws = append(*ws, proto.Access{Addr: addr, Done: done})
 		return
 	}
 	l.run.Proto.ReadMisses++
@@ -349,7 +347,7 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 		return
 	}
 	if ws := l.waiters(addr); ws != nil {
-		*ws = append(*ws, func() { l.Write(addr, value, done) })
+		*ws = append(*ws, proto.Access{Write: true, Addr: addr, Value: value, Done: done})
 		return
 	}
 	l.run.Proto.WriteMisses++
@@ -359,7 +357,7 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 // waiters returns the waiter list of the miss or writeback in progress on
 // addr, where an access to the line waits for it to end, or nil when a new
 // miss may start.
-func (l *L1) waiters(addr msg.Addr) *[]func() {
+func (l *L1) waiters(addr msg.Addr) *[]proto.Access {
 	if e := l.mshr.Get(addr); e != nil {
 		return &e.waiters
 	}
@@ -374,13 +372,7 @@ func (l *L1) waiters(addr msg.Addr) *[]func() {
 func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.AccessResult)) {
 	e := l.mshr.Alloc(addr)
 	if e == nil {
-		l.engine.Schedule(1, func() {
-			if write {
-				l.Write(addr, value, done)
-			} else {
-				l.Read(addr, done)
-			}
-		})
+		proto.Retry(&l.results, l.engine, 1, l, proto.Access{Write: write, Addr: addr, Value: value, Done: done})
 		return
 	}
 	e.owner = l
@@ -398,7 +390,6 @@ func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.
 	}
 	l.send(&msg.Message{Type: e.reqType, Dst: l.homeL2(addr), Addr: addr, SN: e.sn, TID: e.tid})
 	if l.ft {
-		e.timer.Bind(l.engine)
 		l.armLostRequest(addr, e)
 	}
 }
@@ -406,7 +397,7 @@ func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.
 // armLostRequest starts (or restarts) the lost-request timeout: when it
 // fires, the request is reissued with a new serial number (§3.2).
 func (l *L1) armLostRequest(addr msg.Addr, e *l1Miss) {
-	e.timer.StartCall(sim.Backoff(l.params.LostRequestTimeout, e.attempts), lostRequestFired, e)
+	e.timer.Start(l.engine, sim.Backoff(l.params.LostRequestTimeout, e.attempts), lostRequestFired, e)
 }
 
 func lostRequestFired(arg any) {
@@ -613,7 +604,6 @@ func (l *L1) sendOwned(addr msg.Addr, m *msg.Message, payload msg.Payload, dirty
 		b = l.backups.Alloc(addr)
 		b.owner = l
 		b.addr = addr
-		b.timer.Bind(l.engine)
 		l.obs.BackupCreated("l1", l.id, addr, m.TID, m.Requestor)
 	}
 	b.payload = payload
@@ -632,7 +622,7 @@ func (l *L1) sendOwned(addr msg.Addr, m *msg.Message, payload msg.Payload, dirty
 // armBackup starts the backup timeout: a node stuck holding a backup pings
 // the receiver to learn whether the ownership transfer completed.
 func (l *L1) armBackup(addr msg.Addr, b *backupEntry) {
-	b.timer.StartCall(l.params.BackupTimeout, backupFired, b)
+	b.timer.Start(l.engine, l.params.BackupTimeout, backupFired, b)
 }
 
 func backupFired(arg any) {
@@ -690,13 +680,12 @@ func (l *L1) sendWbData(addr msg.Addr, w *l1WB, sn msg.SerialNumber) {
 		Type: msg.WbData, Dst: l.homeL2(addr), Addr: addr, SN: sn, TID: w.tid,
 		Payload: w.payload, Dirty: w.dirty,
 	})
-	w.backupTimer.Bind(l.engine)
 	l.armWbBackup(addr, w)
 }
 
 // armWbBackup pings the L2 if the AckO for our WbData never arrives.
 func (l *L1) armWbBackup(addr msg.Addr, w *l1WB) {
-	w.backupTimer.StartCall(l.params.BackupTimeout, wbBackupFired, w)
+	w.backupTimer.Start(l.engine, l.params.BackupTimeout, wbBackupFired, w)
 }
 
 func wbBackupFired(arg any) {
@@ -910,7 +899,6 @@ func (l *L1) tryComplete(addr msg.Addr, e *l1Miss) {
 		b.tid = e.tid
 		b.sn = e.sn
 		b.piggy = e.dataFrom == home && !l.params.DisablePiggyback
-		b.timer.Bind(l.engine)
 		l.run.Proto.AcksOSent++
 		if b.piggy {
 			l.run.Proto.PiggybackedAcksO++
@@ -961,7 +949,7 @@ func tryCompleteRetry(arg any, _ uint64) {
 // armLostAckBD starts the lost backup deletion acknowledgment timeout: on
 // firing, the AckO is reissued with a new serial number (§3.4).
 func (l *L1) armLostAckBD(addr msg.Addr, b *blockedEntry) {
-	b.timer.StartCall(l.params.LostAckBDTimeout, lostAckBDFired, b)
+	b.timer.Start(l.engine, l.params.LostAckBDTimeout, lostAckBDFired, b)
 }
 
 func lostAckBDFired(arg any) {
@@ -1043,7 +1031,6 @@ func (l *L1) evict(line *cache.Line, cause msg.TID) {
 	l.run.Proto.Writebacks++
 	l.send(&msg.Message{Type: msg.Put, Dst: l.homeL2(addr), Addr: addr, SN: w.sn, TID: w.tid})
 	if l.ft {
-		w.putTimer.Bind(l.engine)
 		l.armPutTimer(addr, w)
 	}
 	line.Valid = false
@@ -1051,7 +1038,7 @@ func (l *L1) evict(line *cache.Line, cause msg.TID) {
 
 // armPutTimer reissues a Put whose WbAck never arrived.
 func (l *L1) armPutTimer(addr msg.Addr, w *l1WB) {
-	w.putTimer.StartCall(sim.Backoff(l.params.LostRequestTimeout, w.attempts), putTimerFired, w)
+	w.putTimer.Start(l.engine, sim.Backoff(l.params.LostRequestTimeout, w.attempts), putTimerFired, w)
 }
 
 func putTimerFired(arg any) {
@@ -1095,9 +1082,10 @@ func (l *L1) stale(withMSHR bool) {
 	}
 }
 
-func (l *L1) wake(waiters []func()) {
-	for _, w := range waiters {
-		l.engine.Schedule(0, w)
+// wake reissues the accesses that waited for a miss or writeback to end.
+func (l *L1) wake(waiters []proto.Access) {
+	for _, a := range waiters {
+		proto.Retry(&l.results, l.engine, 0, l, a)
 	}
 }
 

@@ -68,7 +68,7 @@ func memStatePhaseName(owned bool, p int) string {
 // memTrans is a per-line memory transaction.
 //
 // owner/addr are back-references set at Alloc so the record itself can be
-// the argument of a package-level timer callback (Timer.StartCall); arming a
+// the argument of a package-level timer handler (Timer.Start); arming a
 // timeout then allocates nothing. pingType is the ping the pingTimer sends
 // on firing (UnblockPing or WbPing).
 type memTrans struct {
@@ -300,8 +300,7 @@ func (c *Mem) resendResponse(addr msg.Addr, t *memTrans) {
 // unblock timeout and UnblockPing in the memory controller too").
 func (c *Mem) armPing(addr msg.Addr, t *memTrans, ping msg.Type) {
 	t.pingType = ping
-	t.pingTimer.Bind(c.engine)
-	t.pingTimer.StartCall(c.params.LostUnblockTimeout, memPingFired, t)
+	t.pingTimer.Start(c.engine, c.params.LostUnblockTimeout, memPingFired, t)
 }
 
 func memPingFired(arg any) {
@@ -368,8 +367,7 @@ func (c *Mem) handleWbData(m *msg.Message) {
 }
 
 func (c *Mem) armAckBD(addr msg.Addr, t *memTrans) {
-	t.ackBDTimer.Bind(c.engine)
-	t.ackBDTimer.StartCall(c.params.LostAckBDTimeout, memAckBDFired, t)
+	t.ackBDTimer.Start(c.engine, c.params.LostAckBDTimeout, memAckBDFired, t)
 }
 
 func memAckBDFired(arg any) {

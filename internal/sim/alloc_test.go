@@ -9,20 +9,19 @@ import "testing"
 
 // TestEngineSteadyStateAllocs pins the allocation-free hot path: once the
 // slab and the overflow heap have grown to the working set, scheduling
-// (closure and call forms, near and far), re-arming a timer and stepping
-// allocate nothing.
+// (near and far), arming and re-arming a timer and stepping allocate
+// nothing.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
-	tm := NewTimer(e)
-	nop := func() {}
+	tm := &Timer{}
 	call := func(any, uint64) {}
 	fire := func(any) {}
 	round := func() {
-		e.Schedule(3, nop)
+		e.ScheduleCall(3, call, nil, 0)
 		e.ScheduleCall(5, call, tm, 1)
 		e.ScheduleCall(300, call, tm, 2)
-		tm.StartCall(2048, fire, tm)
-		tm.Restart(4000)
+		tm.Start(e, 2048, fire, tm)
+		tm.Start(e, 4000, fire, tm)
 		for e.Pending() > 3 {
 			e.Step()
 		}

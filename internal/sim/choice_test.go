@@ -136,12 +136,10 @@ func TestSchedulePastPanicMessages(t *testing.T) {
 	}
 
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleCall(10, nop, nil, 0)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic("ScheduleAt", func() { e.ScheduleAt(4, func() {}) },
-		"ScheduleAt(4)", "6 cycles in the past", "current cycle 10")
 	mustPanic("ScheduleCallAt", func() { e.ScheduleCallAt(3, func(any, uint64) {}, nil, 42) },
 		"ScheduleCallAt(3)", "7 cycles in the past", "current cycle 10", "event tick 42")
 	mustPanic("ScheduleChoiceAt", func() { e.ScheduleChoiceAt(3, func(any, uint64) {}, nil, nil, 42, 1, 0) },

@@ -109,7 +109,8 @@ type compactHarness struct {
 	rng    *rand.Rand
 	e      *Engine
 	ref    refQueue
-	timers []*Timer
+	timers []Timer
+	ctxs   []timerCtx
 	nextID int
 	fired  int
 	// superseded counts the live timer events cancelled by a re-arm or
@@ -120,9 +121,10 @@ type compactHarness struct {
 const timerIDBase = 1 << 20
 
 func newCompactHarness(t *testing.T, seed int64, timers int) *compactHarness {
-	h := &compactHarness{t: t, rng: rand.New(rand.NewSource(seed)), e: NewEngine()}
-	for i := 0; i < timers; i++ {
-		h.timers = append(h.timers, NewTimer(h.e))
+	h := &compactHarness{t: t, rng: rand.New(rand.NewSource(seed)), e: NewEngine(),
+		timers: make([]Timer, timers), ctxs: make([]timerCtx, timers)}
+	for i := range h.ctxs {
+		h.ctxs[i] = timerCtx{h, i}
 	}
 	return h
 }
@@ -148,6 +150,9 @@ func timerCallFire(arg any) {
 	c.h.fire(timerIDBase + c.idx)
 }
 
+// plainFire is every plain and choice event: tick is its id.
+func plainFire(arg any, tick uint64) { arg.(*compactHarness).fire(int(tick)) }
+
 type timerCtx struct {
 	h   *compactHarness
 	idx int
@@ -160,35 +165,25 @@ func (h *compactHarness) op() {
 	case k < 2: // plain event
 		h.nextID++
 		id := h.nextID
-		h.e.Schedule(delay, func() { h.fire(id) })
+		h.e.ScheduleCall(delay, plainFire, h, uint64(id))
 		h.ref.add(h.e.Now()+delay, id, -1)
 	case k < 3: // choice event, fired in timestamp order without a chooser
 		h.nextID++
 		id := h.nextID
-		h.e.ScheduleChoiceAt(h.e.Now()+delay, func(any, uint64) { h.fire(id) }, nil, nil, 0, uint64(id%4), 0)
+		h.e.ScheduleChoiceAt(h.e.Now()+delay, plainFire, nil, h, uint64(id), uint64(id%4), 0)
 		h.ref.add(h.e.Now()+delay, id, -1)
-	default: // timer operation
+	default: // timer operation: three (re-)arms to one Stop
 		i := h.rng.Intn(len(h.timers))
-		tm := h.timers[i]
+		tm := &h.timers[i]
 		if h.ref.cancel(i) {
 			h.superseded++
 		}
-		switch h.rng.Intn(4) {
-		case 0:
-			tm.Start(delay, func() { h.fire(timerIDBase + i) })
-		case 1:
-			tm.StartCall(delay, timerCallFire, &timerCtx{h, i})
-		case 2:
-			if tm.fire == nil && tm.fn == nil {
-				tm.StartCall(delay, timerCallFire, &timerCtx{h, i})
-			} else {
-				tm.Restart(delay)
-			}
-		case 3:
+		if h.rng.Intn(4) == 3 {
 			tm.Stop()
 			h.check()
 			return
 		}
+		tm.Start(h.e, delay, timerCallFire, &h.ctxs[i])
 		h.ref.add(h.e.Now()+delay, timerIDBase+i, i)
 	}
 	h.check()
@@ -316,7 +311,7 @@ func TestCompactionRebuildsHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		e := NewEngine()
-		tm := NewTimer(e)
+		tm := &Timer{engine: e}
 		liveN := 0
 		for i, n := 0, rng.Intn(300); i < n; i++ {
 			at := uint64(ringSize + rng.Intn(50))

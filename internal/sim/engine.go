@@ -30,9 +30,11 @@
 //
 // The queue depth counts live events only: the timer events a re-arm or
 // Stop leaves behind are compacted out of both structures once they make
-// up half of it (see compact). Callers that would otherwise allocate a
-// closure per event can use ScheduleCall, which carries a pointer-shaped
-// argument and a tick through the event instead of capturing them.
+// up half of it (see compact).
+//
+// Every event is a handler, an argument and a tick (ScheduleCall): the
+// handler is package-level or built once by its owner, and the argument
+// carries the state, so a queued event is data, not a closure.
 //
 // Besides the raw event queue the package provides the two utilities the
 // protocols build their behaviour from: Timer, a restartable one-shot
@@ -68,11 +70,6 @@ func HeapStats() (pushes, grows uint64) {
 // event queue drains. Callers typically treat this as a deadlock or as an
 // over-long simulation, depending on context.
 var ErrLimitReached = errors.New("sim: cycle limit reached")
-
-// runFunc adapts a plain func() stored in arg to the event callback shape.
-// Boxing a func value into an interface stores its (pointer-shaped) value
-// directly, so Schedule stays allocation-free beyond the caller's closure.
-func runFunc(arg any, _ uint64) { arg.(func())() }
 
 // Engine is a deterministic discrete-event simulator clocked in cycles.
 // The zero value is not usable; create one with NewEngine.
@@ -143,27 +140,12 @@ func (e *Engine) EventsExecuted() uint64 { return e.events }
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queued }
 
-// Schedule runs fn delay cycles from now. A delay of zero runs fn later in
-// the current cycle (after all events already scheduled for this cycle).
-func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.schedule(e.now+delay, runFunc, fn, 0)
-}
-
-// ScheduleAt runs fn at absolute cycle at. Scheduling in the past is a
-// programming error and panics.
-func (e *Engine) ScheduleAt(at uint64, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: ScheduleAt(%d) is %d cycles in the past (current cycle %d)", at, e.now-at, e.now))
-	}
-	e.schedule(at, runFunc, fn, 0)
-}
-
-// ScheduleCall runs fn(arg, tick) delay cycles from now. Unlike Schedule it
-// needs no closure: fn is typically a package-level function and arg a
-// long-lived (often pooled) object, so scheduling allocates nothing —
-// pointer-shaped args box into the event's interface field without a heap
-// allocation. tick rides along untouched (a Timer's own firings use it
-// for the arming epoch).
+// ScheduleCall runs fn(arg, tick) delay cycles from now; a delay of zero
+// runs it after every event already scheduled for this cycle. Scheduling
+// allocates nothing: arg, typically a long-lived (often pooled) object,
+// is pointer-shaped and boxes into the event without a heap allocation.
+// tick rides along untouched (a Timer's own firings use it for the arming
+// epoch).
 func (e *Engine) ScheduleCall(delay uint64, fn func(arg any, tick uint64), arg any, tick uint64) {
 	e.schedule(e.now+delay, fn, arg, tick)
 }

@@ -12,9 +12,9 @@ import (
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []uint64
+	record := func(_ any, tick uint64) { got = append(got, tick) }
 	for _, d := range []uint64{5, 1, 9, 3, 3, 0, 7} {
-		d := d
-		e.Schedule(d, func() { got = append(got, d) })
+		e.ScheduleCall(d, record, nil, d)
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -30,9 +30,9 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 func TestEngineFIFOWithinSameCycle(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	record := func(_ any, tick uint64) { got = append(got, int(tick)) }
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(4, func() { got = append(got, i) })
+		e.ScheduleCall(4, record, nil, uint64(i))
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -47,11 +47,12 @@ func TestEngineFIFOWithinSameCycle(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var times []uint64
-	e.Schedule(2, func() {
+	stamp := func(any, uint64) { times = append(times, e.Now()) }
+	e.ScheduleCall(2, func(any, uint64) {
 		times = append(times, e.Now())
-		e.Schedule(3, func() { times = append(times, e.Now()) })
-		e.Schedule(0, func() { times = append(times, e.Now()) })
-	})
+		e.ScheduleCall(3, stamp, nil, 0)
+		e.ScheduleCall(0, stamp, nil, 0)
+	}, nil, 0)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(100, func() { ran = true })
+	e.ScheduleCall(100, func(any, uint64) { ran = true }, nil, 0)
 	err := e.Run(50)
 	if !errors.Is(err, ErrLimitReached) {
 		t.Fatalf("err = %v, want ErrLimitReached", err)
@@ -89,7 +90,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(uint64(i), func() { count++ })
+		e.ScheduleCall(uint64(i), func(any, uint64) { count++ }, nil, 0)
 	}
 	ok := e.RunUntil(0, func() bool { return count >= 5 })
 	if !ok || count != 5 {
@@ -106,15 +107,18 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineRunUntilNeverSatisfied(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {})
+	e.ScheduleCall(1, nop, nil, 0)
 	if ok := e.RunUntil(0, func() bool { return false }); ok {
 		t.Fatal("predicate cannot be satisfied")
 	}
 }
 
+// nop is a handler that does nothing.
+func nop(any, uint64) {}
+
 func TestScheduleAtPanicsOnPast(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleCall(10, nop, nil, 0)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +127,13 @@ func TestScheduleAtPanicsOnPast(t *testing.T) {
 			t.Fatal("expected panic for past scheduling")
 		}
 	}()
-	e.ScheduleAt(5, func() {})
+	e.ScheduleCallAt(5, nop, nil, 0)
 }
 
 func TestEngineEventsExecuted(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.Schedule(uint64(i), func() {})
+		e.ScheduleCall(uint64(i), nop, nil, 0)
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -149,9 +153,9 @@ func TestEngineOrderProperty(t *testing.T) {
 			seq int
 		}
 		var got []rec
+		record := func(_ any, tick uint64) { got = append(got, rec{e.Now(), int(tick)}) }
 		for i, d := range delays {
-			i, d := i, uint64(d%1000)
-			e.Schedule(d, func() { got = append(got, rec{d, i}) })
+			e.ScheduleCall(uint64(d%1000), record, nil, uint64(i))
 		}
 		if err := e.Run(0); err != nil {
 			return false
@@ -173,9 +177,9 @@ func TestEngineOrderProperty(t *testing.T) {
 
 func TestTimerFires(t *testing.T) {
 	e := NewEngine()
-	tm := NewTimer(e)
+	var tm Timer
 	fired := false
-	tm.Start(10, func() { fired = true })
+	tm.Start(e, 10, func(any) { fired = true }, nil)
 	if !tm.Armed() {
 		t.Fatal("timer not armed")
 	}
@@ -192,9 +196,9 @@ func TestTimerFires(t *testing.T) {
 
 func TestTimerStopCancels(t *testing.T) {
 	e := NewEngine()
-	tm := NewTimer(e)
-	tm.Start(10, func() { t.Fatal("stopped timer fired") })
-	e.Schedule(5, tm.Stop)
+	var tm Timer
+	tm.Start(e, 10, func(any) { t.Fatal("stopped timer fired") }, nil)
+	e.ScheduleCall(5, func(arg any, _ uint64) { arg.(*Timer).Stop() }, &tm, 0)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +206,11 @@ func TestTimerStopCancels(t *testing.T) {
 
 func TestTimerRestartSupersedes(t *testing.T) {
 	e := NewEngine()
-	tm := NewTimer(e)
+	var tm Timer
 	var fired []string
-	tm.Start(10, func() { fired = append(fired, "first") })
-	e.Schedule(5, func() {
-		tm.Start(10, func() { fired = append(fired, "second") })
-	})
+	record := func(arg any) { fired = append(fired, arg.(string)) }
+	tm.Start(e, 10, record, "first")
+	e.ScheduleCall(5, func(any, uint64) { tm.Start(e, 10, record, "second") }, nil, 0)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +224,15 @@ func TestTimerRestartSupersedes(t *testing.T) {
 
 func TestTimerRepeatedRestart(t *testing.T) {
 	e := NewEngine()
-	tm := NewTimer(e)
+	var tm Timer
 	count := 0
-	var rearm func()
-	rearm = func() {
-		tm.Start(7, func() {
-			count++
-			if count < 5 {
-				rearm()
-			}
-		})
+	var fire func(any)
+	fire = func(any) {
+		if count++; count < 5 {
+			tm.Start(e, 7, fire, nil)
+		}
 	}
-	rearm()
+	tm.Start(e, 7, fire, nil)
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +348,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	fire := func(any) {}
 	timers := make([]Timer, 96)
 	for i := range timers {
-		timers[i].Bind(e)
-		timers[i].StartCall(mix[i]%3072+1024, fire, nil)
+		timers[i].Start(e, mix[i]%3072+1024, fire, nil)
 	}
 	for _, d := range mix[:32] {
 		e.ScheduleCall(d%8, call, nil, 0)
@@ -358,7 +357,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if d := mix[i&4095]; d >= 1024 {
-			timers[i%len(timers)].Restart(d)
+			timers[i%len(timers)].Start(e, d, fire, nil)
 		} else {
 			e.ScheduleCall(d, call, nil, 0)
 		}
@@ -375,8 +374,7 @@ func BenchmarkTimerRestartStop(b *testing.B) {
 	fire := func(any) {}
 	timers := make([]Timer, 96)
 	for i := range timers {
-		timers[i].Bind(e)
-		timers[i].StartCall(1024, fire, nil)
+		timers[i].Start(e, 1024, fire, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -385,7 +383,7 @@ func BenchmarkTimerRestartStop(b *testing.B) {
 		if i%4 == 3 {
 			tm.Stop()
 		} else {
-			tm.Restart(mix[i&4095]%3072 + 1024)
+			tm.Start(e, mix[i&4095]%3072+1024, fire, nil)
 		}
 	}
 }
@@ -403,9 +401,9 @@ func BenchmarkRNG(b *testing.B) {
 func TestEngineResetMatchesNew(t *testing.T) {
 	trace := func(e *Engine) []uint64 {
 		var got []uint64
+		record := func(_ any, tick uint64) { got = append(got, e.Now()<<8|tick) }
 		for i, d := range []uint64{3, 0, ringSize + 5, 3, 4096, 1} {
-			i := i
-			e.Schedule(d, func() { got = append(got, e.Now()<<8|uint64(i)) })
+			e.ScheduleCall(d, record, nil, uint64(i))
 		}
 		if err := e.Run(0); err != nil {
 			t.Fatal(err)
@@ -416,12 +414,11 @@ func TestEngineResetMatchesNew(t *testing.T) {
 
 	e := NewEngine()
 	var tm Timer
-	tm.Bind(e)
-	tm.Start(2*ringSize, func() { t.Error("a timer armed before Reset fired after it") })
+	tm.Start(e, 2*ringSize, func(any) { t.Error("a timer armed before Reset fired after it") }, nil)
 	for _, d := range []uint64{0, 7, ringSize, 3 * ringSize} {
-		e.Schedule(d, func() {})
+		e.ScheduleCall(d, nop, nil, 0)
 	}
-	e.ScheduleChoiceAt(1, runFunc, nil, func() {}, 0, 1, 0)
+	e.ScheduleChoiceAt(1, nop, nil, nil, 0, 1, 0)
 	e.SetChooser(haltChooser{})
 	if err := e.Run(0); err != nil || !e.Halted() || e.Pending() == 0 {
 		t.Fatalf("setup: Run = %v, halted %v, pending %d; want a halted engine with events queued", err, e.Halted(), e.Pending())

@@ -22,8 +22,7 @@ const (
 	ringMask = ringSize - 1
 )
 
-// slot is one queued event. fn is always set; arg and tick are the
-// ScheduleCall payload (nil/zero for plain closures, which travel in arg).
+// slot is one queued event: the handler fn with its argument and tick.
 // timer marks a Timer firing (arg is the *Timer, tick its arming epoch), so
 // compaction can recognise superseded ones. choice marks the event as a
 // model-checking decision point (see choice.go): key identifies its ordered

@@ -25,12 +25,11 @@ type Core struct {
 	done      bool
 	killed    bool
 
-	// The issue loop and completion callbacks are built once here: the core
-	// is in-order (one operation in flight), so a single prepared closure
-	// per path keeps the steady-state loop allocation-free. curAddr is the
+	// The completion callbacks are built once here: the core is in-order
+	// (one operation in flight), so a single prepared callback per access
+	// kind keeps the steady-state loop allocation-free. curAddr is the
 	// in-flight operation's line address, read by the completion callbacks.
 	curAddr msg.Addr
-	nextFn  func()
 	onRead  func(proto.AccessResult)
 	onWrite func(proto.AccessResult)
 }
@@ -47,7 +46,6 @@ func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
 		thinkTime: thinkTime,
 		integrity: integrity,
 	}
-	c.nextFn = c.next
 	c.onRead = func(res proto.AccessResult) {
 		if c.integrity != nil {
 			c.integrity.OnCoreRead(c.id, c.curAddr, res.Version, res.Value)
@@ -75,8 +73,11 @@ func (c *Core) restart(ops []workload.Op) {
 
 // Start schedules the first operation.
 func (c *Core) Start() {
-	c.engine.Schedule(0, c.nextFn)
+	c.engine.ScheduleCall(0, coreNext, c, 0)
 }
+
+// coreNext is the core's issue event: arg is the *Core.
+func coreNext(arg any, _ uint64) { arg.(*Core).next() }
 
 // Done reports whether every operation has issued and completed (or the
 // core was killed).
@@ -123,5 +124,5 @@ func (c *Core) completeOp() {
 		return
 	}
 	c.completed++
-	c.engine.Schedule(c.thinkTime, c.nextFn)
+	c.engine.ScheduleCall(c.thinkTime, coreNext, c, 0)
 }

@@ -88,9 +88,8 @@ func (s *System) armStructural() error {
 			return fmt.Errorf("system: link death %d-%d: routers are not adjacent in a %dx%d mesh",
 				a, b, s.cfg.MeshWidth, s.cfg.MeshHeight)
 		}
-		ld.Arm(func() {
-			s.engine.Schedule(0, func() { s.net.KillLink(a, b) })
-		})
+		link := uint64(a)<<32 | uint64(b)
+		ld.Arm(func() { s.engine.ScheduleCall(0, killLinkEvent, s, link) })
 	}
 
 	if len(tds) == 0 {
@@ -115,7 +114,7 @@ func (s *System) armStructural() error {
 		s.domains = proto.NewDomains(s.topo, func(tile int) {
 			s.recovery.Declared = true
 			s.recovery.DeclaredCycle = s.engine.Now()
-			s.engine.Schedule(0, s.reconstruct)
+			s.engine.ScheduleCall(0, reconstructEvent, s, 0)
 		})
 		for _, l1 := range s.l1s {
 			l1.SetDomains(s.domains)
@@ -130,10 +129,18 @@ func (s *System) armStructural() error {
 	td.Arm([]msg.NodeID{s.topo.L1(t), s.topo.L2(t)}, func() {
 		// Fired synchronously from inside a network Send; the kill runs as
 		// its own event so the in-progress handler finishes undisturbed.
-		s.engine.Schedule(0, s.killTile)
+		s.engine.ScheduleCall(0, killTileEvent, s, 0)
 	})
 	return nil
 }
+
+// The structural-fault events: arg is the *System; a link kill's tick
+// packs the two routers, a<<32 | b.
+func killLinkEvent(arg any, link uint64) {
+	arg.(*System).net.KillLink(int(link>>32), int(uint32(link)))
+}
+func reconstructEvent(arg any, _ uint64) { arg.(*System).reconstruct() }
+func killTileEvent(arg any, _ uint64)    { arg.(*System).killTile() }
 
 // killTile takes the armed tile death's effect at the injection cycle: the
 // victim core stops issuing, the victim controllers halt (FtDirCMP; DirCMP

@@ -13,8 +13,12 @@ import (
 
 // homeLine is the home node's per-line record: the memory-side token pool
 // and data, the persistent-request arbitration, and (FtTokenCMP) the token
-// serial number and recreation state.
+// serial number and recreation state. home/addr let the record be its
+// timers' handler argument.
 type homeLine struct {
+	home *Home
+	addr msg.Addr
+
 	tokens  int
 	owner   bool
 	data    msg.Payload
@@ -24,7 +28,7 @@ type homeLine struct {
 	// Persistent-request arbitration (centralized at the home node).
 	active      msg.NodeID
 	queue       []msg.NodeID
-	activeTimer *sim.Timer
+	activeTimer sim.Timer
 
 	// FtTokenCMP.
 	serial     msg.SerialNumber
@@ -33,7 +37,7 @@ type homeLine struct {
 	freshest   msg.Payload
 	freshDirty bool
 	haveFresh  bool
-	recTimer   *sim.Timer
+	recTimer   sim.Timer
 }
 
 // Home is a token-protocol home node, one per tile: the memory-side token
@@ -51,6 +55,9 @@ type Home struct {
 
 	totalTokens int
 	lines       map[msg.Addr]*homeLine
+	spare       []*homeLine // dropped by Reset, for line to reuse
+
+	sendDelayed func(arg any, _ uint64) // sends a grant the storage latency delayed
 }
 
 var _ proto.Inspectable = (*Home)(nil)
@@ -69,6 +76,7 @@ func NewHome(id msg.NodeID, topo proto.Topology, params proto.Params, engine *si
 		totalTokens: topo.Tiles,
 		lines:       make(map[msg.Addr]*homeLine),
 	}
+	h.sendDelayed = func(arg any, _ uint64) { h.net.Send(arg.(*msg.Message)) }
 	h.Reset()
 	return h
 }
@@ -78,8 +86,9 @@ func NewHome(id msg.NodeID, topo proto.Topology, params proto.Params, engine *si
 // again with all tokens and zero data. The observer stays attached.
 func (h *Home) Reset() {
 	for _, ln := range h.lines {
-		stopTimer(ln.activeTimer)
-		stopTimer(ln.recTimer)
+		ln.activeTimer.Stop()
+		ln.recTimer.Stop()
+		h.spare = append(h.spare, ln)
 	}
 	clear(h.lines)
 }
@@ -105,7 +114,16 @@ func (h *Home) Quiesced() bool {
 func (h *Home) line(addr msg.Addr) *homeLine {
 	ln := h.lines[addr]
 	if ln == nil {
-		ln = &homeLine{tokens: h.totalTokens, owner: true}
+		if n := len(h.spare); n > 0 {
+			ln = h.spare[n-1]
+			h.spare = h.spare[:n-1]
+		} else {
+			ln = new(homeLine)
+		}
+		// A recycled record keeps its timers, whose epochs make firings
+		// from its previous life dead, and its queue's capacity.
+		*ln = homeLine{home: h, addr: addr, tokens: h.totalTokens, owner: true,
+			queue: ln.queue[:0], activeTimer: ln.activeTimer, recTimer: ln.recTimer}
 		h.lines[addr] = ln
 	}
 	return ln
@@ -186,7 +204,10 @@ func (h *Home) sendAfter(delay uint64, m *msg.Message) {
 		h.send(m)
 		return
 	}
-	h.engine.Schedule(delay, func() { h.send(m) })
+	pm := msg.NewMessage()
+	*pm = *m
+	pm.Src = h.id
+	h.engine.ScheduleCall(delay, h.sendDelayed, pm, 0)
 }
 
 // handleTrGetX sends every token the home holds.
@@ -288,35 +309,32 @@ func (h *Home) activateNext(addr msg.Addr, ln *homeLine) {
 		h.grantAll(addr, ln, ln.active)
 	}
 	if h.ft {
-		h.armActiveTimer(addr, ln)
+		ln.activeTimer.Start(h.engine, h.params.LostUnblockTimeout, activeTimerFired, ln)
 	}
 }
 
-// armActiveTimer guards a lost PersistentDeact (FtTokenCMP): ping the
+// activeTimerFired guards a lost PersistentDeact (FtTokenCMP): ping the
 // starver; if its miss completed it re-sends the deactivation.
-func (h *Home) armActiveTimer(addr msg.Addr, ln *homeLine) {
-	if ln.activeTimer == nil {
-		ln.activeTimer = sim.NewTimer(h.engine)
+func activeTimerFired(arg any) {
+	ln := arg.(*homeLine)
+	h, addr := ln.home, ln.addr
+	if ln.active == 0 {
+		return
 	}
-	ln.activeTimer.Start(h.params.LostUnblockTimeout, func() {
-		if ln.active == 0 {
-			return
-		}
-		h.run.Proto.LostUnblockTimeouts++
-		h.obs.TimeoutFired("home", h.id, addr, 0, obs.TimeoutLostUnblock)
-		h.send(&msg.Message{Type: msg.UnblockPing, Dst: ln.active, Addr: addr})
-		// Re-broadcast the authoritative activation: lost PersistentAct or
-		// PersistentDeact messages can leave nodes with stale entries that
-		// point at *different* starvers, making them forward the line's
-		// tokens at each other forever. Converging every table to the
-		// current starver breaks the cycle.
-		for i := 0; i < h.topo.Tiles; i++ {
-			h.send(&msg.Message{
-				Type: msg.PersistentAct, Dst: h.topo.L1(i), Addr: addr, Requestor: ln.active,
-			})
-		}
-		h.armActiveTimer(addr, ln)
-	})
+	h.run.Proto.LostUnblockTimeouts++
+	h.obs.TimeoutFired("home", h.id, addr, 0, obs.TimeoutLostUnblock)
+	h.send(&msg.Message{Type: msg.UnblockPing, Dst: ln.active, Addr: addr})
+	// Re-broadcast the authoritative activation: lost PersistentAct or
+	// PersistentDeact messages can leave nodes with stale entries that
+	// point at *different* starvers, making them forward the line's
+	// tokens at each other forever. Converging every table to the
+	// current starver breaks the cycle.
+	for i := 0; i < h.topo.Tiles; i++ {
+		h.send(&msg.Message{
+			Type: msg.PersistentAct, Dst: h.topo.L1(i), Addr: addr, Requestor: ln.active,
+		})
+	}
+	ln.activeTimer.Start(h.engine, h.params.LostUnblockTimeout, activeTimerFired, ln)
 }
 
 // handlePersistentDeact ends the active persistent request and broadcasts
@@ -327,9 +345,7 @@ func (h *Home) handlePersistentDeact(m *msg.Message) {
 		return // stale deactivation
 	}
 	ln.active = 0
-	if ln.activeTimer != nil {
-		ln.activeTimer.Stop()
-	}
+	ln.activeTimer.Stop()
 	for i := 0; i < h.topo.Tiles; i++ {
 		h.send(&msg.Message{Type: msg.PersistentDeact, Dst: h.topo.L1(i), Addr: m.Addr})
 	}
@@ -365,7 +381,7 @@ func (h *Home) handleRecreateReq(m *msg.Message) {
 	ln.owner = false
 	ln.acked.Clear()
 	h.broadcastRecreate(m.Addr, ln)
-	h.armRecreateTimer(m.Addr, ln)
+	ln.recTimer.Start(h.engine, h.params.LostUnblockTimeout, recreateTimerFired, ln)
 }
 
 func (h *Home) broadcastRecreate(addr msg.Addr, ln *homeLine) {
@@ -377,21 +393,18 @@ func (h *Home) broadcastRecreate(addr msg.Addr, ln *homeLine) {
 	}
 }
 
-// armRecreateTimer re-broadcasts the invalidation to nodes that have not
+// recreateTimerFired re-broadcasts the invalidation to nodes that have not
 // acknowledged (their RecreateInv or RecreateAck was lost).
-func (h *Home) armRecreateTimer(addr msg.Addr, ln *homeLine) {
-	if ln.recTimer == nil {
-		ln.recTimer = sim.NewTimer(h.engine)
+func recreateTimerFired(arg any) {
+	ln := arg.(*homeLine)
+	h, addr := ln.home, ln.addr
+	if !ln.recreating {
+		return
 	}
-	ln.recTimer.Start(h.params.LostUnblockTimeout, func() {
-		if !ln.recreating {
-			return
-		}
-		h.run.Proto.LostUnblockTimeouts++
-		h.obs.TimeoutFired("home", h.id, addr, 0, obs.TimeoutLostUnblock)
-		h.broadcastRecreate(addr, ln)
-		h.armRecreateTimer(addr, ln)
-	})
+	h.run.Proto.LostUnblockTimeouts++
+	h.obs.TimeoutFired("home", h.id, addr, 0, obs.TimeoutLostUnblock)
+	h.broadcastRecreate(addr, ln)
+	ln.recTimer.Start(h.engine, h.params.LostUnblockTimeout, recreateTimerFired, ln)
 }
 
 // handleRecreateAck collects a node's response; when everyone answered,

@@ -13,28 +13,49 @@ import (
 
 // tokenMiss is an outstanding transient request: the frame is allocated up
 // front and tokens accumulate into it until the permission is complete.
+// owner/addr let the entry be its timers' handler argument.
 type tokenMiss struct {
+	owner *L1
+	addr  msg.Addr
+
 	write    bool
 	value    uint64
 	issuedAt uint64
 
 	retries        int
 	persistentSent bool
-	timer          *sim.Timer // retry / escalation
-	lostTimer      *sim.Timer // FtTokenCMP: recreation trigger
+	timer          sim.Timer // retry / escalation
+	lostTimer      sim.Timer // FtTokenCMP: recreation trigger
 
 	done    func(proto.AccessResult)
-	waiters []func()
+	waiters []proto.Access
 }
 
 // backupEntry guards an owner-token transfer (FtTokenCMP): the data is kept
 // until the recipient's AckO.
 type backupEntry struct {
+	owner *L1
+	addr  msg.Addr
+
 	payload msg.Payload
 	dirty   bool
 	dest    msg.NodeID
 	sn      msg.SerialNumber
-	timer   *sim.Timer
+	timer   sim.Timer
+}
+
+// Reset hooks: stop the timers and carry them over (their epochs kill
+// firings left from the entry's previous life), as in the directory L1.
+
+func resetTokenMiss(e *tokenMiss) {
+	e.timer.Stop()
+	e.lostTimer.Stop()
+	*e = tokenMiss{timer: e.timer, lostTimer: e.lostTimer}
+}
+
+func resetBackup(b *backupEntry) {
+	b.timer.Stop()
+	*b = backupEntry{timer: b.timer}
 }
 
 // L1 is a token-coherence L1 cache controller (TokenCMP when ft is false,
@@ -59,17 +80,21 @@ type L1 struct {
 	blocked  map[msg.Addr]*blockedEntry
 	recStash map[msg.Addr]*recStash
 
+	spareBlocked []*blockedEntry // released by unblock, for acceptTokens
+
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
-	results proto.DeferredResults // hit completions in flight
+	results proto.DeferredResults // hit completions and retries in flight
 }
 
 // blockedEntry: we received the owner token and owe/await the backup
 // deletion handshake; the owner token must not move on until then.
 type blockedEntry struct {
+	owner  *L1
+	addr   msg.Addr
 	ackOTo msg.NodeID
 	sn     msg.SerialNumber
-	timer  *sim.Timer
+	timer  sim.Timer
 }
 
 // recStash remembers what this node answered to a RecreateInv so that a
@@ -103,10 +128,10 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		ft:          ft,
 		totalTokens: topo.Tiles,
 		array:       arr,
-		mshr:        cache.NewTable[tokenMiss](params.MSHRs),
+		mshr:        cache.NewTableReset[tokenMiss](params.MSHRs, resetTokenMiss),
 		persistent:  make(map[msg.Addr]msg.NodeID),
 		serials:     make(map[msg.Addr]msg.SerialNumber),
-		backups:     cache.NewTable[backupEntry](0),
+		backups:     cache.NewTableReset[backupEntry](0, resetBackup),
 		blocked:     make(map[msg.Addr]*blockedEntry),
 		recStash:    make(map[msg.Addr]*recStash),
 		onWrite:     onWrite,
@@ -121,29 +146,16 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 // persistent, serial and recreation tables are cleared. The observer
 // stays attached.
 func (l *L1) Reset() {
-	l.mshr.ForEach(func(_ msg.Addr, e *tokenMiss) {
-		stopTimer(e.timer)
-		stopTimer(e.lostTimer)
-	})
 	l.mshr.Reset()
-	l.backups.ForEach(func(_ msg.Addr, b *backupEntry) { stopTimer(b.timer) })
 	l.backups.Reset()
-	for _, b := range l.blocked {
-		stopTimer(b.timer)
+	for addr, b := range l.blocked {
+		l.unblock(addr, b)
 	}
-	clear(l.blocked)
 	clear(l.persistent)
 	clear(l.serials)
 	clear(l.recStash)
 	l.array.Reset()
 	l.results.Reset()
-}
-
-// stopTimer stops t unless it was never created.
-func stopTimer(t *sim.Timer) {
-	if t != nil {
-		t.Stop()
-	}
 }
 
 // NodeID implements proto.Inspectable.
@@ -172,7 +184,7 @@ func (l *L1) Read(addr msg.Addr, done func(proto.AccessResult)) {
 		return
 	}
 	if e := l.mshr.Get(addr); e != nil {
-		e.waiters = append(e.waiters, func() { l.Read(addr, done) })
+		e.waiters = append(e.waiters, proto.Access{Addr: addr, Done: done})
 		return
 	}
 	l.run.Proto.ReadMisses++
@@ -200,7 +212,7 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 		return
 	}
 	if e := l.mshr.Get(addr); e != nil {
-		e.waiters = append(e.waiters, func() { l.Write(addr, value, done) })
+		e.waiters = append(e.waiters, proto.Access{Write: true, Addr: addr, Value: value, Done: done})
 		return
 	}
 	l.run.Proto.WriteMisses++
@@ -210,38 +222,27 @@ func (l *L1) Write(addr msg.Addr, value uint64, done func(proto.AccessResult)) {
 // startMiss reserves a frame, broadcasts the transient request and arms
 // the retry (and, in FtTokenCMP, the lost-token) timer.
 func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.AccessResult)) {
+	retry := proto.Access{Write: write, Addr: addr, Value: value, Done: done}
 	if l.frameFor(addr) == nil {
 		// Every way pinned (collections in flight); retry shortly.
-		l.engine.Schedule(4, func() {
-			if write {
-				l.Write(addr, value, done)
-			} else {
-				l.Read(addr, done)
-			}
-		})
+		proto.Retry(&l.results, l.engine, 4, l, retry)
 		return
 	}
 	e := l.mshr.Alloc(addr)
 	if e == nil {
-		l.engine.Schedule(1, func() {
-			if write {
-				l.Write(addr, value, done)
-			} else {
-				l.Read(addr, done)
-			}
-		})
+		proto.Retry(&l.results, l.engine, 1, l, retry)
 		return
 	}
+	e.owner = l
+	e.addr = addr
 	e.write = write
 	e.value = value
 	e.issuedAt = l.engine.Now()
 	e.done = done
-	e.timer = sim.NewTimer(l.engine)
 	l.broadcastRequest(addr, write)
-	l.armRetry(addr, e)
+	e.timer.Start(l.engine, l.params.TokenRetryTimeout(), retryFired, e)
 	if l.ft {
-		e.lostTimer = sim.NewTimer(l.engine)
-		l.armLostToken(addr, e)
+		e.lostTimer.Start(l.engine, l.params.TokenLostTimeout(), lostTokenFired, e)
 	}
 }
 
@@ -306,44 +307,44 @@ func (l *L1) broadcastRequest(addr msg.Addr, write bool) {
 	l.send(&msg.Message{Type: typ, Dst: l.topo.HomeL2(addr), Addr: addr})
 }
 
-// armRetry retries the transient request with backoff and escalates to a
+// retryFired retries the transient request with backoff and escalates to a
 // persistent request after the threshold.
-func (l *L1) armRetry(addr msg.Addr, e *tokenMiss) {
-	e.timer.Start(sim.Backoff(l.params.TokenRetryTimeout(), e.retries), func() {
-		if l.mshr.Get(addr) != e {
-			return
+func retryFired(arg any) {
+	e := arg.(*tokenMiss)
+	l, addr := e.owner, e.addr
+	if l.mshr.Get(addr) != e {
+		return
+	}
+	e.retries++
+	l.run.Proto.TokenRetries++
+	l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutLostRequest)
+	if e.retries >= l.params.TokenPersistentThreshold() {
+		if !e.persistentSent {
+			l.run.Proto.PersistentRequests++
+			e.persistentSent = true
 		}
-		e.retries++
-		l.run.Proto.TokenRetries++
-		l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutLostRequest)
-		if e.retries >= l.params.TokenPersistentThreshold() {
-			if !e.persistentSent {
-				l.run.Proto.PersistentRequests++
-				e.persistentSent = true
-			}
-			// Keep both channels open: the persistent request (idempotent
-			// at the home, re-sent in case it was lost) and the broadcast
-			// (prompting holders whose forwarded grants were lost).
-			l.send(&msg.Message{Type: msg.PersistentReq, Dst: l.topo.HomeL2(addr), Addr: addr})
-			l.broadcastRequest(addr, e.write)
-		} else {
-			l.broadcastRequest(addr, e.write)
-		}
-		l.armRetry(addr, e)
-	})
+		// Keep both channels open: the persistent request (idempotent
+		// at the home, re-sent in case it was lost) and the broadcast
+		// (prompting holders whose forwarded grants were lost).
+		l.send(&msg.Message{Type: msg.PersistentReq, Dst: l.topo.HomeL2(addr), Addr: addr})
+		l.broadcastRequest(addr, e.write)
+	} else {
+		l.broadcastRequest(addr, e.write)
+	}
+	e.timer.Start(l.engine, sim.Backoff(l.params.TokenRetryTimeout(), e.retries), retryFired, e)
 }
 
-// armLostToken triggers the token recreation process (FtTokenCMP).
-func (l *L1) armLostToken(addr msg.Addr, e *tokenMiss) {
-	e.lostTimer.Start(l.params.TokenLostTimeout(), func() {
-		if l.mshr.Get(addr) != e {
-			return
-		}
-		l.run.Proto.LostRequestTimeouts++
-		l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutLostRequest)
-		l.send(&msg.Message{Type: msg.RecreateReq, Dst: l.topo.HomeL2(addr), Addr: addr})
-		l.armLostToken(addr, e)
-	})
+// lostTokenFired triggers the token recreation process (FtTokenCMP).
+func lostTokenFired(arg any) {
+	e := arg.(*tokenMiss)
+	l, addr := e.owner, e.addr
+	if l.mshr.Get(addr) != e {
+		return
+	}
+	l.run.Proto.LostRequestTimeouts++
+	l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutLostRequest)
+	l.send(&msg.Message{Type: msg.RecreateReq, Dst: l.topo.HomeL2(addr), Addr: addr})
+	e.lostTimer.Start(l.engine, l.params.TokenLostTimeout(), lostTokenFired, e)
 }
 
 // Handle processes a delivered network message.
@@ -376,7 +377,7 @@ func (l *L1) Handle(m *msg.Message) {
 		// this backup's data and reconstitutes the lost tokens.
 		if b := l.backups.Get(m.Addr); b != nil {
 			l.send(&msg.Message{Type: msg.RecreateReq, Dst: l.topo.HomeL2(m.Addr), Addr: m.Addr})
-			l.armBackup(m.Addr, b)
+			l.armBackup(b)
 		}
 	case msg.UnblockPing:
 		// The home asks whether our persistent request is still live.
@@ -511,9 +512,16 @@ func (l *L1) acceptTokens(line *cache.Line, m *msg.Message) {
 		if l.ft {
 			l.run.Proto.AcksOSent++
 			l.send(&msg.Message{Type: msg.AckO, Dst: m.Src, Addr: m.Addr, SN: m.SN})
-			b := &blockedEntry{ackOTo: m.Src, sn: m.SN, timer: sim.NewTimer(l.engine)}
+			var b *blockedEntry
+			if n := len(l.spareBlocked); n > 0 {
+				b = l.spareBlocked[n-1]
+				l.spareBlocked = l.spareBlocked[:n-1]
+			} else {
+				b = new(blockedEntry)
+			}
+			*b = blockedEntry{owner: l, addr: m.Addr, ackOTo: m.Src, sn: m.SN, timer: b.timer}
 			l.blocked[m.Addr] = b
-			l.armLostAckBD(m.Addr, b)
+			b.timer.Start(l.engine, l.params.LostAckBDTimeout, lostAckBDFired, b)
 		}
 	}
 }
@@ -530,9 +538,7 @@ func (l *L1) tryComplete(addr msg.Addr, e *tokenMiss, line *cache.Line) {
 		return
 	}
 	e.timer.Stop()
-	if e.lostTimer != nil {
-		e.lostTimer.Stop()
-	}
+	e.lostTimer.Stop()
 	if e.persistentSent {
 		l.send(&msg.Message{Type: msg.PersistentDeact, Dst: l.topo.HomeL2(addr), Addr: addr})
 	}
@@ -557,8 +563,8 @@ func (l *L1) tryComplete(addr msg.Addr, e *tokenMiss, line *cache.Line) {
 	if done != nil {
 		done(res)
 	}
-	for _, w := range waiters {
-		l.engine.Schedule(0, w)
+	for _, a := range waiters {
+		proto.Retry(&l.results, l.engine, 0, l, a)
 	}
 }
 
@@ -628,8 +634,7 @@ func (l *L1) handleRecreateInv(m *msg.Message) {
 		l.backups.Free(addr)
 	}
 	if bl := l.blocked[addr]; bl != nil {
-		bl.timer.Stop()
-		delete(l.blocked, addr)
+		l.unblock(addr, bl)
 	}
 	l.recStash[addr] = &recStash{
 		sn: m.SN, hasData: !ack.NoPayload, payload: ack.Payload, dirty: ack.Dirty,
@@ -644,40 +649,45 @@ func (l *L1) makeBackup(addr msg.Addr, payload msg.Payload, dirty bool, dest msg
 	b := l.backups.Get(addr)
 	if b == nil {
 		b = l.backups.Alloc(addr)
-		b.timer = sim.NewTimer(l.engine)
+		b.owner = l
+		b.addr = addr
 		l.obs.BackupCreated("l1", l.id, addr, 0, dest)
 	}
 	b.payload = payload
 	b.dirty = dirty
 	b.dest = dest
 	b.sn = sn
-	l.armBackup(addr, b)
+	l.armBackup(b)
 }
 
-func (l *L1) armBackup(addr msg.Addr, b *backupEntry) {
-	b.timer.Start(l.params.BackupTimeout, func() {
-		if l.backups.Get(addr) != b {
-			return
-		}
-		l.run.Proto.BackupTimeouts++
-		l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutBackup)
-		l.send(&msg.Message{Type: msg.OwnershipPing, Dst: b.dest, Addr: addr, SN: b.sn})
-		l.armBackup(addr, b)
-	})
+func (l *L1) armBackup(b *backupEntry) {
+	b.timer.Start(l.engine, l.params.BackupTimeout, backupFired, b)
 }
 
-func (l *L1) armLostAckBD(addr msg.Addr, b *blockedEntry) {
-	b.timer.Start(l.params.LostAckBDTimeout, func() {
-		if l.blocked[addr] != b {
-			return
-		}
-		l.run.Proto.LostAckBDTimeouts++
-		l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutLostAckBD)
-		l.obs.Reissue("l1", l.id, addr, 0, msg.AckO, b.sn, b.sn)
-		l.run.Proto.AcksOSent++
-		l.send(&msg.Message{Type: msg.AckO, Dst: b.ackOTo, Addr: addr, SN: b.sn})
-		l.armLostAckBD(addr, b)
-	})
+func backupFired(arg any) {
+	b := arg.(*backupEntry)
+	l, addr := b.owner, b.addr
+	if l.backups.Get(addr) != b {
+		return
+	}
+	l.run.Proto.BackupTimeouts++
+	l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutBackup)
+	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: b.dest, Addr: addr, SN: b.sn})
+	l.armBackup(b)
+}
+
+func lostAckBDFired(arg any) {
+	b := arg.(*blockedEntry)
+	l, addr := b.owner, b.addr
+	if l.blocked[addr] != b {
+		return
+	}
+	l.run.Proto.LostAckBDTimeouts++
+	l.obs.TimeoutFired("l1", l.id, addr, 0, obs.TimeoutLostAckBD)
+	l.obs.Reissue("l1", l.id, addr, 0, msg.AckO, b.sn, b.sn)
+	l.run.Proto.AcksOSent++
+	l.send(&msg.Message{Type: msg.AckO, Dst: b.ackOTo, Addr: addr, SN: b.sn})
+	b.timer.Start(l.engine, l.params.LostAckBDTimeout, lostAckBDFired, b)
 }
 
 func (l *L1) handleAckO(m *msg.Message) {
@@ -695,9 +705,18 @@ func (l *L1) handleAckBD(m *msg.Message) {
 		l.run.Proto.StaleSNDiscarded++
 		return
 	}
-	b.timer.Stop()
-	delete(l.blocked, m.Addr)
+	l.unblock(m.Addr, b)
 	l.obs.TransactionEnd("l1", l.id, m.Addr, 0)
+}
+
+// unblock ends the blocked handshake b on addr and keeps the entry for
+// reuse. Its timer is stopped and carried over: the epoch makes a firing
+// left from this life dead. (An entry acceptTokens replaces is not
+// reused: its timer stays armed and fires as a no-op.)
+func (l *L1) unblock(addr msg.Addr, b *blockedEntry) {
+	b.timer.Stop()
+	delete(l.blocked, addr)
+	l.spareBlocked = append(l.spareBlocked, b)
 }
 
 func (l *L1) handleOwnershipPing(m *msg.Message) {

@@ -167,6 +167,41 @@ func eventPathCases() []eventPathCase {
 			},
 		},
 	)
+	// A tile death inside each handshake a Table 3 timeout guards: the
+	// survivor's timer is the first to time out on the dead tile, so its
+	// firing handler declares the tile dead and parks the record until the
+	// reconstruction flush. A short backup or lost-AckBD timeout puts that
+	// timer ahead of the lost-request timeouts of the other survivors.
+	shortBackup := func(cfg Config) Config { cfg.Params.BackupTimeout = 500; return cfg }
+	shortAckBD := func(cfg Config) Config { cfg.Params.LostAckBDTimeout = 500; return cfg }
+	uniform, migratory := workload.Uniform(256, 0.5), workload.Migratory(8)
+	for _, d := range []struct {
+		handshake string
+		cfg       Config
+		workload  workload.Workload
+		tile      int
+		typ       msg.Type
+		nth       uint64
+	}{
+		{"l1-backup", shortBackup(smallConfig(FtDirCMP)), uniform, 0, msg.AckO, 15},
+		{"l1-wb-backup", shortBackup(smallConfig(FtDirCMP)), uniform, 0, msg.AckO, 134},
+		{"l1-lost-ackbd", smallConfig(FtDirCMP), migratory, 0, msg.AckO, 15},
+		{"l2-wbping", smallConfig(FtDirCMP), uniform, 1, msg.WbData, 134},
+		{"l2-backup", shortBackup(smallConfig(FtDirCMP)), uniform, 0, msg.DataEx, 1},
+		{"l2-lost-ackbd", smallConfig(FtDirCMP), uniform, 1, msg.WbData, 197},
+		{"l2-recall", tinyL2Config(FtDirCMP), uniform, 0, msg.DataEx, 99},
+		{"mem-lost-ackbd", shortAckBD(tinyL2Config(FtDirCMP)), uniform, 0, msg.AckO, 57},
+	} {
+		d := d
+		cases = append(cases, eventPathCase{
+			name: "tile-death/" + d.handshake + "/FtDirCMP", workload: d.workload,
+			cfg: func() Config {
+				cfg := d.cfg
+				cfg.Injector = fault.NewTileDeath(d.tile, d.typ, d.nth)
+				return cfg
+			},
+		})
+	}
 	return cases
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/cache"
 	"repro/internal/msg"
+	"repro/internal/obs"
 )
 
 // Structural-fault recovery surface. When a tile dies, the system layer
@@ -90,31 +91,15 @@ func (l *L1) DropLine(addr msg.Addr) {
 	if line := l.array.Lookup(addr); line != nil {
 		line.Valid = false
 	}
-	if b := l.backups.Get(addr); b != nil {
-		b.timer.Stop()
-		l.backups.Free(addr)
-	}
-	if b := l.blocked.Get(addr); b != nil {
-		b.timer.Stop()
-		l.blocked.Free(addr) // deferred forwards die with the dead requesters
-	}
+	l.backups.Free(addr)
+	l.blocked.Free(addr) // deferred forwards die with the dead requesters
 	if w := l.wb.Get(addr); w != nil {
 		l.freeWB(addr, w)
 	}
 	if e := l.mshr.Get(addr); e != nil {
 		e.sn = l.serial.Next()
-		if len(e.snHistory) < l.serial.Width() {
-			e.snHistory = append(e.snHistory, e.sn)
-		}
-		e.dataArrived = false
-		e.exclusive = false
-		e.dirty = false
-		e.noPayload = false
-		e.ackCountKnown = false
-		e.needAcks = 0
-		e.acksSeen = 0
-		l.send(&msg.Message{Type: e.reqType, Dst: l.homeL2(addr), Addr: addr, SN: e.sn, TID: e.tid})
-		l.armLostRequest(addr, e)
+		e.resend(obs.TimeoutLostRequest)
+		e.arm(obs.TimeoutLostRequest)
 	}
 }
 
@@ -233,10 +218,7 @@ func (c *Mem) RefsDead(dead func(msg.NodeID) bool, visit func(msg.Addr)) {
 // store, and memory reclaims ownership — afterwards reissued requests
 // refetch the line as if it had always been off-chip.
 func (c *Mem) Reconstruct(addr msg.Addr, p msg.Payload) {
-	if t := c.trans.Get(addr); t != nil {
-		t.timersOff()
-		c.trans.Free(addr)
-	}
+	c.trans.Free(addr)
 	c.store.Write(addr, p)
 	c.owned[addr] = false
 }

@@ -19,9 +19,7 @@ type Network struct {
 	BytesByType     []uint64
 	DeliveredByType []uint64
 	DroppedByType   []uint64
-	LatencySum      uint64
-	LatencyCount    uint64
-	LatencyHist     Histogram
+	LatencyHist     Histogram // end-to-end delivery latency, the one record of it
 }
 
 // NewNetwork returns empty network counters.
@@ -41,7 +39,6 @@ func (s *Network) reset() {
 	clear(s.BytesByType)
 	clear(s.DeliveredByType)
 	clear(s.DroppedByType)
-	s.LatencySum, s.LatencyCount = 0, 0
 	s.LatencyHist = Histogram{}
 }
 
@@ -59,8 +56,6 @@ func (s *Network) MessageDropped(m *msg.Message) {
 // MessageDelivered implements noc.Recorder.
 func (s *Network) MessageDelivered(m *msg.Message, latency uint64) {
 	s.DeliveredByType[m.Type]++
-	s.LatencySum += latency
-	s.LatencyCount++
 	s.LatencyHist.Add(latency)
 }
 
@@ -110,12 +105,7 @@ func (s *Network) BytesByCategory() map[msg.Category]uint64 {
 }
 
 // AvgLatency returns the mean end-to-end delivery latency in cycles.
-func (s *Network) AvgLatency() float64 {
-	if s.LatencyCount == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.LatencyCount)
-}
+func (s *Network) AvgLatency() float64 { return s.LatencyHist.Mean() }
 
 // Protocol counts coherence-protocol events, including the fault-tolerance
 // machinery.
@@ -125,10 +115,7 @@ type Protocol struct {
 	ReadMisses  uint64
 	WriteMisses uint64
 
-	MissLatencySum   uint64
-	MissLatencyCount uint64
-	MissLatencyMax   uint64
-	MissLatencyHist  Histogram
+	MissLatencyHist Histogram // L1 miss latency, the one record of it
 
 	Writebacks            uint64
 	L2Misses              uint64
@@ -155,22 +142,10 @@ type Protocol struct {
 }
 
 // MissLatency records one completed miss.
-func (p *Protocol) MissLatency(cycles uint64) {
-	p.MissLatencySum += cycles
-	p.MissLatencyCount++
-	if cycles > p.MissLatencyMax {
-		p.MissLatencyMax = cycles
-	}
-	p.MissLatencyHist.Add(cycles)
-}
+func (p *Protocol) MissLatency(cycles uint64) { p.MissLatencyHist.Add(cycles) }
 
 // AvgMissLatency returns the mean L1 miss latency in cycles.
-func (p *Protocol) AvgMissLatency() float64 {
-	if p.MissLatencyCount == 0 {
-		return 0
-	}
-	return float64(p.MissLatencySum) / float64(p.MissLatencyCount)
-}
+func (p *Protocol) AvgMissLatency() float64 { return p.MissLatencyHist.Mean() }
 
 // Run aggregates everything measured in one simulation.
 type Run struct {
@@ -243,8 +218,8 @@ func (r *Run) Report() string {
 	fmt.Fprintf(&b, "  L1: %d read hits, %d write hits, %d read misses, %d write misses\n",
 		p.ReadHits, p.WriteHits, p.ReadMisses, p.WriteMisses)
 	fmt.Fprintf(&b, "  misses: avg latency %.1f cycles (max %d), %d cache-to-cache, %d migratory grants\n",
-		p.AvgMissLatency(), p.MissLatencyMax, p.CacheToCacheTransfers, p.MigratoryGrants)
-	if p.MissLatencyCount > 0 {
+		p.AvgMissLatency(), p.MissLatencyHist.Max(), p.CacheToCacheTransfers, p.MigratoryGrants)
+	if p.MissLatencyHist.Count() > 0 {
 		fmt.Fprintf(&b, "  miss latency distribution: %s\n", p.MissLatencyHist.String())
 	}
 	fmt.Fprintf(&b, "  L2: %d misses, %d recalls; %d writebacks\n", p.L2Misses, p.L2Recalls, p.Writebacks)

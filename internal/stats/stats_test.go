@@ -72,8 +72,8 @@ func TestMissLatency(t *testing.T) {
 	if p.AvgMissLatency() != 20 {
 		t.Fatalf("avg = %v", p.AvgMissLatency())
 	}
-	if p.MissLatencyMax != 30 {
-		t.Fatalf("max = %d", p.MissLatencyMax)
+	if p.MissLatencyHist.Max() != 30 {
+		t.Fatalf("max = %d", p.MissLatencyHist.Max())
 	}
 	var empty Protocol
 	if empty.AvgMissLatency() != 0 {

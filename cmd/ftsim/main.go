@@ -46,18 +46,11 @@ func run() error {
 	flag.Parse()
 
 	cfg := repro.DefaultConfig()
-	switch strings.ToLower(*protocol) {
-	case "dircmp":
-		cfg.Protocol = repro.DirCMP
-	case "ftdircmp":
-		cfg.Protocol = repro.FtDirCMP
-	case "tokencmp":
-		cfg.Protocol = repro.TokenCMP
-	case "fttokencmp":
-		cfg.Protocol = repro.FtTokenCMP
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
+	p, err := repro.ParseProtocol(*protocol)
+	if err != nil {
+		return err
 	}
+	cfg.Protocol = p
 	cfg.MeshWidth = *tiles
 	cfg.MeshHeight = *tiles
 	cfg.OpsPerCore = *ops
@@ -90,7 +83,6 @@ func run() error {
 	}
 
 	var res *repro.Result
-	var err error
 	if *traceFile != "" {
 		f, openErr := os.Open(*traceFile)
 		if openErr != nil {

@@ -98,17 +98,9 @@ func run() error {
 	}
 
 	cfg := system.DefaultConfig()
-	switch strings.ToLower(*protocol) {
-	case "dircmp":
-		cfg.Protocol = system.DirCMP
-	case "ftdircmp":
-		cfg.Protocol = system.FtDirCMP
-	case "tokencmp":
-		cfg.Protocol = system.TokenCMP
-	case "fttokencmp":
-		cfg.Protocol = system.FtTokenCMP
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
+	var err error
+	if cfg.Protocol, err = repro.ParseProtocol(*protocol); err != nil {
+		return err
 	}
 	cfg.MeshWidth = *tiles
 	cfg.MeshHeight = *tiles

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestCacheKeyResolution pins the content-addressing semantics: requests
@@ -47,6 +50,27 @@ func TestCacheKeyResolution(t *testing.T) {
 	c2 := key(`{"type":"coverage","quick":true,"coverage":{"seed":2}}`)
 	if c1 == c2 {
 		t.Error("coverage seeds did not differentiate keys")
+	}
+}
+
+// TestResolveRejectsUnknownProtocol: a protocol number outside the four
+// is refused when the request is resolved, before it gets a job ID, and
+// never runs as some other protocol.
+func TestResolveRejectsUnknownProtocol(t *testing.T) {
+	for _, p := range []int{0, 5, 9, -1} {
+		body := fmt.Sprintf(`{"type":"run","quick":true,"config":{"Protocol":%d}}`, p)
+		if _, err := resolveRequest([]byte(body)); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+			t.Errorf("Protocol %d: err = %v, want an unknown-protocol rejection", p, err)
+		}
+	}
+	for _, p := range []repro.Protocol{repro.DirCMP, repro.FtDirCMP, repro.TokenCMP, repro.FtTokenCMP} {
+		body := fmt.Sprintf(`{"type":"run","quick":true,"config":{"Protocol":%d}}`, int(p))
+		req, err := resolveRequest([]byte(body))
+		if err != nil {
+			t.Errorf("Protocol %v: %v", p, err)
+		} else if req.Config.Protocol != p {
+			t.Errorf("Protocol %v resolved as %v", p, req.Config.Protocol)
+		}
 	}
 }
 

@@ -98,6 +98,10 @@ func resolveRequest(body []byte) (*resolved, error) {
 		if err := strictUnmarshal(req.Config, &cfg); err != nil {
 			return nil, fmt.Errorf("invalid config overrides: %w", err)
 		}
+		if !cfg.Protocol.Valid() {
+			return nil, fmt.Errorf("invalid config overrides: unknown protocol %d (want %d-%d: %v, %v, %v or %v)",
+				int(cfg.Protocol), int(repro.DirCMP), int(repro.FtTokenCMP), repro.DirCMP, repro.FtDirCMP, repro.TokenCMP, repro.FtTokenCMP)
+		}
 	}
 	cfg.Parallelism = 0 // execution knob; the server decides at run time
 	// Each params field belongs to one class and is rejected on the others.

@@ -79,6 +79,9 @@ func (p Protocol) String() string {
 	}
 }
 
+// Valid reports whether p is one of the four protocols.
+func (p Protocol) Valid() bool { return p >= DirCMP && p <= FtTokenCMP }
+
 // tokenBased reports whether p is one of the token-coherence protocols.
 func (p Protocol) tokenBased() bool { return p == TokenCMP || p == FtTokenCMP }
 

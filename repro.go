@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/coverage"
@@ -49,35 +50,32 @@ import (
 	"repro/internal/workload"
 )
 
-// Protocol selects the coherence protocol to simulate.
-type Protocol int
+// Protocol selects the coherence protocol to simulate. Any other value
+// than the four below is rejected when a run is built.
+type Protocol = system.Protocol
 
 const (
 	// DirCMP is the non-fault-tolerant MOESI baseline.
-	DirCMP Protocol = iota + 1
+	DirCMP = system.DirCMP
 	// FtDirCMP is the fault-tolerant protocol, the paper's contribution.
-	FtDirCMP
+	FtDirCMP = system.FtDirCMP
 	// TokenCMP is the token-coherence baseline of the authors' previous
 	// work, which the paper's §5 compares against (see internal/token).
-	TokenCMP
+	TokenCMP = system.TokenCMP
 	// FtTokenCMP is its fault-tolerant extension: per-line token serial
 	// numbers and the centralized token recreation process.
-	FtTokenCMP
+	FtTokenCMP = system.FtTokenCMP
 )
 
-func (p Protocol) String() string {
-	switch p {
-	case DirCMP:
-		return "DirCMP"
-	case FtDirCMP:
-		return "FtDirCMP"
-	case TokenCMP:
-		return "TokenCMP"
-	case FtTokenCMP:
-		return "FtTokenCMP"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
+// ParseProtocol returns the protocol named name, in any letter case:
+// dircmp, ftdircmp, tokencmp or fttokencmp.
+func ParseProtocol(name string) (Protocol, error) {
+	for p := DirCMP; p.Valid(); p++ {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown protocol %q", name)
 }
 
 // Config describes a complete simulated system. The zero value is not
@@ -255,19 +253,8 @@ func QuickConfig() Config {
 
 // toInternal converts the public configuration.
 func (c Config) toInternal() system.Config {
-	var p system.Protocol
-	switch c.Protocol {
-	case DirCMP:
-		p = system.DirCMP
-	case TokenCMP:
-		p = system.TokenCMP
-	case FtTokenCMP:
-		p = system.FtTokenCMP
-	default:
-		p = system.FtDirCMP
-	}
 	return system.Config{
-		Protocol:   p,
+		Protocol:   c.Protocol,
 		MeshWidth:  c.MeshWidth,
 		MeshHeight: c.MeshHeight,
 		Mems:       c.MemControllers,

@@ -44,6 +44,33 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestRunUnknownProtocol: a Protocol outside the four is an error, not a
+// run of some other protocol under its own label.
+func TestRunUnknownProtocol(t *testing.T) {
+	for _, p := range []Protocol{0, 5, 9} {
+		cfg := testConfig()
+		cfg.Protocol = p
+		if res, err := Run(cfg, "uniform"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+			t.Errorf("Protocol(%d): err = %v, result %v, want an unknown-protocol error", int(p), err, res != nil)
+		}
+	}
+}
+
+func TestParseProtocol(t *testing.T) {
+	for _, p := range []Protocol{DirCMP, FtDirCMP, TokenCMP, FtTokenCMP} {
+		for _, name := range []string{p.String(), strings.ToLower(p.String()), strings.ToUpper(p.String())} {
+			if got, err := ParseProtocol(name); err != nil || got != p {
+				t.Errorf("ParseProtocol(%q) = %v, %v; want %v", name, got, err, p)
+			}
+		}
+	}
+	for _, name := range []string{"", "dir", "Protocol(9)", "ftdircmp "} {
+		if _, err := ParseProtocol(name); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted an unknown name", name)
+		}
+	}
+}
+
 func TestCompareFaultFreeOverheadIsSmall(t *testing.T) {
 	dir, ft, err := CompareContext(context.Background(), testConfig(), "uniform")
 	if err != nil {

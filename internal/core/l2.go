@@ -914,6 +914,7 @@ func (l *L2) handleMemWbPing(m *msg.Message) {
 		t.memSN = m.SN
 		if t.wbDirty {
 			t.phase = phaseWaitMemAckO
+			l.obs.BackupCreated("l2", l.id, m.Addr, t.tid, m.Src)
 			l.send(&msg.Message{
 				Type: msg.WbData, Dst: m.Src, Addr: m.Addr, TID: t.tid, SN: m.SN,
 				Payload: t.wbPayload, Dirty: true,

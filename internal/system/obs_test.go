@@ -6,6 +6,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/msg"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestLostAckBDEventSequence forces one lost AckBD and checks that the
@@ -105,5 +106,53 @@ func TestObsRecorderOptional(t *testing.T) {
 	sc.drain()
 	if sc.s.Obs() != nil {
 		t.Fatal("system invented a recorder")
+	}
+}
+
+// TestL2BackupDeletesPairWithCreates: every backup an L2 bank releases
+// (backup.delete) is one it announced (backup.create) on the same line.
+// An eviction writeback becomes memory's backup either when the bank's
+// Put gets its WbAck or, with that WbAck lost, when memory's WbPing finds
+// the Put still waiting; the ping path once skipped the backup.create.
+// Tiny L2 banks make evictions frequent, and 2% loss loses WbAcks.
+func TestL2BackupDeletesPairWithCreates(t *testing.T) {
+	deletes := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		cfg := withLoss(tinyL2Config(FtDirCMP), 20000, seed)
+		cfg.Seed = seed
+		rec := obs.NewRecorder(1 << 20)
+		cfg.Obs = rec
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(workload.Uniform(256, 0.5)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		type key struct {
+			node msg.NodeID
+			addr msg.Addr
+		}
+		open := map[key]int{}
+		for _, e := range rec.Events() {
+			if e.Unit != "l2" {
+				continue
+			}
+			k := key{e.Node, e.Addr}
+			switch e.Kind {
+			case obs.KindBackupCreate:
+				open[k]++
+			case obs.KindBackupDelete:
+				deletes++
+				if open[k] == 0 {
+					t.Errorf("seed %d: cycle %d: bank %d deletes a backup of %#x it never created", seed, e.Cycle, e.Node, e.Addr)
+					continue
+				}
+				open[k]--
+			}
+		}
+	}
+	if deletes == 0 {
+		t.Fatal("no L2 backup was deleted: the test no longer exercises eviction backups")
 	}
 }

@@ -86,10 +86,15 @@ replay-fuzz:
 # sim-fuzz fuzzes the simulation engine's event queue for 20 s: decoded
 # schedules at delays on both sides of the bucket ring's horizon, timer
 # re-arms and stops, and chooser picks out of the ring and the overflow
-# heap must fire exactly as a sorted-list reference model does. CI runs it
-# in the mc job, beside the model checker that relies on the choice points.
+# heap must fire exactly as a sorted-list reference model does. It then
+# fuzzes the flat data-value oracle (system.Integrity) for 20 s: decoded
+# scripts of in-order, duplicated, far-ahead and version-0 commits, core
+# reads and writes and rollbacks must give exactly the errors and last
+# versions of the nested-map reference oracle. CI runs it in the mc job,
+# beside the model checker that relies on the choice points.
 sim-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzIntegrityMatchesOracle -fuzztime 20s ./internal/system
 
 # obs-fuzz fuzzes the obs recorder's event ring for 20 s: capacities on
 # both sides of a storage chunk, with event counts below, at and far past

@@ -21,64 +21,149 @@ import (
 // example after a mishandled reissue — the paper's Figure 2 scenario)
 // manifests as a duplicated/skipped version or a value mismatch here.
 //
-// lastVersion holds an entry for every line that ever committed a write,
-// including a version-0 commit and one later rolled back, so its key set
-// (not a zero version) answers "no write ever committed". Every version
-// valueAt holds for a line is at most the line's lastVersion.
+// The oracle is flat: every hook does one address-to-slot lookup, and the
+// rest are indexed reads and writes. A line gets its slot the first time a
+// hook names it. lines[slot] holds the line's last committed version,
+// whether any write ever committed (a version-0 commit and one later
+// rolled back count, so a zero version does not answer "no write ever
+// committed"), and the index of its newest history entry. history holds
+// every committed (version, value) pair of every line, each chained to the
+// line's previous commit, so a walk from the newest entry finds the newest
+// commit of a version: a duplicated version resolves as a map overwrite
+// would. Every version in a line's chain is at most its last version.
+// floors holds the per-core monotonicity floors, slot*cores+core.
+// Everything is built during the run, in pages that never move (paged),
+// the first ones sized for the run (NewIntegrity); NewIntegrity and Reset
+// allocate nothing past the oracle itself.
 type Integrity struct {
-	lastVersion map[msg.Addr]uint64    // last committed version per line
-	valueAt     map[lineVersion]uint64 // (line, version) -> committed value
-	coreSeen    []map[msg.Addr]uint64  // per-core last observed version
-	errs        []string
+	cores   int
+	hint    int // the slot map's initial size
+	slotOf  map[msg.Addr]int32
+	lines   paged[lineRecord]
+	history paged[commit]
+	floors  paged[uint64] // slot*cores+core -> newest version the core observed
+	errs    []string
 }
 
-// lineVersion keys one committed version of one line.
-type lineVersion struct {
-	addr    msg.Addr
-	version uint64
+// lineRecord is one line's entry in the oracle.
+type lineRecord struct {
+	last      uint64 // last committed version
+	newest    int32  // index of the newest history entry, -1 for none
+	committed bool   // some write ever committed
 }
 
-// NewIntegrity builds an oracle for the given core count.
-func NewIntegrity(cores int) *Integrity {
-	seen := make([]map[msg.Addr]uint64, cores)
-	for i := range seen {
-		seen[i] = make(map[msg.Addr]uint64)
-	}
-	return &Integrity{
-		lastVersion: make(map[msg.Addr]uint64),
-		valueAt:     make(map[lineVersion]uint64),
-		coreSeen:    seen,
-	}
+// commit is one committed version of a line, chained to the line's
+// previous commit (prev, -1 for none).
+type commit struct {
+	version, value uint64
+	prev           int32
+}
+
+// NewIntegrity builds an oracle for the given core count. accesses, the
+// number of loads and stores the run will make (0 if unknown), bounds the
+// lines and commits it can record: the slot map and first pages are sized
+// for it when first used, so a short run allocates about what it records.
+func NewIntegrity(cores, accesses int) *Integrity {
+	hint := min(accesses, pageLen)
+	g := &Integrity{cores: cores, hint: hint}
+	g.lines.first, g.history.first = hint, hint
+	g.floors.first = min(accesses*cores, pageLen)
+	return g
 }
 
 // Reset forgets every committed write, observation and error, returning
-// the oracle to the state NewIntegrity leaves it in. The maps are cleared,
-// not reallocated.
+// the oracle to the state NewIntegrity leaves it in. The pages and the
+// slot map's storage are kept.
 func (g *Integrity) Reset() {
-	clear(g.lastVersion)
-	clear(g.valueAt)
-	for _, seen := range g.coreSeen {
-		clear(seen)
-	}
+	clear(g.slotOf)
+	g.lines.n, g.history.n, g.floors.n = 0, 0, 0
 	g.errs = nil
+}
+
+// slot returns addr's slot, giving the line one on first use.
+func (g *Integrity) slot(addr msg.Addr) int32 {
+	if s, ok := g.slotOf[addr]; ok {
+		return s
+	}
+	if g.slotOf == nil {
+		g.slotOf = make(map[msg.Addr]int32, g.hint)
+	}
+	s := g.lines.push(lineRecord{newest: -1})
+	g.slotOf[addr] = s
+	for range g.cores {
+		g.floors.push(0)
+	}
+	return s
+}
+
+// valueAt returns the value the newest commit of version wrote to the line
+// in slot s, and whether any commit of it is in the line's history.
+func (g *Integrity) valueAt(s int32, version uint64) (uint64, bool) {
+	for i := g.lines.at(s).newest; i >= 0; {
+		c := g.history.at(i)
+		if c.version == version {
+			return c.value, true
+		}
+		i = c.prev
+	}
+	return 0, false
+}
+
+// paged is an append-only sequence stored in pages of pageLen elements
+// that never move, so growing it never copies what it holds: a long run
+// allocates about its final size, where a slice grown by append allocates
+// several times that. The first page starts with room for first elements
+// and grows by append, so a short run allocates about what it holds.
+// Truncating n to 0 empties the sequence and keeps the pages for reuse.
+type paged[T any] struct {
+	pages [][]T
+	n     int32
+	first int // the first page's initial capacity, at most pageLen
+}
+
+const pageBits = 10
+const pageLen = 1 << pageBits
+
+// at returns element i, which must be below n.
+func (p *paged[T]) at(i int32) *T { return &p.pages[i>>pageBits][i&(pageLen-1)] }
+
+// push appends v and returns its index.
+func (p *paged[T]) push(v T) int32 {
+	k, off := p.n>>pageBits, p.n&(pageLen-1)
+	if int(k) == len(p.pages) {
+		c := pageLen
+		if k == 0 {
+			c = p.first
+		}
+		p.pages = append(p.pages, make([]T, 0, c))
+	}
+	if page := &p.pages[k]; int(off) < len(*page) {
+		(*page)[off] = v // a page kept by a reset
+	} else {
+		*page = append(*page, v)
+	}
+	p.n++
+	return p.n - 1
 }
 
 // OnWriteCommit is the proto.WriteObserver hook, called by L1 controllers
 // at the serialization point of every store.
 func (g *Integrity) OnWriteCommit(addr msg.Addr, version, value uint64) {
-	last := g.lastVersion[addr]
-	if want := last + 1; version != want {
+	ln := g.lines.at(g.slot(addr))
+	if want := ln.last + 1; version != want {
 		g.fail("write to %#x committed version %d, want %d (lost or duplicated ownership)",
 			addr, version, want)
 	}
-	g.lastVersion[addr] = max(last, version)
-	g.valueAt[lineVersion{addr, version}] = value
+	ln.last = max(ln.last, version)
+	ln.committed = true
+	ln.newest = g.history.push(commit{version: version, value: value, prev: ln.newest})
 }
 
 // OnCoreWrite records the version a core observed its own store commit at.
 func (g *Integrity) OnCoreWrite(coreID int, addr msg.Addr, version, value uint64) {
-	g.observe(coreID, addr, version)
-	if v, ok := g.valueAt[lineVersion{addr, version}]; ok && v != value {
+	s := g.slot(addr)
+	g.observe(s, coreID, addr, version)
+	if v, ok := g.valueAt(s, version); ok && v != value {
 		g.fail("core %d write to %#x v%d returned value %#x, committed %#x",
 			coreID, addr, version, value, v)
 	}
@@ -86,18 +171,19 @@ func (g *Integrity) OnCoreWrite(coreID int, addr msg.Addr, version, value uint64
 
 // OnCoreRead checks a load's result against the committed history.
 func (g *Integrity) OnCoreRead(coreID int, addr msg.Addr, version, value uint64) {
-	g.observe(coreID, addr, version)
+	s := g.slot(addr)
+	g.observe(s, coreID, addr, version)
 	if version == 0 {
 		if value != 0 {
 			g.fail("core %d read %#x v0 with nonzero value %#x", coreID, addr, value)
 		}
 		return
 	}
-	if _, ok := g.lastVersion[addr]; !ok {
+	if !g.lines.at(s).committed {
 		g.fail("core %d read %#x v%d but no write ever committed", coreID, addr, version)
 		return
 	}
-	want, ok := g.valueAt[lineVersion{addr, version}]
+	want, ok := g.valueAt(s, version)
 	if !ok {
 		g.fail("core %d read %#x v%d which was never committed", coreID, addr, version)
 		return
@@ -107,14 +193,14 @@ func (g *Integrity) OnCoreRead(coreID int, addr msg.Addr, version, value uint64)
 	}
 }
 
-func (g *Integrity) observe(coreID int, addr msg.Addr, version uint64) {
-	seen := g.coreSeen[coreID]
-	if prev := seen[addr]; version < prev {
+func (g *Integrity) observe(s int32, coreID int, addr msg.Addr, version uint64) {
+	floor := g.floors.at(s*int32(g.cores) + int32(coreID))
+	if prev := *floor; version < prev {
 		g.fail("core %d observed %#x go backwards: v%d after v%d (stale data accepted)",
 			coreID, addr, version, prev)
 	}
-	if version > seen[addr] {
-		seen[addr] = version
+	if version > *floor {
+		*floor = version
 	}
 }
 
@@ -126,31 +212,37 @@ func (g *Integrity) observe(coreID int, addr msg.Addr, version uint64) {
 // line would (correctly, but unhelpfully) trip the oracle — the rollback is
 // deliberate and is accounted separately by the recovery verdict.
 func (g *Integrity) AllowRegression(addr msg.Addr, v uint64) {
-	if last := g.lastVersion[addr]; last > v {
-		g.lastVersion[addr] = v
-		// Truncate the history at v: versions v+1..last, or a scan of the
-		// map when that range is the larger (a wildly skipped version).
-		if last-v <= uint64(len(g.valueAt)) {
-			for ver := v + 1; ver <= last; ver++ {
-				delete(g.valueAt, lineVersion{addr, ver})
-			}
-		} else {
-			for k := range g.valueAt {
-				if k.addr == addr && k.version > v {
-					delete(g.valueAt, k)
-				}
-			}
-		}
+	s, ok := g.slotOf[addr]
+	if !ok {
+		return // never touched: no history, no floors
 	}
-	for _, seen := range g.coreSeen {
-		if seen[addr] > v {
-			seen[addr] = v
+	if ln := g.lines.at(s); ln.last > v {
+		ln.last = v
+		// Unlink every commit newer than v from the line's chain.
+		link := &ln.newest
+		for i := *link; i >= 0; {
+			c := g.history.at(i)
+			if c.version <= v {
+				*link = i
+				link = &c.prev
+			}
+			i = c.prev
 		}
+		*link = -1
+	}
+	for c := range int32(g.cores) {
+		floor := g.floors.at(s*int32(g.cores) + c)
+		*floor = min(*floor, v)
 	}
 }
 
 // LastVersion returns the newest committed version of a line.
-func (g *Integrity) LastVersion(addr msg.Addr) uint64 { return g.lastVersion[addr] }
+func (g *Integrity) LastVersion(addr msg.Addr) uint64 {
+	if s, ok := g.slotOf[addr]; ok {
+		return g.lines.at(s).last
+	}
+	return 0
+}
 
 // Errors returns all recorded violations.
 func (g *Integrity) Errors() []string { return g.errs }

@@ -337,7 +337,7 @@ func New(cfg Config) (*System, error) {
 		s.views = append(s.views, agentView{node: s.viewNode, ord: int32(len(s.views)), v: v})
 	}
 	if cfg.CheckIntegrity {
-		s.integrity = NewIntegrity(tiles)
+		s.integrity = NewIntegrity(tiles, tiles*cfg.OpsPerCore)
 	}
 
 	var onWrite proto.WriteObserver

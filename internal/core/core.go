@@ -127,7 +127,7 @@ func (c *ctrl) deaf(m *msg.Message) bool { return c.halted || c.domains.Declared
 
 // send copies m into a pooled message from this node and injects it.
 func (c *ctrl) send(m *msg.Message) {
-	pm := msg.NewMessage()
+	pm := c.net.NewMessage()
 	*pm = *m
 	pm.Src = c.id
 	c.net.Send(pm)

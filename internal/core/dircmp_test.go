@@ -154,6 +154,9 @@ type loopNet struct {
 	sent     []msg.Message
 }
 
+func (n *loopNet) NewMessage() *msg.Message { return new(msg.Message) }
+func (n *loopNet) Recycle(*msg.Message)     {}
+
 func (n *loopNet) Send(m *msg.Message) {
 	n.sent = append(n.sent, *m)
 	n.engine.ScheduleCall(1, n.deliver, m, 0)

@@ -144,9 +144,10 @@ type L1 struct {
 	// victimFilter is the eviction predicate passed to cache.Array.Victim,
 	// built once so the miss path does not allocate a closure per install.
 	victimFilter func(*cache.Line) bool
-	// replayFwd handles a deferred forward copied into a pooled message
-	// (handleAckBD) and recycles it, as the network does after a delivery;
-	// built once so a replay allocates nothing.
+	// replayFwd handles a deferred forward copied into a message from the
+	// network's freelist (handleAckBD) and recycles it there, as the
+	// network does after a delivery; built once so a replay allocates
+	// nothing.
 	replayFwd func(arg any, _ uint64)
 }
 
@@ -175,7 +176,7 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 	l.replayFwd = func(arg any, _ uint64) {
 		m := arg.(*msg.Message)
 		l.Handle(m)
-		msg.Recycle(m)
+		l.net.Recycle(m)
 	}
 	l.Reset()
 	return l, nil
@@ -608,7 +609,7 @@ func (l *L1) handleAckBD(m *msg.Message) {
 	b.timer.Stop()
 	tid := b.tid
 	for i := range b.deferred {
-		fwd := msg.NewMessage()
+		fwd := l.net.NewMessage()
 		*fwd = b.deferred[i]
 		l.engine.ScheduleCall(0, l.replayFwd, fwd, 0)
 	}

@@ -201,7 +201,7 @@ func (c *Mem) service(addr msg.Addr, t *memTrans) {
 		}
 		c.owned[addr] = true
 		t.phase = memWaitUnblock
-		pm := msg.NewMessage()
+		pm := c.net.NewMessage()
 		pm.Type, pm.Dst, pm.Addr = msg.DataEx, t.req.from, addr
 		pm.TID, pm.SN = t.req.tid, t.req.sn
 		pm.Payload = c.store.Read(addr)

@@ -325,6 +325,10 @@ type Message struct {
 	// the requester already holds valid data (upgrade from S or O). Such a
 	// message has control size on the wire.
 	NoPayload bool
+
+	// next chains a free message in its network's Pool (pool.go). It is
+	// nil while the message is in use, so a copy of one carries nil.
+	next *Message
 }
 
 // Class returns the virtual-channel class the message travels in.

@@ -8,10 +8,18 @@ import (
 
 // Message pooling. The simulation sends hundreds of messages per memory
 // operation; allocating each one individually dominated the steady-state
-// allocation profile. NewMessage/Recycle recycle Message values through a
-// sync.Pool shared by all concurrently running simulations (the parallel
-// campaign runner executes one system per goroutine; sync.Pool gives each
-// P its own cache, so there is no cross-run contention).
+// allocation profile. Messages are recycled on two levels:
+//
+//   - Each network owns a Pool: a plain freelist, threaded through the
+//     free messages themselves, with plain counters. A simulation is one
+//     goroutine, so drawing a message from its network's Pool touches no
+//     atomic and no sync.Pool.
+//   - Behind every Pool stands one sync.Pool shared by all concurrently
+//     running simulations (sync.Pool gives each P its own cache, so there
+//     is no cross-run contention). A Pool falls through to it when its
+//     freelist is empty, and Flush hands it the free messages when a run
+//     ends, so the fresh systems of a campaign reuse what earlier runs
+//     recycled.
 //
 // Ownership contract (see docs/PERFORMANCE.md):
 //
@@ -28,7 +36,9 @@ import (
 // reuse, and the REPRO_NOPOOL=1 environment variable (or SetPooling(false))
 // swaps in plain allocation so any suspected reuse bug can be bisected —
 // simulation output must be byte-identical either way, which the
-// pool-correctness tests pin.
+// pool-correctness tests pin. A Pool reads the setting when its network is
+// built or reset, so a change takes effect at the next noc.New or
+// Network.Reset.
 var poolingDisabled atomic.Bool
 
 func init() {
@@ -37,52 +47,120 @@ func init() {
 	}
 }
 
-// SetPooling enables or disables message pooling at runtime (tests use it
-// to prove pooled and unpooled runs are byte-identical). Safe to call
-// concurrently with running simulations: disabling only diverts NewMessage
-// to plain allocation and turns Recycle into a no-op.
+// SetPooling enables or disables message pooling (tests use it to prove
+// pooled and unpooled runs are byte-identical). It takes effect at each
+// network's next noc.New or Network.Reset; a running simulation keeps the
+// setting it started with. NewMessage reads it on every call.
 func SetPooling(enabled bool) { poolingDisabled.Store(!enabled) }
 
-// PoolingEnabled reports whether NewMessage draws from the pool.
+// PoolingEnabled reports whether messages are recycled.
 func PoolingEnabled() bool { return !poolingDisabled.Load() }
 
-var msgPool = sync.Pool{New: func() any {
-	poolNews.Add(1)
-	return new(Message)
-}}
+var msgPool sync.Pool
 
-// Pool-health counters, process-wide across every concurrently running
-// simulation: poolGets counts NewMessage calls, poolNews counts the ones
-// the pool could not satisfy from a recycled Message (a fresh heap
-// allocation). gets-news is the freelist hit count; ftserve exports both
-// as /metrics gauges so operators can watch steady-state allocation health
-// under load.
+// Pool-health counters, process-wide across every simulation: poolGets
+// counts messages requested, poolNews the requests that allocated a fresh
+// Message because no recycled one was at hand. gets-news is the reuse
+// count; ftserve exports both as /metrics gauges, and the benchmark derives
+// its reuse ratio from them.
 var poolGets, poolNews atomic.Uint64
 
 // PoolStats reports how many messages were requested and how many of those
-// requests missed the pool (allocated fresh) since process start. With
-// pooling disabled every get is a miss.
+// requests allocated a fresh Message since process start, counting
+// NewMessage calls and the Pools flushed so far (a network's Pool is
+// flushed when each engine run returns). With pooling disabled every get
+// is a miss.
 func PoolStats() (gets, news uint64) {
 	return poolGets.Load(), poolNews.Load()
 }
 
-// NewMessage returns a zeroed Message, recycled if pooling is enabled.
+// NewMessage returns a zeroed Message from the shared pool, counted in
+// PoolStats at once. Simulations draw their messages from their network's
+// Pool instead; NewMessage serves code that holds no network.
 func NewMessage() *Message {
 	poolGets.Add(1)
-	if poolingDisabled.Load() {
+	m, miss := shared()
+	if miss {
 		poolNews.Add(1)
-		return new(Message)
 	}
-	m := msgPool.Get().(*Message)
-	*m = Message{}
 	return m
 }
 
-// Recycle returns a message to the pool. The caller must own it (see the
-// ownership contract above) and must not touch it afterwards.
-func Recycle(m *Message) {
+// shared returns a zeroed Message from the shared pool, or a fresh one
+// (miss) when pooling is disabled or the pool is empty.
+func shared() (m *Message, miss bool) {
 	if poolingDisabled.Load() {
+		return new(Message), true
+	}
+	if m, ok := msgPool.Get().(*Message); ok {
+		*m = Message{}
+		return m, false
+	}
+	return new(Message), true
+}
+
+// Pool is one network's message freelist, in front of the shared pool.
+// The zero Pool is ready to use with pooling enabled; Reset reads the
+// pooling setting. A Pool belongs to one simulation and is not safe for
+// concurrent use.
+type Pool struct {
+	free       *Message // chained through Message.next
+	gets, news uint64   // counts not yet added to PoolStats
+	off        bool     // pooling disabled when the Pool was last reset
+}
+
+// Reset reads the pooling setting. With pooling disabled the freelist is
+// dropped, so every Get allocates and Put discards.
+func (p *Pool) Reset() {
+	p.off = poolingDisabled.Load()
+	if p.off {
+		p.free = nil
+	}
+}
+
+// Get returns a zeroed Message: the newest recycled one, else one from the
+// shared pool, else a fresh allocation.
+func (p *Pool) Get() *Message {
+	p.gets++
+	if m := p.free; m != nil {
+		p.free = m.next
+		*m = Message{}
+		return m
+	}
+	if p.off {
+		p.news++
+		return new(Message)
+	}
+	m, miss := shared()
+	if miss {
+		p.news++
+	}
+	return m
+}
+
+// Put recycles m into the freelist. The caller must own m (see the
+// ownership contract above) and must not touch it afterwards.
+func (p *Pool) Put(m *Message) {
+	if p.off {
 		return
 	}
-	msgPool.Put(m)
+	m.next = p.free
+	p.free = m
+}
+
+// Flush ends a run's use of the Pool: the free messages go to the shared
+// pool, for any simulation to reuse, and the counts to PoolStats.
+func (p *Pool) Flush() {
+	for m := p.free; m != nil; {
+		next := m.next
+		m.next = nil
+		msgPool.Put(m)
+		m = next
+	}
+	p.free = nil
+	if p.gets != 0 {
+		poolGets.Add(p.gets)
+		poolNews.Add(p.news)
+		p.gets, p.news = 0, 0
+	}
 }

@@ -186,13 +186,13 @@ func flightDeliver(arg any, _ uint64) {
 	n.putFlight(f)
 	if dropped {
 		n.rec.MessageDropped(m)
-		msg.Recycle(m)
+		n.pool.Put(m)
 		return
 	}
 	nd := n.nodes[m.Dst]
 	n.rec.MessageDelivered(m, n.engine.Now()-sentAt)
 	nd.handler(m)
-	msg.Recycle(m)
+	n.pool.Put(m)
 }
 
 // eject delivers (or drops) the flight at its destination router.

@@ -169,13 +169,17 @@ type node struct {
 //
 // The network owns every message passed to Send: after the destination
 // handler returns (or the drop has been recorded), the message is recycled
-// into the msg pool. Handlers must copy out anything they need past their
-// own return (see docs/PERFORMANCE.md for the ownership rules).
+// into the network's freelist, from which NewMessage draws. Handlers must
+// copy out anything they need past their own return (see
+// docs/PERFORMANCE.md for the ownership rules).
 type Network struct {
 	engine *sim.Engine
 	cfg    Config
 	drop   DropFunc
 	rec    Recorder
+	// pool is the network's message freelist. The engine flushes it into
+	// the shared pool each time a Run or RunUntil returns (flushPool).
+	pool msg.Pool
 
 	// links[router][dir] is the output link of router in direction dir.
 	links [][numDirections]link
@@ -259,18 +263,33 @@ func New(engine *sim.Engine, cfg Config, drop DropFunc, rec Recorder) (*Network,
 		links:  make([][numDirections]link, cfg.Width*cfg.Height),
 		bufs:   make(map[detailedBufKey]*vcBuf),
 	}
+	engine.AtRunEnd(flushPool, n)
 	n.Reset()
 	return n, nil
 }
 
+// flushPool is the network's engine run-end hook: the free messages go
+// back to the shared pool and the pool counters to msg.PoolStats.
+func flushPool(arg any) { arg.(*Network).pool.Flush() }
+
+// NewMessage returns a zeroed message from the network's freelist for the
+// caller to fill in and Send (it implements proto.Sender).
+func (n *Network) NewMessage() *msg.Message { return n.pool.Get() }
+
+// Recycle returns a message the caller owns and will not send to the
+// network's freelist (it implements proto.Sender).
+func (n *Network) Recycle(m *msg.Message) { n.pool.Put(m) }
+
 // Reset returns the network to the state New leaves it in, with the same
 // attached endpoints: every link free, every detailed-mode buffer empty,
 // no dead link, no message in flight, and the adaptive-routing generator
-// reseeded. Messages still in flight are abandoned — returned to the msg
-// pool without reaching a recorder — and their traversal state to the
-// freelists. The events that would have advanced them must be discarded
-// too, by resetting the engine.
+// reseeded. The message freelist reads the pooling setting
+// (msg.SetPooling) again. Messages still in flight are abandoned —
+// recycled without reaching a recorder — and their traversal state
+// returned to the freelists. The events that would have advanced them must
+// be discarded too, by resetting the engine.
 func (n *Network) Reset() {
+	n.pool.Reset()
 	clear(n.links)
 	for _, b := range n.bufs {
 		b.used = 0
@@ -284,14 +303,14 @@ func (n *Network) Reset() {
 	n.transits = n.transits[:0]
 	for _, t := range n.allTransits {
 		if t.m != nil {
-			msg.Recycle(t.m)
+			n.pool.Put(t.m)
 		}
 		n.putTransit(t)
 	}
 	n.flights = n.flights[:0]
 	for _, f := range n.allFlights {
 		if f.m != nil {
-			msg.Recycle(f.m)
+			n.pool.Put(f.m)
 		}
 		n.putFlight(f)
 	}
@@ -392,7 +411,7 @@ func (n *Network) Send(m *msg.Message) {
 		// A dead link partitioned source from destination: the message is
 		// lost on the spot. The protocols see a permanently lossy path.
 		n.rec.MessageDropped(m)
-		msg.Recycle(m)
+		n.pool.Put(m)
 		return
 	}
 
@@ -444,13 +463,13 @@ func transitDeliver(arg any, _ uint64) {
 	n.putTransit(t)
 	if dropped {
 		n.rec.MessageDropped(m)
-		msg.Recycle(m)
+		n.pool.Put(m)
 		return
 	}
 	nd := n.nodes[m.Dst]
 	n.rec.MessageDelivered(m, n.engine.Now()-sentAt)
 	nd.handler(m)
-	msg.Recycle(m)
+	n.pool.Put(m)
 }
 
 // transitDropChoice loses a message at its ejection port: the model checker
@@ -463,7 +482,7 @@ func transitDropChoice(arg any, _ uint64) {
 	n.landed(t)
 	n.putTransit(t)
 	n.rec.MessageDropped(m)
-	msg.Recycle(m)
+	n.pool.Put(m)
 }
 
 // landed removes a transit's message from the in-flight multiset as it

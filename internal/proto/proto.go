@@ -273,7 +273,13 @@ type L1Port interface {
 type WriteObserver func(addr msg.Addr, version, value uint64)
 
 // Sender transmits coherence messages; the mesh network implements it, and
-// tests substitute fakes to drive controllers in isolation.
+// tests substitute fakes to drive controllers in isolation. Controllers
+// draw every message they build from their Sender (NewMessage) and hand it
+// back with Send, or with Recycle when they only used it locally; the
+// network keeps a freelist behind both (msg.Pool). Fakes may return
+// new(msg.Message) and ignore Recycle.
 type Sender interface {
+	NewMessage() *msg.Message
 	Send(m *msg.Message)
+	Recycle(m *msg.Message)
 }

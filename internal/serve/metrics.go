@@ -135,7 +135,7 @@ type renderInfo struct {
 	goVersion  string
 	version    string
 	msgGets    uint64 // msg.PoolStats: messages requested
-	msgMisses  uint64 // msg.PoolStats: requests the freelist could not satisfy
+	msgMisses  uint64 // msg.PoolStats: requests no recycled message could satisfy
 	simPushes  uint64 // sim.HeapStats: events scheduled
 	simGrows   uint64 // sim.HeapStats: pushes that grew an engine's slab
 }
@@ -237,10 +237,10 @@ func (m *metrics) render(w io.Writer, info renderInfo) {
 	fmt.Fprintln(w, "# TYPE ftserve_go_gc_cycles_total counter")
 	fmt.Fprintf(w, "ftserve_go_gc_cycles_total %d\n", info.gcCycles)
 
-	fmt.Fprintln(w, "# HELP ftserve_pool_msg_gets_total Simulator messages requested from the freelist (msg.NewMessage calls).")
+	fmt.Fprintln(w, "# HELP ftserve_pool_msg_gets_total Simulator messages requested from the networks' freelists (msg.PoolStats, counted when each simulation run ends).")
 	fmt.Fprintln(w, "# TYPE ftserve_pool_msg_gets_total counter")
 	fmt.Fprintf(w, "ftserve_pool_msg_gets_total %d\n", info.msgGets)
-	fmt.Fprintln(w, "# HELP ftserve_pool_msg_misses_total Message requests the freelist could not satisfy (fresh allocations).")
+	fmt.Fprintln(w, "# HELP ftserve_pool_msg_misses_total Message requests neither a freelist nor the shared pool could satisfy (fresh allocations).")
 	fmt.Fprintln(w, "# TYPE ftserve_pool_msg_misses_total counter")
 	fmt.Fprintf(w, "ftserve_pool_msg_misses_total %d\n", info.msgMisses)
 	fmt.Fprintln(w, "# HELP ftserve_pool_msg_hit_ratio Freelist hit rate for simulator messages (1 = fully recycled).")

@@ -94,6 +94,10 @@ type Engine struct {
 	stale int
 	// pushes and grows feed HeapStats when Run or RunUntil returns.
 	pushes, grows uint64
+	// runEnd, when set, runs with runEndArg each time Run or RunUntil
+	// returns (AtRunEnd).
+	runEnd    func(arg any)
+	runEndArg any
 
 	// Model-checking hooks (see choice.go). chooser is nil in normal runs;
 	// halted latches once a chooser returns Halt. The scratch slices are
@@ -117,7 +121,7 @@ func NewEngine() *Engine {
 // the timers whose firings they discard first, so a stopped timer never
 // refers to a vanished event. The slab, the overflow heap and the choice
 // scratch keep their capacity, so a reset engine schedules without
-// growing them again.
+// growing them again. The AtRunEnd hook stays installed.
 func (e *Engine) Reset() {
 	clear(e.slab) // drop the discarded events' callbacks and arguments
 	e.slab = e.slab[:0]
@@ -231,11 +235,23 @@ func (e *Engine) maybeCompact() {
 	}
 }
 
-// flushStats adds the engine's push and growth counts to HeapStats.
+// AtRunEnd installs fn(arg) to run each time Run or RunUntil returns,
+// replacing any earlier hook. The network uses it to hand its free
+// messages back and publish its pool counters once per run instead of once
+// per message (noc.New).
+func (e *Engine) AtRunEnd(fn func(arg any), arg any) {
+	e.runEnd, e.runEndArg = fn, arg
+}
+
+// flushStats adds the engine's push and growth counts to HeapStats and
+// runs the AtRunEnd hook.
 func (e *Engine) flushStats() {
 	queuePushes.Add(e.pushes)
 	queueGrows.Add(e.grows)
 	e.pushes, e.grows = 0, 0
+	if e.runEnd != nil {
+		e.runEnd(e.runEndArg)
+	}
 }
 
 // Run executes events until the queue drains, the engine halts, or the

@@ -116,10 +116,13 @@ func TestResetBeginOpsAllocsPin(t *testing.T) {
 // records in a sync.Pool, which a collection empties (its victim cache
 // outlives one), every path after the collections built its records
 // again. Message pooling is off here, so every message allocates on both
-// sides alike: the msg pool is a sync.Pool by design (see
-// docs/PERFORMANCE.md). A map cleared by Reset draws a new hash seed, so
-// a path now and then allocates a few more times as a map rehashes; the
-// pin compares the least count of ten paths on each side.
+// sides alike: the network's message freelist falls back to a sync.Pool
+// (see docs/PERFORMANCE.md). Counted at the allocation sites
+// (-memprofilerate 1, a collection before each of 100 paths), every path
+// after the second allocates exactly alike on DirCMP and FtDirCMP; the
+// Go runtime now and then allocates once more during a path for itself
+// (thread and timer bookkeeping), so the pin compares the least count of
+// ten paths on each side.
 func TestResetPathAcrossGCAllocsPin(t *testing.T) {
 	msg.SetPooling(false)
 	defer msg.SetPooling(true)

@@ -204,7 +204,7 @@ func (h *Home) sendAfter(delay uint64, m *msg.Message) {
 		h.send(m)
 		return
 	}
-	pm := msg.NewMessage()
+	pm := h.net.NewMessage()
 	*pm = *m
 	pm.Src = h.id
 	h.engine.ScheduleCall(delay, h.sendDelayed, pm, 0)
@@ -454,7 +454,7 @@ func (h *Home) handleOwnershipPing(m *msg.Message) {
 }
 
 func (h *Home) send(m *msg.Message) {
-	pm := msg.NewMessage()
+	pm := h.net.NewMessage()
 	*pm = *m
 	pm.Src = h.id
 	h.net.Send(pm)

@@ -754,7 +754,7 @@ func (l *L1) setSerial(addr msg.Addr, sn msg.SerialNumber) {
 }
 
 func (l *L1) send(m *msg.Message) {
-	pm := msg.NewMessage()
+	pm := l.net.NewMessage()
 	*pm = *m
 	pm.Src = l.id
 	l.net.Send(pm)

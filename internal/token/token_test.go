@@ -15,7 +15,9 @@ type fakeNet struct {
 	sent []*msg.Message
 }
 
-func (f *fakeNet) Send(m *msg.Message) { f.sent = append(f.sent, m) }
+func (f *fakeNet) NewMessage() *msg.Message { return new(msg.Message) }
+func (f *fakeNet) Send(m *msg.Message)      { f.sent = append(f.sent, m) }
+func (f *fakeNet) Recycle(*msg.Message)     {}
 
 func (f *fakeNet) take() []*msg.Message {
 	out := f.sent

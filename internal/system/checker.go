@@ -1,7 +1,6 @@
 package system
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -24,24 +23,24 @@ import (
 //
 // It returns one error per violated line.
 func (s *System) CheckCoherence() []error {
-	// All views go into one flat slice sorted by address (grouping runs
-	// afterwards), not a map of per-address slices: the flat slice grows
-	// geometrically, while the map costs an allocation per address. Each
-	// view remembers its collection index, and the in-place sort orders by
-	// (address, index): a unique key, so it yields exactly the order a
-	// stable sort by address would, which keeps error messages
-	// deterministic, without a stable sort's O(n log² n) swaps.
+	// All views go into one flat slice, not a map of per-address slices:
+	// the flat slice grows geometrically, while the map costs an
+	// allocation per address. lineGroups then groups it by line in place
+	// (see group), in exactly the order a stable sort by address would
+	// give, which keeps error messages deterministic.
 	// Dead agents are excluded: their state froze mid-transaction at the
 	// death instant, and the reconstruction flush re-established the
 	// invariants over the survivors alone.
 	//
-	// The slice is System scratch, as memoryImage's is: a reset system
+	// The slices are System scratch, as memoryImage's is: a reset system
 	// checks each terminal state without allocating. A fresh system counts
-	// the views first and allocates the slice once at that size.
+	// the views first and allocates the view and address slices once at
+	// that size.
 	if s.views == nil {
 		n := 0
 		s.inspectLive(func(proto.LineView) { n++ })
 		s.views = make([]agentView, 0, n)
+		s.groups.addrs = make([]msg.Addr, 0, n)
 	}
 	s.views = s.views[:0]
 	s.inspectLive(s.viewLine)
@@ -49,7 +48,7 @@ func (s *System) CheckCoherence() []error {
 	if s.cfg.Protocol.tokenBased() {
 		expectTokens = s.topo.Tiles
 	}
-	return checkViews(s.topo, s.views, expectTokens)
+	return checkViews(s.topo, s.views, &s.groups, expectTokens)
 }
 
 // inspectLive calls fn for every line view of every agent not dead, with
@@ -65,25 +64,16 @@ func (s *System) inspectLive(fn func(proto.LineView)) {
 	}
 }
 
-// checkViews sorts views (in collection order, ord = index) by line and
-// checks each line's group, returning one error per violated line in
-// address order.
-func checkViews(topo proto.Topology, views []agentView, expectTokens int) []error {
-	slices.SortFunc(views, func(a, b agentView) int {
-		if c := cmp.Compare(a.v.Addr, b.v.Addr); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ord, b.ord)
-	})
+// checkViews groups views (in collection order) by line with g and checks
+// each line's group, returning one error per violated line in address
+// order.
+func checkViews(topo proto.Topology, views []agentView, g *lineGroups, expectTokens int) []error {
+	g.group(views)
 	var errs []error
-	for start := 0; start < len(views); {
-		addr := views[start].v.Addr
-		end := start
-		for end < len(views) && views[end].v.Addr == addr {
-			end++
-		}
-		vs := views[start:end]
-		start = end
+	start := int32(0)
+	for r, addr := range g.addrs {
+		vs := views[start:g.ends[r]]
+		start = g.ends[r]
 		if err := checkLine(topo, addr, vs, true); err != nil {
 			errs = append(errs, err)
 			continue
@@ -95,6 +85,50 @@ func checkViews(topo proto.Topology, views []agentView, expectTokens int) []erro
 	return errs
 }
 
+// lineGroups is the scratch checkViews groups views with: after group,
+// addrs holds the distinct lines in address order, and line r's views are
+// views[ends[r-1]:ends[r]] (from 0 for the first line).
+type lineGroups struct {
+	addrs []msg.Addr
+	ends  []int32
+}
+
+// group reorders views so each line's views are contiguous, the lines in
+// address order and each line's views in collection order: the order a
+// stable sort by address gives. It sorts only the addresses; the views,
+// 80 bytes each, move once. A counting pass over the lines sizes each
+// line's group, and each view's dest field then names its place, so the
+// permutation is applied in place, a cycle at a time.
+func (g *lineGroups) group(views []agentView) {
+	g.addrs = g.addrs[:0]
+	for i := range views {
+		g.addrs = append(g.addrs, views[i].addr)
+	}
+	slices.Sort(g.addrs)
+	g.addrs = slices.Compact(g.addrs)
+	g.ends = append(g.ends[:0], make([]int32, len(g.addrs))...)
+	for i := range views {
+		r, _ := slices.BinarySearch(g.addrs, views[i].addr)
+		views[i].dest = int32(r)
+		g.ends[r]++
+	}
+	var start int32
+	for r, n := range g.ends {
+		g.ends[r] = start
+		start += n
+	}
+	for i := range views {
+		r := views[i].dest
+		views[i].dest = g.ends[r]
+		g.ends[r]++
+	}
+	for i := range views {
+		for d := views[i].dest; d != int32(i); d = views[i].dest {
+			views[i], views[d] = views[d], views[i]
+		}
+	}
+}
+
 // checkTokens enforces token conservation at quiescence: every line's
 // tokens sum to exactly T and exactly one agent holds the owner token.
 func checkTokens(addr msg.Addr, vs []agentView, expect int) error {
@@ -103,8 +137,8 @@ func checkTokens(addr msg.Addr, vs []agentView, expect int) error {
 	}
 	total, owners := 0, 0
 	for _, av := range vs {
-		total += av.v.Tokens
-		if av.v.Owner {
+		total += int(av.tokens)
+		if av.owner {
 			owners++
 		}
 	}
@@ -129,24 +163,39 @@ func (s *System) CheckLine(addr msg.Addr) error {
 		}
 		a.InspectLines(func(v proto.LineView) {
 			if v.Addr == addr {
-				vs = append(vs, agentView{node: int32(id), v: v})
+				vs = append(vs, viewOf(int32(id), v))
 			}
 		})
 	}
 	for _, av := range vs {
-		if av.v.Transient {
+		if av.transient {
 			return nil
 		}
 	}
 	return checkLine(s.topo, addr, vs, false)
 }
 
-// agentView is one agent's view of a line. node and ord are 32-bit so the
-// view stays 80 bytes, the size the sort moves per swap.
+// agentView is what the checks read of one agent's view of a line, packed
+// into 40 bytes: grouping moves whole views, and a fresh system allocates
+// one for every copy of a line it checks. The diagnostic fields of
+// proto.LineView (State, SN) stay behind.
 type agentView struct {
-	node int32 // the agent's msg.NodeID
-	ord  int32 // collection order, the sort's tie-break
-	v    proto.LineView
+	addr    msg.Addr
+	version uint64
+	perm    proto.Permission
+	tokens  int32
+	node    int32 // the agent's msg.NodeID
+	dest    int32 // grouping scratch: the view's line rank, then its place
+
+	owner, backup, transient bool
+}
+
+// viewOf packs agent node's view v.
+func viewOf(node int32, v proto.LineView) agentView {
+	return agentView{
+		addr: v.Addr, version: v.Payload.Version, perm: v.Perm, tokens: int32(v.Tokens), node: node,
+		owner: v.Owner, backup: v.Backup, transient: v.Transient,
+	}
 }
 
 func checkLine(topo proto.Topology, addr msg.Addr, vs []agentView, quiescent bool) error {
@@ -156,28 +205,28 @@ func checkLine(topo proto.Topology, addr msg.Addr, vs []agentView, quiescent boo
 	var ownerVersion uint64
 	var maxVersion uint64
 	for _, av := range vs {
-		switch av.v.Perm {
+		switch av.perm {
 		case proto.PermWrite:
 			writers++
 			readers++
 		case proto.PermRead:
 			readers++
 		}
-		if av.v.Owner {
+		if av.owner {
 			owners++
-			if av.v.Payload.Version > ownerVersion {
-				ownerVersion = av.v.Payload.Version
+			if av.version > ownerVersion {
+				ownerVersion = av.version
 			}
 		}
-		if av.v.Backup {
+		if av.backup {
 			if topo.IsMem(msg.NodeID(av.node)) {
 				memBackups++
 			} else {
 				chipBackups++
 			}
 		}
-		if av.v.Payload.Version > maxVersion {
-			maxVersion = av.v.Payload.Version
+		if av.version > maxVersion {
+			maxVersion = av.version
 		}
 	}
 	backups := chipBackups + memBackups
@@ -209,9 +258,9 @@ func checkLine(topo proto.Topology, addr msg.Addr, vs []agentView, quiescent boo
 		}
 		// Readable copies must match the owner's version.
 		for _, av := range vs {
-			if av.v.Perm != proto.PermNone && av.v.Payload.Version != ownerVersion {
+			if av.perm != proto.PermNone && av.version != ownerVersion {
 				return fmt.Errorf("line %#x: node %d holds stale v%d, owner has v%d",
-					addr, av.node, av.v.Payload.Version, ownerVersion)
+					addr, av.node, av.version, ownerVersion)
 			}
 		}
 	}
@@ -225,7 +274,7 @@ func describe(vs []agentView) string {
 			out += ", "
 		}
 		out += fmt.Sprintf("node %d{perm=%d owner=%t backup=%t trans=%t v%d}",
-			av.node, av.v.Perm, av.v.Owner, av.v.Backup, av.v.Transient, av.v.Payload.Version)
+			av.node, av.perm, av.owner, av.backup, av.transient, av.version)
 	}
 	return out
 }

@@ -11,16 +11,16 @@ import (
 	"repro/internal/proto"
 )
 
-// stableCheckViews is the grouping CheckCoherence used before it sorted
-// in place: a stable sort by address alone, so views of one line keep
-// their collection order.
+// stableCheckViews is the grouping CheckCoherence used before it grouped
+// views by a counting pass: a stable sort by address alone, so views of
+// one line keep their collection order.
 func stableCheckViews(topo proto.Topology, views []agentView, expectTokens int) []error {
-	slices.SortStableFunc(views, func(a, b agentView) int { return cmp.Compare(a.v.Addr, b.v.Addr) })
+	slices.SortStableFunc(views, func(a, b agentView) int { return cmp.Compare(a.addr, b.addr) })
 	var errs []error
 	for start := 0; start < len(views); {
-		addr := views[start].v.Addr
+		addr := views[start].addr
 		end := start
-		for end < len(views) && views[end].v.Addr == addr {
+		for end < len(views) && views[end].addr == addr {
 			end++
 		}
 		vs := views[start:end]
@@ -60,17 +60,19 @@ func randomViews(rng *rand.Rand, topo proto.Topology) []agentView {
 				Tokens:    rng.Intn(3),
 			}
 			v.Payload.Version = uint64(rng.Intn(3))
-			views = append(views, agentView{node: int32(id), ord: int32(len(views)), v: v})
+			views = append(views, viewOf(int32(id), v))
 		}
 	}
 	return views
 }
 
-// TestCheckViewsMatchesStableOrder: the in-place (address, index) sort
-// must report the same errors, word for word and in the same order, as the
-// stable sort it replaced, on view sets with many violating lines.
+// TestCheckViewsMatchesStableOrder: grouping views by line must report the
+// same errors, word for word and in the same order, as a stable sort by
+// address, on view sets with many violating lines. One lineGroups serves
+// every seed, as one System's does every check.
 func TestCheckViewsMatchesStableOrder(t *testing.T) {
 	topo := proto.Topology{Tiles: 4, Mems: 2, LineSize: 64}
+	var groups lineGroups
 	violations := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,7 +81,7 @@ func TestCheckViewsMatchesStableOrder(t *testing.T) {
 		if seed%3 == 0 {
 			expectTokens = topo.Tiles
 		}
-		got := checkViews(topo, slices.Clone(views), expectTokens)
+		got := checkViews(topo, slices.Clone(views), &groups, expectTokens)
 		want := stableCheckViews(topo, views, expectTokens)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d errors, reference %d", seed, len(got), len(want))
@@ -96,10 +98,11 @@ func TestCheckViewsMatchesStableOrder(t *testing.T) {
 	}
 }
 
-// TestAgentViewSize: the sort moves whole views, so agentView must not
-// grow past 80 bytes.
+// TestAgentViewSize: grouping moves whole views, and a fresh system
+// allocates one per checked line copy, so agentView must not grow past 40
+// bytes (it held a whole proto.LineView, 80 bytes, before).
 func TestAgentViewSize(t *testing.T) {
-	if n := unsafe.Sizeof(agentView{}); n > 80 {
-		t.Fatalf("agentView is %d bytes, want <= 80", n)
+	if n := unsafe.Sizeof(agentView{}); n > 40 {
+		t.Fatalf("agentView is %d bytes, want <= 40", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/proto"
 )
 
@@ -12,12 +13,9 @@ func checkerTopo() proto.Topology {
 }
 
 func view(node int, perm proto.Permission, owner, backup bool, version uint64) agentView {
-	av := agentView{
-		node: int32(checkerTopo().L1(node)),
-		v:    proto.LineView{Addr: 0x40, Perm: perm, Owner: owner, Backup: backup},
-	}
-	av.v.Payload.Version = version
-	return av
+	v := proto.LineView{Addr: 0x40, Perm: perm, Owner: owner, Backup: backup}
+	v.Payload.Version = version
+	return viewOf(int32(checkerTopo().L1(node)), v)
 }
 
 func TestCheckLineSWMRViolation(t *testing.T) {
@@ -77,8 +75,8 @@ func TestCheckLineChipPlusMemBackupAllowedMidRun(t *testing.T) {
 	// transfer chain is in flight.
 	topo := checkerTopo()
 	vs := []agentView{
-		{node: int32(topo.L2(0)), v: proto.LineView{Addr: 0x40, Backup: true}},
-		{node: int32(topo.Mem(0)), v: proto.LineView{Addr: 0x40, Backup: true}},
+		viewOf(int32(topo.L2(0)), proto.LineView{Addr: 0x40, Backup: true}),
+		viewOf(int32(topo.Mem(0)), proto.LineView{Addr: 0x40, Backup: true}),
 	}
 	if err := checkLine(topo, 0x40, vs, false); err != nil {
 		t.Fatalf("legal backup pair rejected: %v", err)
@@ -98,10 +96,8 @@ func TestCheckLineBackupAtQuiescenceRejected(t *testing.T) {
 
 func TestCheckLineStaleCopyRejected(t *testing.T) {
 	topo := checkerTopo()
-	owner := agentView{node: int32(topo.L1(0)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true}}
-	owner.v.Payload.Version = 5
-	stale := agentView{node: int32(topo.L1(1)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead}}
-	stale.v.Payload.Version = 3
+	owner := viewOf(int32(topo.L1(0)), proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true, Payload: msg.Payload{Version: 5}})
+	stale := viewOf(int32(topo.L1(1)), proto.LineView{Addr: 0x40, Perm: proto.PermRead, Payload: msg.Payload{Version: 3}})
 	err := checkLine(topo, 0x40, []agentView{owner, stale}, true)
 	if err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("err = %v, want stale copy rejection", err)
@@ -110,10 +106,8 @@ func TestCheckLineStaleCopyRejected(t *testing.T) {
 
 func TestCheckLineHealthyQuiescentState(t *testing.T) {
 	topo := checkerTopo()
-	owner := agentView{node: int32(topo.L1(0)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true}}
-	owner.v.Payload.Version = 5
-	sharer := agentView{node: int32(topo.L1(1)), v: proto.LineView{Addr: 0x40, Perm: proto.PermRead}}
-	sharer.v.Payload.Version = 5
+	owner := viewOf(int32(topo.L1(0)), proto.LineView{Addr: 0x40, Perm: proto.PermRead, Owner: true, Payload: msg.Payload{Version: 5}})
+	sharer := viewOf(int32(topo.L1(1)), proto.LineView{Addr: 0x40, Perm: proto.PermRead, Payload: msg.Payload{Version: 5}})
 	if err := checkLine(topo, 0x40, []agentView{owner, sharer}, true); err != nil {
 		t.Fatalf("healthy state rejected: %v", err)
 	}

@@ -245,9 +245,10 @@ type System struct {
 	image     []imageEntry
 	imageLine func(proto.LineView)
 
-	// views is CheckCoherence's reused scratch; viewLine appends one view
-	// of agent viewNode to it.
+	// views and groups are CheckCoherence's reused scratch; viewLine
+	// appends one view of agent viewNode to views.
 	views    []agentView
+	groups   lineGroups
 	viewNode int32
 	viewLine func(proto.LineView)
 }
@@ -334,7 +335,7 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	s.viewLine = func(v proto.LineView) {
-		s.views = append(s.views, agentView{node: s.viewNode, ord: int32(len(s.views)), v: v})
+		s.views = append(s.views, viewOf(s.viewNode, v))
 	}
 	if cfg.CheckIntegrity {
 		s.integrity = NewIntegrity(tiles, tiles*cfg.OpsPerCore)

@@ -440,6 +440,20 @@ func (r *Recorder) emit(e Event) {
 	}
 }
 
+// counted numbers and counts an event of kind k, as emit does, when the
+// recorder only counts: it keeps no ring and streams to no sink. The
+// frequent fault-free events (state changes, transaction ends, backups)
+// check it first, so a counting recorder never builds their Event.
+func (r *Recorder) counted(k Kind) bool {
+	if r.capacity > 0 || r.sink != nil {
+		return false
+	}
+	r.seq++
+	r.met.Events++
+	r.met.ByKind[k]++
+	return true
+}
+
 // open starts a recovery window for addr at the current cycle.
 func (r *Recorder) open(addr msg.Addr) {
 	r.met.FaultsInjected++
@@ -508,7 +522,7 @@ func (r *Recorder) LastEventFor(addr msg.Addr) (Event, bool) {
 
 // StateChange records a cache-line state transition at node.
 func (r *Recorder) StateChange(unit string, node msg.NodeID, addr msg.Addr, tid msg.TID, old, new string) {
-	if r == nil {
+	if r == nil || r.counted(KindState) {
 		return
 	}
 	r.emit(Event{Kind: KindState, Unit: unit, Node: node, Addr: addr, TID: tid, Old: old, New: new})
@@ -533,7 +547,7 @@ func (r *Recorder) Reissue(unit string, node msg.NodeID, addr msg.Addr, tid msg.
 // BackupCreated records a backup copy installed at node for a transfer to
 // dst.
 func (r *Recorder) BackupCreated(unit string, node msg.NodeID, addr msg.Addr, tid msg.TID, dst msg.NodeID) {
-	if r == nil {
+	if r == nil || r.counted(KindBackupCreate) {
 		return
 	}
 	r.emit(Event{Kind: KindBackupCreate, Unit: unit, Node: node, Addr: addr, TID: tid, Dst: dst})
@@ -545,7 +559,9 @@ func (r *Recorder) BackupDeleted(unit string, node msg.NodeID, addr msg.Addr, ti
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: KindBackupDelete, Unit: unit, Node: node, Addr: addr, TID: tid})
+	if !r.counted(KindBackupDelete) {
+		r.emit(Event{Kind: KindBackupDelete, Unit: unit, Node: node, Addr: addr, TID: tid})
+	}
 	r.close(unit, node, addr)
 }
 
@@ -556,7 +572,9 @@ func (r *Recorder) TransactionEnd(unit string, node msg.NodeID, addr msg.Addr, t
 	if r == nil {
 		return
 	}
-	r.emit(Event{Kind: KindTxnEnd, Unit: unit, Node: node, Addr: addr, TID: tid})
+	if !r.counted(KindTxnEnd) {
+		r.emit(Event{Kind: KindTxnEnd, Unit: unit, Node: node, Addr: addr, TID: tid})
+	}
 	r.close(unit, node, addr)
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,6 +59,42 @@ func TestZeroCapacityKeepsMetricsOnly(t *testing.T) {
 	m := r.Metrics()
 	if m.Events != 1 || m.ByKind[KindTimeout] != 1 || m.TimeoutsByKind[TimeoutBackup] != 1 {
 		t.Fatalf("metrics not collected: %+v", m)
+	}
+}
+
+// TestCountingRecorderMatchesRing: a recorder that only counts skips
+// building the frequent events, so it must still number and count every
+// event exactly as a recorder that keeps them: the same metrics, recovery
+// windows included, and the same sequence number on the next kept event.
+func TestCountingRecorderMatchesRing(t *testing.T) {
+	drive := func(r *Recorder) {
+		clock := uint64(0)
+		r.SetClock(func() uint64 { return clock })
+		for i, call := range []func(){
+			func() { r.MessageDropped(&msg.Message{Type: msg.GetX, Src: 1, Dst: 5, Addr: 0x40}) },
+			func() { r.StateChange("l1", 1, 0x40, 7, "I", "M") },
+			func() { r.BackupCreated("l2", 5, 0x40, 7, 1) },
+			func() { r.TimeoutFired("l1", 1, 0x40, 7, TimeoutLostRequest) },
+			func() { r.BackupDeleted("l2", 5, 0x40, 7) },
+			func() { r.MessageDropped(&msg.Message{Type: msg.Data, Src: 5, Dst: 1, Addr: 0x80}) },
+			func() { r.TransactionEnd("l1", 1, 0x80, 8) },
+			func() { r.TransactionEnd("mem", 9, 0xc0, 9) },
+		} {
+			clock = uint64(i * i * 5)
+			call()
+		}
+	}
+	counting, ring := NewRecorder(0), NewRecorder(64)
+	drive(counting)
+	drive(ring)
+	if !reflect.DeepEqual(counting.Metrics(), ring.Metrics()) {
+		t.Fatalf("metrics differ:\ncounting %+v\nring     %+v", *counting.Metrics(), *ring.Metrics())
+	}
+	var next []Event
+	counting.SetSink(func(e Event) { next = append(next, e) })
+	counting.StateChange("l1", 1, 0x40, 10, "M", "I")
+	if events := ring.Events(); len(next) != 1 || next[0].Seq != uint64(len(events))+1 {
+		t.Fatalf("next event after %d counted: %+v", len(events), next)
 	}
 }
 

@@ -48,9 +48,9 @@ func init() {
 }
 
 // SetPooling enables or disables message pooling (tests use it to prove
-// pooled and unpooled runs are byte-identical). It takes effect at each
-// network's next noc.New or Network.Reset; a running simulation keeps the
-// setting it started with. NewMessage reads it on every call.
+// pooled and unpooled runs are byte-identical). A network's freelist reads
+// it at the network's next noc.New or Network.Reset; NewMessage and a
+// freelist's misses read it on every call.
 func SetPooling(enabled bool) { poolingDisabled.Store(!enabled) }
 
 // PoolingEnabled reports whether messages are recycled.
@@ -110,7 +110,8 @@ type Pool struct {
 }
 
 // Reset reads the pooling setting. With pooling disabled the freelist is
-// dropped, so every Get allocates and Put discards.
+// dropped and Put discards, so every Get falls through to shared, which
+// allocates.
 func (p *Pool) Reset() {
 	p.off = poolingDisabled.Load()
 	if p.off {
@@ -126,10 +127,6 @@ func (p *Pool) Get() *Message {
 		p.free = m.next
 		*m = Message{}
 		return m
-	}
-	if p.off {
-		p.news++
-		return new(Message)
 	}
 	m, miss := shared()
 	if miss {

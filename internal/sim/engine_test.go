@@ -9,6 +9,28 @@ import (
 	"testing/quick"
 )
 
+// TestEngineAtRunEnd: the run-end hook runs once each time Run or
+// RunUntil returns, whatever ends the run, after the run's events, and
+// stays installed across Reset.
+func TestEngineAtRunEnd(t *testing.T) {
+	e := NewEngine()
+	var fired []uint64
+	e.AtRunEnd(func(arg any) { fired = append(fired, arg.(*Engine).Now()) }, e)
+	e.ScheduleCall(5, func(any, uint64) {}, nil, 0)
+	e.ScheduleCall(9, func(any, uint64) {}, nil, 0)
+	if err := e.Run(6); err == nil {
+		t.Fatal("Run(6) left an event past the limit but returned nil")
+	}
+	e.RunUntil(0, func() bool { return e.Now() >= 9 })
+	e.Reset()
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{5, 9, 0}; !slices.Equal(fired, want) {
+		t.Fatalf("hook ran at cycles %v, want %v", fired, want)
+	}
+}
+
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []uint64

@@ -100,7 +100,7 @@ func TestCheckViewsMatchesStableOrder(t *testing.T) {
 
 // TestAgentViewSize: grouping moves whole views, and a fresh system
 // allocates one per checked line copy, so agentView must not grow past 40
-// bytes (it held a whole proto.LineView, 80 bytes, before).
+// bytes.
 func TestAgentViewSize(t *testing.T) {
 	if n := unsafe.Sizeof(agentView{}); n > 40 {
 		t.Fatalf("agentView is %d bytes, want <= 40", n)

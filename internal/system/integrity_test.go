@@ -330,10 +330,8 @@ func TestIntegrityRolledBackCommitStillCommitted(t *testing.T) {
 	}
 }
 
-// TestNewIntegrityAllocs pins the oracle's construction cost: the flat
-// oracle builds its records during the run, so NewIntegrity allocates
-// only itself, where the nested-map oracle allocated 17 times for 16
-// cores on go1.24.
+// TestNewIntegrityAllocs pins the oracle's construction cost: it builds
+// its records during the run, so NewIntegrity allocates only itself.
 func TestNewIntegrityAllocs(t *testing.T) {
 	const cores = 16
 	var g *Integrity

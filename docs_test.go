@@ -150,10 +150,10 @@ func TestDocsPerformanceMatchesCode(t *testing.T) {
 	}
 	doc := string(data)
 	for _, want := range []string{
-		"REPRO_NOPOOL", "msg.SetPooling", "msg.NewMessage", "msg.Recycle",
-		"Timer.Start", "proto.DeferResult", "msg.EncodeAppend",
+		"REPRO_NOPOOL", "msg.SetPooling", "msg.NewMessage", "msg.Pool",
+		"Engine.AtRunEnd", "Timer.Start", "proto.DeferResult", "msg.EncodeAppend",
 		"TestPoolingOffGoldenIdentity", "TestFig3QuickAllocsPin",
-		"TestDisabledInstrumentationZeroAlloc",
+		"TestDisabledInstrumentationZeroAlloc", "TestPoolStatsCountEveryMessage",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("docs/PERFORMANCE.md does not mention %q", want)

@@ -64,6 +64,7 @@ type commit struct {
 // lines and commits it can record: the slot map and first pages are sized
 // for it when first used, so a short run allocates about what it records.
 func NewIntegrity(cores, accesses int) *Integrity {
+	accesses = max(accesses, 0)
 	hint := min(accesses, pageLen)
 	g := &Integrity{cores: cores, hint: hint}
 	g.lines.first, g.history.first = hint, hint

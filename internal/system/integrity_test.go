@@ -340,3 +340,14 @@ func TestNewIntegrityAllocs(t *testing.T) {
 	}
 	_ = g
 }
+
+// TestNewIntegrityNegativeAccesses: a negative access count means
+// unknown, as 0 does, instead of sizing storage with it.
+func TestNewIntegrityNegativeAccesses(t *testing.T) {
+	g := NewIntegrity(2, -5)
+	g.OnWriteCommit(0x40, 1, 7)
+	g.OnCoreRead(1, 0x40, 1, 7)
+	if errs := g.Errors(); len(errs) != 0 || g.LastVersion(0x40) != 1 {
+		t.Fatalf("errors %q, last version %d", errs, g.LastVersion(0x40))
+	}
+}

@@ -124,8 +124,8 @@ func EnumerateSlots(c *Census, maxPerType int) []Slot {
 // the baseline's final memory image (per-line committed-write versions —
 // interleaving- and timing-invariant, see System.MemoryImage). The
 // coverage campaigns apply it to every injected fault; the model checker
-// (internal/mc) applies the same verdict to every terminal state of its
-// interleaving exploration.
+// (internal/mc) applies it, after System.Finish, to every terminal state
+// of its interleaving exploration and of its replays.
 func Recovered(out, base Outcome) bool {
 	return out.Err == "" && out.MemHash == base.MemHash
 }

@@ -29,20 +29,22 @@
 // identity — a state reached with budget left has successors one with no
 // budget lacks.
 //
-// A terminal state (event queue drained) is checked with the same verdict
-// the coverage campaigns use (coverage.Recovered): the run must have
-// completed every core, pass quiescence/coherence/integrity checks, and
-// converge to the fault-free baseline's memory image — which is
-// interleaving-invariant, because it is built from per-line committed-
-// write *counts*, not values. A drained queue with blocked cores is a
-// deadlock. Either way the offending decision sequence is the
-// counterexample: replaying it (Replay) deterministically reproduces the
-// violation, and with an event recorder attached the replay exports
-// through internal/obs and fttrace like any other run.
+// A terminal state (event queue drained) is hashed, then judged the way
+// every run ends (System.Finish: a deadlock dump, or the drain and token
+// scrub in default delivery order and the quiescence, coherence and
+// integrity checks), and must converge to the fault-free baseline's
+// memory image (coverage.Recovered, the coverage campaigns' verdict),
+// which is interleaving-invariant because it is built from per-line
+// committed-write *counts*, not values. The offending decision sequence
+// is the counterexample: replaying it (Replay, through the same
+// evaluation) deterministically reproduces the violation, and with an
+// event recorder attached the replay exports through internal/obs and
+// fttrace like any other run.
 package mc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/coverage"
@@ -97,8 +99,9 @@ type Action struct {
 // that fails the checker.
 type Violation struct {
 	// Kind is "deadlock" (queue drained with blocked cores), "verdict"
-	// (terminal state failed the recovery verdict: quiescence, coherence,
-	// integrity or memory-image match), or "cycle-limit".
+	// (terminal state failed the recovery verdict: token scrub,
+	// quiescence, coherence, integrity or memory-image match), or
+	// "cycle-limit".
 	Kind string `json:"kind"`
 	// Err is the failing checker's message.
 	Err string `json:"err"`
@@ -298,23 +301,36 @@ func evaluate(in *instance, cfg system.Config, base coverage.Outcome, actions []
 		res.choices = append([]sim.Choice(nil), ch.captured...)
 		return res, nil
 	}
-	// Queue drained: terminal state.
+	if ch.pos < len(actions) {
+		return evalResult{}, fmt.Errorf("mc: queue drained after %d of %d schedule actions — replay diverged", ch.pos, len(actions))
+	}
+	// Queue drained: terminal state. Hash it before the judgement, whose
+	// drain and scrub move the state on.
 	res.terminal = true
 	res.hash = in.stateHash()
-	if !in.sys.AllDone() {
-		res.violation = &Violation{Kind: "deadlock", Err: in.sys.DeadlockDump().Error(), StateHash: res.hash}
-		return res, nil
-	}
-	out := coverage.Outcome{Cycles: in.eng.Now()}
-	if verr := in.sys.VerifyQuiescent(); verr != nil {
-		out.Err = verr.Error()
-	} else {
-		out.MemHash = in.sys.MemoryImageHash()
-	}
-	if !coverage.Recovered(out, base) {
-		res.violation = &Violation{Kind: "verdict", Err: coverage.VerdictErr(out, base), StateHash: res.hash}
+	if kind, reason := judge(in.sys, base); kind != "" {
+		res.violation = &Violation{Kind: kind, Err: reason, StateHash: res.hash}
 	}
 	return res, nil
+}
+
+// judge is the verdict on a terminal state: System.Finish, then the
+// recovery verdict against the baseline (coverage.Recovered). It returns
+// the violation kind and its reason, or "" for a clean state.
+func judge(sys *system.System, base coverage.Outcome) (kind, reason string) {
+	var out coverage.Outcome
+	switch err := sys.Finish(); {
+	case errors.Is(err, system.ErrDeadlock):
+		return "deadlock", err.Error()
+	case err != nil:
+		out.Err = err.Error()
+	default:
+		out.MemHash = sys.MemoryImageHash()
+	}
+	if !coverage.Recovered(out, base) {
+		return "verdict", coverage.VerdictErr(out, base)
+	}
+	return "", ""
 }
 
 // baseline runs the configuration once conventionally (no chooser, no
@@ -481,14 +497,14 @@ func ExploreContext(ctx context.Context, cfg system.Config, w workload.Workload,
 	rep.Exhausted = !stopped && rep.DepthLimited == 0
 
 	// Render the counterexample schedules: one replay per violation fills
-	// in the human-readable message descriptions.
+	// in the human-readable message descriptions, after the fact, so the
+	// exploration's own evaluations stay allocation-lean.
 	for i := range rep.Violations {
-		v := &rep.Violations[i]
-		described, _, err := describeSchedule(cfg, w, v.Schedule)
+		res, err := Replay(cfg, w, rep.Violations[i].Schedule)
 		if err != nil {
 			return nil, err
 		}
-		v.Schedule = described
+		rep.Violations[i].Schedule = res.Schedule
 	}
 	return rep, nil
 }

@@ -60,6 +60,49 @@ func TestExploreFtDirCMPWithFaultBudgetExhausts(t *testing.T) {
 	}
 }
 
+// TestExploreEveryProtocolExhausts: the gate's shapes on every protocol
+// exhaust at fault budget 0 with no violation. The token protocols pass
+// because a terminal state is judged as a run ends (System.Finish, token
+// scrub included), the way the baseline that sets the memory image was.
+func TestExploreEveryProtocolExhausts(t *testing.T) {
+	for _, shape := range []string{"handoff", "migratory", "producer"} {
+		w, err := workload.ByName(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range resetProtocols {
+			rep, err := Explore(mcConfig(p, 2), w, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Violations) != 0 {
+				v := rep.Violations[0]
+				t.Errorf("%s/%v: %s at depth %d under pure reordering: %s", shape, p, v.Kind, v.Depth, v.Err)
+			} else if !rep.Exhausted {
+				t.Errorf("%s/%v: exploration did not exhaust: depthLimited=%d", shape, p, rep.DepthLimited)
+			}
+		}
+	}
+}
+
+// TestReplayTokenCMPDefaultOrderClean replays TokenCMP's all-default
+// handoff schedule (14 deliveries, no loss). Judged without the token
+// scrub it was a false "verdict" counterexample: its memory image lacked
+// the scrub's writes, which the baseline's has. The state hash, taken
+// before the judgement, is the one that counterexample carried.
+func TestReplayTokenCMPDefaultOrderClean(t *testing.T) {
+	res, err := Replay(mcConfig(system.TokenCMP, 2), workload.Handoff(), make([]Action, 14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kind != "" {
+		t.Fatalf("replay reports %q: %s", res.Kind, res.Err)
+	}
+	if res.StateHash != 0xea7fb855b353bbb8 {
+		t.Fatalf("replay state hash %#x, want 0xea7fb855b353bbb8", res.StateHash)
+	}
+}
+
 func TestExploreDirCMPCounterexample(t *testing.T) {
 	cfg := mcConfig(system.DirCMP, 2)
 	rep, err := Explore(cfg, workload.Handoff(), Options{FaultBudget: 1})

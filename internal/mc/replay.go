@@ -3,7 +3,6 @@ package mc
 import (
 	"fmt"
 
-	"repro/internal/coverage"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
@@ -23,10 +22,11 @@ type ReplayResult struct {
 }
 
 // Replay re-executes a complete schedule (typically a Violation's) on a
-// fresh system and reports what it reaches. Execution is deterministic, so
-// replaying a counterexample always reproduces its violation and state
-// hash. Attach an obs recorder via cfg.Obs to capture the replay's event
-// stream for export (fttrace); mc itself leaves it nil.
+// fresh system, through the explorer's own evaluation and judgement, and
+// reports what it reaches. Execution is deterministic, so replaying a
+// counterexample always reproduces its violation and state hash. Attach
+// an obs recorder via cfg.Obs to capture the replay's event stream for
+// export (fttrace); mc itself leaves it nil.
 //
 // The schedule must run to a terminal state: a schedule that ends at a
 // choice point (a strict prefix) is an error, as is one that diverges from
@@ -41,61 +41,23 @@ func Replay(cfg system.Config, w workload.Workload, schedule []Action) (*ReplayR
 	if err != nil {
 		return nil, err
 	}
-	ch := &scriptChooser{script: schedule}
-	in.eng.SetChooser(ch)
-	runErr := in.eng.Run(cfg.Limit)
-	if ch.diverged != nil {
-		return nil, ch.diverged
+	r, err := evaluate(in, cfg, base, schedule)
+	if err != nil {
+		return nil, err
 	}
-	if ch.atPoint {
+	if !r.terminal && r.violation == nil {
 		return nil, fmt.Errorf("mc: schedule ended after %d of its %d actions at a live choice point — not a terminal schedule",
-			ch.pos, len(schedule))
+			in.ch.pos, len(schedule))
 	}
-
-	res := &ReplayResult{Cycles: in.eng.Now(), StateHash: in.stateHash(), Schedule: describe(schedule, ch, descs)}
-	if runErr != nil {
-		res.Kind, res.Err = "cycle-limit", runErr.Error()
-		return res, nil
+	// Each decision's Info is the chosen message's fingerprint, which
+	// names its rendering in descs.
+	res := &ReplayResult{StateHash: r.hash, Cycles: r.cycles, Schedule: make([]Action, len(schedule))}
+	copy(res.Schedule, schedule)
+	for i, info := range in.ch.infos {
+		res.Schedule[i].Desc = descs[info]
 	}
-	if ch.pos < len(schedule) {
-		return nil, fmt.Errorf("mc: queue drained after %d of %d schedule actions — replay diverged", ch.pos, len(schedule))
-	}
-	if !in.sys.AllDone() {
-		res.Kind, res.Err = "deadlock", in.sys.DeadlockDump().Error()
-		return res, nil
-	}
-	out := coverage.Outcome{Cycles: in.eng.Now()}
-	if verr := in.sys.VerifyQuiescent(); verr != nil {
-		out.Err = verr.Error()
-	} else {
-		out.MemHash = in.sys.MemoryImageHash()
-	}
-	if !coverage.Recovered(out, base) {
-		res.Kind, res.Err = "verdict", coverage.VerdictErr(out, base)
+	if v := r.violation; v != nil {
+		res.Kind, res.Err = v.Kind, v.Err
 	}
 	return res, nil
-}
-
-// describe copies the schedule with Desc filled from the replay's message
-// descriptions: each decision's Info is the chosen message's fingerprint.
-func describe(schedule []Action, ch *scriptChooser, descs describer) []Action {
-	out := make([]Action, len(schedule))
-	copy(out, schedule)
-	for i := range out {
-		if i < len(ch.infos) {
-			out[i].Desc = descs[ch.infos[i]]
-		}
-	}
-	return out
-}
-
-// describeSchedule renders a schedule's message descriptions by replaying
-// it; the exploration uses it to annotate counterexamples after the fact,
-// keeping the exploration's own evaluations allocation-lean.
-func describeSchedule(cfg system.Config, w workload.Workload, schedule []Action) ([]Action, *ReplayResult, error) {
-	res, err := Replay(cfg, w, schedule)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Schedule, res, nil
 }

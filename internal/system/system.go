@@ -558,18 +558,30 @@ func (s *System) Run(w workload.Workload) (*stats.Run, error) {
 		return s.run, fmt.Errorf("%w at cycle %d (%d/%d cores finished)",
 			ErrCancelled, s.engine.Now(), s.doneCores(), tiles)
 	}
-	if !finished {
-		if s.engine.Pending() == 0 {
-			return s.run, s.deadlockError(tiles)
-		}
+	if !finished && s.engine.Pending() > 0 {
 		return s.run, fmt.Errorf("%w (%d cycles, %d/%d cores finished)",
 			ErrCycleLimit, s.cfg.Limit, s.doneCores(), tiles)
+	}
+	return s.run, s.Finish()
+}
+
+// Finish judges a run whose engine has stopped with every core done or
+// with its queue drained: the one end-of-run verdict behind Run, the model
+// checker's terminal states and its replays. A core still blocked is a
+// deadlock (the DeadlockError dump). Otherwise Finish drains the in-flight
+// work in default delivery order, with any chooser detached, declares a
+// silent tile death, runs the token scrub for the token protocols, and
+// verifies the quiescent system.
+func (s *System) Finish() error {
+	if !s.AllDone() {
+		return s.deadlockError()
 	}
 
 	// Drain in-flight work (writebacks, ownership handshakes, stale timer
 	// events) so the final coherence check sees a quiescent system.
+	s.engine.SetChooser(nil)
 	if err := s.engine.Run(s.cfg.Limit); err != nil {
-		return s.run, fmt.Errorf("system: drain: %w", err)
+		return fmt.Errorf("system: drain: %w", err)
 	}
 
 	// Silent tile death: the tile died but no survivor ever tripped over it
@@ -579,7 +591,7 @@ func (s *System) Run(w workload.Workload) (*stats.Run, error) {
 	if s.domains.AnyKilled() && !s.reconstructed {
 		s.domains.ForceDeclare(s.deadTile)
 		if err := s.engine.Run(s.cfg.Limit); err != nil {
-			return s.run, fmt.Errorf("system: post-reconstruction drain: %w", err)
+			return fmt.Errorf("system: post-reconstruction drain: %w", err)
 		}
 	}
 
@@ -589,14 +601,10 @@ func (s *System) Run(w workload.Workload) (*stats.Run, error) {
 	// recovery behaviorally — every touched line must still be writable.
 	if s.cfg.Protocol.tokenBased() {
 		if err := s.tokenScrub(); err != nil {
-			return s.run, err
+			return err
 		}
 	}
-
-	if err := s.VerifyQuiescent(); err != nil {
-		return s.run, err
-	}
-	return s.run, nil
+	return s.verifyQuiescent()
 }
 
 // Begin creates and starts the workload's cores without running the
@@ -644,12 +652,11 @@ func (s *System) AllDone() bool {
 	return true
 }
 
-// VerifyQuiescent runs the end-of-run verification suite on a drained
-// system: every live agent must be idle, no mid-run invariant may have
-// fired, and the coherence and data-integrity checkers must pass. Run
-// calls it after the drain; the model checker calls it on every terminal
-// state it reaches.
-func (s *System) VerifyQuiescent() error {
+// verifyQuiescent runs the end-of-run verification suite on a drained
+// system, as the last step of Finish: every live agent must be idle, no
+// mid-run invariant may have fired, and the coherence and data-integrity
+// checkers must pass.
+func (s *System) verifyQuiescent() error {
 	// Every agent must be idle after the drain; a live transaction here
 	// means a recovery loop is spinning without progress. Dead agents are
 	// exempt — their state froze at the death instant and the flush already
@@ -745,17 +752,13 @@ func (e *DeadlockError) Error() string {
 	return s
 }
 
-// DeadlockDump builds the deadlock diagnosis for the current state: Run
-// produces it when the event queue drains with cores still blocked, and
-// the model checker when an explored schedule starves a core the same way.
-func (s *System) DeadlockDump() *DeadlockError { return s.deadlockError(s.cfg.Tiles()) }
-
-// deadlockError builds the DeadlockError dump from the transient line views
-// of every agent, in deterministic (node, address) order.
-func (s *System) deadlockError(tiles int) *DeadlockError {
+// deadlockError builds the deadlock diagnosis Finish returns when cores
+// are still blocked: the transient line views of every agent, in
+// deterministic (node, address) order.
+func (s *System) deadlockError() *DeadlockError {
 	e := &DeadlockError{
 		DoneCores: s.doneCores(),
-		Cores:     tiles,
+		Cores:     s.cfg.Tiles(),
 		Cycle:     s.engine.Now(),
 	}
 	for id := range s.deadNodes {

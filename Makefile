@@ -131,9 +131,13 @@ coverage-fuzz:
 # must never panic, a body and its field-reordered re-encoding must resolve
 # to the same cache key (or both fail), and an accepted run body of at most
 # 64 tiles, executed with at most one operation per core, must end in a
-# Result or an error within 2 s. CI runs it in the serve job.
+# Result or an error within 2 s. It then fuzzes the disk-cache entry load
+# for 20 s: arbitrary entry bytes must be quarantined or load as an
+# envelope with the requested ID, version and result. CI runs it in the
+# serve job.
 serve-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResolveRequest -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDiskStoreGet -fuzztime 20s ./internal/serve
 
 # canon-fuzz fuzzes the canonical JSON behind every job ID for 20 s:
 # arbitrary JSON text (escapes, repeated keys, invalid UTF-8, long

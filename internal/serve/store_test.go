@@ -211,3 +211,61 @@ func TestShardOfIsStableAndInRange(t *testing.T) {
 		t.Fatal("n=1 must always be shard 0")
 	}
 }
+
+// FuzzDiskStoreGet writes arbitrary bytes as a cache entry and loads it.
+// Loading must never panic, and must either quarantine the entry (after
+// which a second get is a clean miss and the bytes sit in <name>.corrupt)
+// or return an envelope with the requested ID, the current version and
+// non-empty result bytes. The corpus starts from envelopes put writes.
+func FuzzDiskStoreGet(f *testing.F) {
+	const id = "sha256:00112233445566778899aabbccddeeff"
+	seeds := []*envelope{testEnvelope(id, 8), testEnvelope("sha256:ffee", 1), testEnvelope(id, 0)}
+	traced := testEnvelope(id, 4)
+	traced.EventsJSONL = []byte("{\"kind\":\"x\"}\n")
+	traced.ChromeTrace = []byte(`{"traceEvents":[]}`)
+	traced.SpansJSONL = []byte("{}\n")
+	seeds = append(seeds, traced)
+	d, err := newDiskStore(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, env := range seeds {
+		if _, err := d.put(env); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(d.entryPath(env.ID))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	path := d.entryPath(id)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A leftover from the previous input would pass the .corrupt check.
+		if err := os.Remove(path + ".corrupt"); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		env, quarantined, err := d.get(id)
+		if !quarantined {
+			if err != nil || env == nil {
+				t.Fatalf("entry neither loaded nor quarantined: env=%v err=%v", env, err)
+			}
+			if env.ID != id || env.V != envelopeVersion || len(env.Result) == 0 || string(env.Result) == "null" {
+				t.Fatalf("loaded a bad envelope: id=%q v=%d result=%q", env.ID, env.V, env.Result)
+			}
+			return
+		}
+		if env != nil || err == nil {
+			t.Fatalf("quarantined entry returned env=%v err=%v", env, err)
+		}
+		if again, q, err := d.get(id); again != nil || q || err != nil {
+			t.Fatalf("get after quarantine is not a clean miss: env=%v quarantined=%v err=%v", again, q, err)
+		}
+		if kept, err := os.ReadFile(path + ".corrupt"); err != nil || string(kept) != string(data) {
+			t.Fatalf("quarantined bytes not kept in .corrupt: %v", err)
+		}
+	})
+}

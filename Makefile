@@ -59,20 +59,27 @@ tile-check:
 # — FtDirCMP must exhaust every delivery interleaving with a one-loss
 # budget violation-free while DirCMP yields a replayable deadlock
 # counterexample. The reset differential tests run again with message
-# pooling off: a reset system must match a fresh one either way. See
-# docs/MODELCHECK.md.
+# pooling off: a reset system must match a fresh one either way, for the
+# explorer's paths and for every run of a single-loss campaign's reused
+# worker. See docs/MODELCHECK.md.
 mc-check:
 	$(GO) test -race ./internal/mc
 	REPRO_NOPOOL=1 $(GO) test -run 'Reset' ./internal/mc
+	REPRO_NOPOOL=1 $(GO) test -run 'TestCoverageReuseMatchesFresh' .
 	$(GO) run ./cmd/ftcheck -interleave
 
 # mc-fuzz fuzzes System.Reset for 20 s: two decision prefixes decoded from
 # fuzz bytes, on every gate shape and protocol, where the second prefix
 # must end in exactly the same state, choices, verdict and memory image
-# on a system reset after the first as on a fresh system. CI runs it in
-# the mc job, beside sim-fuzz.
+# on a system reset after the first as on a fresh system. It then fuzzes
+# the reset the loss campaigns use for 20 s: two decoded message-loss
+# slots run back to back on one system and recorder, and the second run
+# must end exactly as on a fresh system (error text, statistics, memory
+# image, metrics and retained events). CI runs it in the mc job, beside
+# sim-fuzz.
 mc-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResetMatchesFresh -fuzztime 20s ./internal/mc
+	$(GO) test -run '^$$' -fuzz FuzzLossResetMatchesFresh -fuzztime 20s ./internal/system
 
 # replay-fuzz fuzzes the `fttrace -replay` input boundary for 20 s:
 # arbitrary bytes go to ReadInterleaveDoc and, if accepted, twice to
@@ -99,8 +106,10 @@ sim-fuzz:
 # obs-fuzz fuzzes the obs recorder's event ring for 20 s: capacities on
 # both sides of a storage chunk, with event counts below, at and far past
 # the capacity, must retain exactly the events (and answer LastEventFor
-# exactly as) an eagerly allocated reference ring does. CI runs it in the
-# mc job, beside sim-fuzz.
+# exactly as) an eagerly allocated reference ring does. A Reset at a
+# fuzzed point, before or after the ring wrapped, must leave the events,
+# LastEventFor answers and metrics of a fresh recorder fed the same tail.
+# CI runs it in the mc job, beside sim-fuzz.
 obs-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRecorderRing -fuzztime 20s ./internal/obs
 

@@ -3,10 +3,14 @@ package repro
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/msg"
+	"repro/internal/workload"
 )
 
 // quickCoverageConfig is the exhaustive-campaign configuration `make
@@ -140,5 +144,76 @@ func TestDoubleFaultReissueRegression(t *testing.T) {
 	if res.MemoryImageHash != clean.MemoryImageHash {
 		t.Fatalf("memory image diverged: %#x != fault-free %#x",
 			res.MemoryImageHash, clean.MemoryImageHash)
+	}
+}
+
+// TestCoverageReuseMatchesFresh: a message-loss campaign runs every slot
+// on a campaign worker's one system and recorder, reset with the slot's
+// injector, and each run must reach exactly the Outcome a fresh system
+// and recorder reach: cycles, memory hash, timeouts by kind, faults
+// injected and recovered, the largest recovery latency and the error text.
+// DirCMP's deadlock dumps name each stuck line's last recorded event, so
+// stale events left in the ring would show in its error text. Both
+// campaigns run at parallelism 1, so each calls its RunFunc in the same
+// order: the census, every slot of the quick single-loss golden, then (for
+// FtDirCMP) 24 sampled double faults.
+func TestCoverageReuseMatchesFresh(t *testing.T) {
+	w, err := workload.ByName("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := quickCoverageConfig()
+	dir.Protocol = DirCMP
+	dir.CycleLimit = 5_000_000 // as ftcheck -exhaustive: DirCMP may spin until the limit
+	for _, tc := range []struct {
+		cfg     Config
+		doubles int
+	}{
+		{quickCoverageConfig(), 24},
+		{dir, 0},
+	} {
+		t.Run(tc.cfg.Protocol.String(), func(t *testing.T) {
+			ctx := context.Background()
+			cfg := tc.cfg
+			cfg.Parallelism = 1
+			campaign := func(run coverage.RunFunc) []coverage.Outcome {
+				var outs []coverage.Outcome
+				record := func(inj fault.Injector) coverage.Outcome {
+					out := run(inj)
+					outs = append(outs, out)
+					return out
+				}
+				if _, err := coverage.RunContext(ctx, record, coverage.Options{
+					Parallelism:        1,
+					DoubleFaultSamples: tc.doubles,
+					Seed:               1,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return outs
+			}
+			reused := campaign(coverageRun(ctx, cfg, w))
+			fresh := campaign(freshCoverageRun(ctx, cfg, w, false))
+			if len(reused) != len(fresh) {
+				t.Fatalf("the reused worker ran %d runs, fresh systems %d", len(reused), len(fresh))
+			}
+			failed, dumps := 0, 0
+			for i := range fresh {
+				if fresh[i].Err != "" {
+					failed++
+				}
+				if strings.Contains(fresh[i].Err, " last=") {
+					dumps++
+				}
+				if !reflect.DeepEqual(reused[i], fresh[i]) {
+					t.Fatalf("run %d of %d on the reused worker:\n%+v\non a fresh system:\n%+v",
+						i, len(fresh), reused[i], fresh[i])
+				}
+			}
+			t.Logf("%d runs, %d failed, %d naming last events, all equal", len(fresh), failed, dumps)
+			if tc.cfg.Protocol == DirCMP && dumps == 0 {
+				t.Fatal("no DirCMP deadlock dump names a last event: the event ring went unchecked")
+			}
+		})
 	}
 }

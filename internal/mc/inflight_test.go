@@ -127,7 +127,7 @@ func checkInFlight(t *testing.T, p system.Protocol, shape string) {
 	ops := coreOps(cfg, w)
 	for i, prefix := range resetPrefixes {
 		if i > 0 {
-			if err := sys.Reset(); err != nil {
+			if err := sys.Reset(nil); err != nil {
 				t.Fatal(err)
 			}
 			if sum, count := c.net.InFlight(); sum != 0 || count != 0 {

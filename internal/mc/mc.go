@@ -193,8 +193,8 @@ func coreOps(cfg system.Config, w workload.Workload) [][]workload.Op {
 // makes the network keep the in-flight message multiset, and integrity
 // oracle on. With descs non-nil a describer records every message sent
 // into it. cfg.Obs may carry a recorder (replay export); exploration
-// leaves it and descs nil, so its instances can be restarted and its
-// network events reach only the statistics.
+// leaves it and descs nil, so its network events reach only the
+// statistics.
 func newInstance(cfg system.Config, w workload.Workload, ops [][]workload.Op, descs describer) (*instance, error) {
 	cfg.Net.ChoiceDelivery = true
 	cfg.CheckIntegrity = true
@@ -216,7 +216,7 @@ func newInstance(cfg system.Config, w workload.Workload, ops [][]workload.Op, de
 // workload again on the same lists, exactly as newInstance left a fresh
 // one.
 func (in *instance) restart() error {
-	if err := in.sys.Reset(); err != nil {
+	if err := in.sys.Reset(nil); err != nil {
 		return err
 	}
 	in.sys.BeginOps(in.name, in.ops)

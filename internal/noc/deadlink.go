@@ -30,7 +30,7 @@ func (n *Network) KillLink(a, b int) {
 	}
 	dirBA, _ := n.dirBetween(b, a)
 	if n.deadOut == nil {
-		n.deadOut = make([][numDirections]bool, len(n.links))
+		n.deadOut = make([][numDirections]bool, len(n.routers))
 	}
 	n.deadOut[a][dirAB] = true
 	n.deadOut[b][dirBA] = true
@@ -41,7 +41,7 @@ func (n *Network) KillLink(a, b int) {
 // Adjacent reports whether routers a and b share a mesh link (and are both
 // valid router indices) — the precondition for KillLink.
 func (n *Network) Adjacent(a, b int) bool {
-	if a < 0 || b < 0 || a >= len(n.links) || b >= len(n.links) {
+	if a < 0 || b < 0 || a >= len(n.routers) || b >= len(n.routers) {
 		return false
 	}
 	_, ok := n.dirBetween(a, b)
@@ -77,7 +77,7 @@ func (n *Network) linkDead(router int, dir direction) bool {
 // order for determinism. nextHop[r*R+d] is the direction to take at router
 // r toward destination d, or -1 when d is unreachable from r.
 func (n *Network) rebuildNextHop() {
-	routers := len(n.links)
+	routers := len(n.routers)
 	if n.nextHop == nil {
 		n.nextHop = make([]int8, routers*routers)
 	}
@@ -130,7 +130,7 @@ func (n *Network) meshNeighbor(router int, dir direction) (int, bool) {
 		}
 		return router - 1, true
 	case dirSouth:
-		if y+1 >= len(n.links)/w {
+		if y+1 >= len(n.routers)/w {
 			return 0, false
 		}
 		return router + w, true
@@ -162,7 +162,7 @@ func (n *Network) reachable(srcRouter, dstRouter int) bool {
 	if !n.anyDead || srcRouter == dstRouter {
 		return true
 	}
-	return n.nextHop[srcRouter*len(n.links)+dstRouter] >= 0
+	return n.nextHop[srcRouter*len(n.routers)+dstRouter] >= 0
 }
 
 // detourDir returns the table-driven next hop while links are dead.
@@ -170,7 +170,7 @@ func (n *Network) detourDir(router, dstRouter int) direction {
 	if router == dstRouter {
 		return dirLocal
 	}
-	d := n.nextHop[router*len(n.links)+dstRouter]
+	d := n.nextHop[router*len(n.routers)+dstRouter]
 	if d < 0 {
 		// Unreachable destinations are filtered at Send; a transit can only
 		// get here if the link died mid-flight and cut it off. Eject locally

@@ -156,7 +156,7 @@ func flightArrive(arg any, _ uint64) {
 // flit has left, and arrives downstream after the hop latency.
 func (n *Network) departTo(f *flight, b *vcBuf) {
 	dir := n.route(f.router, f.dst, n.cfg.Routing == RoutingYX)
-	lnk := &n.links[f.router][dir]
+	lnk := &n.routers[f.router].out[dir]
 	depart := f.ready
 	if lnk.freeAt[f.vc] > depart {
 		depart = lnk.freeAt[f.vc]
@@ -197,7 +197,7 @@ func flightDeliver(arg any, _ uint64) {
 
 // eject delivers (or drops) the flight at its destination router.
 func (n *Network) eject(f *flight) {
-	lnk := &n.links[f.router][dirLocal]
+	lnk := &n.routers[f.router].out[dirLocal]
 	depart := f.ready
 	if lnk.freeAt[f.vc] > depart {
 		depart = lnk.freeAt[f.vc]

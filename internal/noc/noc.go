@@ -164,6 +164,14 @@ type node struct {
 	handler Handler
 }
 
+// meshRouter is one router: its output links, indexed by direction, and
+// its column x and row y, so routing a hop needs no division by the mesh
+// width.
+type meshRouter struct {
+	out  [numDirections]link
+	x, y int32
+}
+
 // Network is the mesh interconnect. Create with New, register endpoints
 // with Attach, then Send messages.
 //
@@ -181,8 +189,9 @@ type Network struct {
 	// the shared pool each time a Run or RunUntil returns (flushPool).
 	pool msg.Pool
 
-	// links[router][dir] is the output link of router in direction dir.
-	links [][numDirections]link
+	// routers[r] is router r; routers[r].out[dir] is its output link in
+	// direction dir.
+	routers []meshRouter
 	// nodes is indexed by node ID; IDs are dense from 1 (proto.Topology),
 	// and a slot with a nil handler is unattached.
 	nodes []node
@@ -256,12 +265,15 @@ func New(engine *sim.Engine, cfg Config, drop DropFunc, rec Recorder) (*Network,
 		rec = nopRecorder{}
 	}
 	n := &Network{
-		engine: engine,
-		cfg:    cfg,
-		drop:   drop,
-		rec:    rec,
-		links:  make([][numDirections]link, cfg.Width*cfg.Height),
-		bufs:   make(map[detailedBufKey]*vcBuf),
+		engine:  engine,
+		cfg:     cfg,
+		drop:    drop,
+		rec:     rec,
+		routers: make([]meshRouter, cfg.Width*cfg.Height),
+		bufs:    make(map[detailedBufKey]*vcBuf),
+	}
+	for r := range n.routers {
+		n.routers[r].x, n.routers[r].y = int32(r%cfg.Width), int32(r/cfg.Width)
 	}
 	engine.AtRunEnd(flushPool, n)
 	n.Reset()
@@ -290,7 +302,9 @@ func (n *Network) Recycle(m *msg.Message) { n.pool.Put(m) }
 // be discarded too, by resetting the engine.
 func (n *Network) Reset() {
 	n.pool.Reset()
-	clear(n.links)
+	for r := range n.routers {
+		n.routers[r].out = [numDirections]link{}
+	}
 	for _, b := range n.bufs {
 		b.used = 0
 		clear(b.waiters)
@@ -316,6 +330,12 @@ func (n *Network) Reset() {
 	}
 }
 
+// SetDrop replaces the drop decision the network was built with (nil means
+// a reliable network). It takes effect from the next Send, so a caller
+// that reuses the network for another run installs the run's injector
+// between a Reset and the run.
+func (n *Network) SetDrop(drop DropFunc) { n.drop = drop }
+
 // Attach registers a protocol agent at the given router (0..W*H-1).
 // Multiple agents may share a router (an L1 and an L2 bank on one tile).
 // Node IDs are positive and at most math.MaxUint16: the network indexes
@@ -325,7 +345,7 @@ func (n *Network) Attach(id msg.NodeID, router int, h Handler) error {
 	if id < 1 || id > math.MaxUint16 {
 		return fmt.Errorf("noc: node ID %d out of range 1..%d", id, math.MaxUint16)
 	}
-	if router < 0 || router >= len(n.links) {
+	if router < 0 || router >= len(n.routers) {
 		return fmt.Errorf("noc: router %d out of range", router)
 	}
 	if _, dup := n.node(id); dup {
@@ -512,7 +532,7 @@ func (n *Network) traverse(t *transit) {
 		// destination: it is lost where it stands.
 		t.dropped = true
 	}
-	lnk := &n.links[t.router][dir]
+	lnk := &n.routers[t.router].out[dir]
 	depart := n.engine.Now()
 	if lnk.freeAt[t.vc] > depart {
 		depart = lnk.freeAt[t.vc]
@@ -543,9 +563,8 @@ func (n *Network) route(router, dstRouter int, yFirst bool) direction {
 	if n.anyDead {
 		return n.detourDir(router, dstRouter)
 	}
-	w := n.cfg.Width
-	x, y := router%w, router/w
-	dx, dy := dstRouter%w, dstRouter/w
+	at, dst := &n.routers[router], &n.routers[dstRouter]
+	x, y, dx, dy := at.x, at.y, dst.x, dst.y
 	if yFirst {
 		switch {
 		case y < dy:

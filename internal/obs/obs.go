@@ -333,6 +333,22 @@ func NewRecorder(capacity int) *Recorder {
 	return r
 }
 
+// Reset returns the recorder to the state NewRecorder(capacity) leaves it
+// in: an empty ring, event numbering from 1 again, zero metrics and no
+// open recovery window. It keeps the ring chunks already allocated, which
+// the next run overwrites in order, and the wiring: the clock, the sink,
+// the message feed and the recovery probe.
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
+	r.next, r.full, r.seq = 0, false, 0
+	byMsgType := r.met.ByMsgType
+	clear(byMsgType)
+	r.met = Metrics{ByMsgType: byMsgType}
+	clear(r.pending)
+}
+
 // ringChunk is the number of events per ring storage chunk: small enough
 // that a short run allocates little past what it emits, large enough that
 // a long recording needs few chunks.

@@ -153,26 +153,26 @@ func checkTokens(addr msg.Addr, vs []agentView, expect int) error {
 }
 
 // CheckLine validates one line's views mid-run; transient lines are
-// skipped (their state is in flight by definition).
+// skipped (their state is in flight by definition). Dead agents are
+// skipped too. The views gather in System scratch, so a check allocates
+// only what an error needs.
 func (s *System) CheckLine(addr msg.Addr) error {
-	var vs []agentView
-	for _, a := range s.agents {
-		id := a.NodeID()
-		if s.deadNodes[id] {
-			continue
-		}
-		a.InspectLines(func(v proto.LineView) {
-			if v.Addr == addr {
-				vs = append(vs, viewOf(int32(id), v))
+	if s.lineView == nil {
+		s.lineView = func(v proto.LineView) {
+			if v.Addr == s.lineAddr {
+				s.lineViews = append(s.lineViews, viewOf(s.viewNode, v))
 			}
-		})
+		}
 	}
-	for _, av := range vs {
+	s.lineAddr = addr
+	s.lineViews = s.lineViews[:0]
+	s.inspectLive(s.lineView)
+	for _, av := range s.lineViews {
 		if av.transient {
 			return nil
 		}
 	}
-	return checkLine(s.topo, addr, vs, false)
+	return checkLine(s.topo, addr, s.lineViews, false)
 }
 
 // agentView is what the checks read of one agent's view of a line, packed

@@ -24,6 +24,9 @@ type Core struct {
 	completed uint64
 	done      bool
 	killed    bool
+	// finished is the system's count of done cores, which the core
+	// increments the moment it becomes done.
+	finished *int
 
 	// The completion callbacks are built once here: the core is in-order
 	// (one operation in flight), so a single prepared callback per access
@@ -35,9 +38,10 @@ type Core struct {
 }
 
 // NewCore builds a core bound to an L1 port and an operation list, which
-// it only reads. integrity may be nil.
+// it only reads. integrity may be nil. finished counts the done cores: the
+// core adds one to it when it becomes done.
 func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
-	thinkTime uint64, ops []workload.Op, integrity *Integrity) *Core {
+	thinkTime uint64, ops []workload.Op, integrity *Integrity, finished *int) *Core {
 	c := &Core{
 		id:        id,
 		topo:      topo,
@@ -45,6 +49,7 @@ func NewCore(id int, topo proto.Topology, port proto.L1Port, engine *sim.Engine,
 		engine:    engine,
 		thinkTime: thinkTime,
 		integrity: integrity,
+		finished:  finished,
 	}
 	c.onRead = func(res proto.AccessResult) {
 		if c.integrity != nil {
@@ -89,7 +94,10 @@ func (c *Core) Done() bool { return c.done }
 // so the run can terminate on the survivors alone.
 func (c *Core) Kill() {
 	c.killed = true
-	c.done = true
+	if !c.done {
+		c.done = true
+		*c.finished++
+	}
 }
 
 // Killed reports whether the core was stopped by a tile death.
@@ -104,6 +112,7 @@ func (c *Core) next() {
 	}
 	if c.pos == len(c.ops) {
 		c.done = true
+		*c.finished++
 		return
 	}
 	op := c.ops[c.pos]

@@ -60,7 +60,7 @@ func TestCheckCoherenceAllocsPin(t *testing.T) {
 	if _, err := s.Run(workload.Suite()[0]); err != nil { // Run ends with a check
 		t.Fatal(err)
 	}
-	if err := s.Reset(); err != nil {
+	if err := s.Reset(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(workload.Suite()[0]); err != nil {
@@ -97,7 +97,7 @@ func TestResetBeginOpsAllocsPin(t *testing.T) {
 			}
 			ops := workload.PerCore(w, cfg.Tiles(), cfg.OpsPerCore, cfg.Seed)
 			n := testing.AllocsPerRun(20, func() {
-				if err := s.Reset(); err != nil {
+				if err := s.Reset(nil); err != nil {
 					t.Fatal(err)
 				}
 				s.BeginOps(w.Name(), ops)
@@ -137,7 +137,7 @@ func TestResetPathAcrossGCAllocsPin(t *testing.T) {
 		path := func() uint64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if err := s.Reset(); err != nil {
+			if err := s.Reset(nil); err != nil {
 				t.Fatal(err)
 			}
 			s.BeginOps(w.Name(), ops)
@@ -194,7 +194,7 @@ func TestTokenResetPathAllocsPin(t *testing.T) {
 			var before, after runtime.MemStats
 			_, news0 := msg.PoolStats()
 			runtime.ReadMemStats(&before)
-			if err := s.Reset(); err != nil {
+			if err := s.Reset(nil); err != nil {
 				t.Fatal(err)
 			}
 			s.BeginOps(w.Name(), ops)

@@ -76,6 +76,12 @@ func structuralFaults(in fault.Injector) (tds []*fault.TileDeath, lds []*fault.L
 	return tds, lds
 }
 
+// structural reports whether an injector is, or chains, a structural fault.
+func structural(in fault.Injector) bool {
+	tds, lds := structuralFaults(in)
+	return len(tds)+len(lds) > 0
+}
+
 // armStructural wires any structural-fault injectors to the system: the
 // victim node sets, the kill callbacks, and (for FtDirCMP) the failure
 // detector and reconstruction trigger.

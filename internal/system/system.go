@@ -213,6 +213,10 @@ type System struct {
 	store     *memctrl.Store
 	integrity *Integrity
 
+	// finished counts the cores that are done (see Core.Done), so AllDone,
+	// Run's stop predicate, needs no scan of the cores.
+	finished int
+
 	// midRunErrs collects post-recovery invariant violations caught by the
 	// recovery probe (capped at maxMidRunErrs).
 	midRunErrs []error
@@ -251,6 +255,14 @@ type System struct {
 	groups   lineGroups
 	viewNode int32
 	viewLine func(proto.LineView)
+
+	// lineViews is CheckLine's reused scratch; lineView, bound by the
+	// first CheckLine (a fault-free run never checks a line mid-run),
+	// appends one view of agent viewNode to it if the view is of line
+	// lineAddr.
+	lineViews []agentView
+	lineAddr  msg.Addr
+	lineView  func(proto.LineView)
 }
 
 // imageEntry is one owner view of a line: its address and version.
@@ -436,24 +448,33 @@ func New(cfg Config) (*System, error) {
 }
 
 // Reset returns the system to exactly the state New(cfg) left it in, with
-// the same cfg, so the next Begin or Run behaves as on a fresh system. It
-// keeps what earlier runs allocated — table entries, cache frames, the
-// event slab, network traversal state, map storage and cores — so a reset
-// system runs with far fewer allocations than a new one. cfg.ExtraRecorder
-// belongs to the caller and is not reset.
+// the same cfg except that next is the injector of the coming run (nil for
+// a reliable network), so the next Begin or Run behaves as on a fresh
+// system built with next. It keeps what earlier runs allocated — table
+// entries, cache frames, the event slab, network traversal state, map
+// storage, cores and the Obs recorder's event ring — so a reset system
+// runs with far fewer allocations than a new one. The Obs recorder is
+// reset in place and stays wired to the system; cfg.ExtraRecorder belongs
+// to the caller and is not reset.
 //
-// A system built with a fault Injector (which covers every structural
-// fault) or an Obs recorder cannot be reset: their state lives outside the
-// system. Reset returns an error for those and leaves the system as it
-// was.
-func (s *System) Reset() error {
-	if s.cfg.Injector != nil {
-		return errors.New("system: cannot reset a system built with a fault injector")
+// A structural fault (TileDeath or LinkDeath, also inside a Chain) is
+// wired into the system by New, so Reset refuses a system built with one,
+// or a next injector that carries one, and leaves the system as it was.
+func (s *System) Reset(next fault.Injector) error {
+	if structural(s.cfg.Injector) {
+		return fmt.Errorf("system: cannot reset a system built with a structural fault (%s)", s.cfg.Injector.Description())
 	}
-	if s.cfg.Obs != nil {
-		return errors.New("system: cannot reset a system built with an event recorder")
+	if structural(next) {
+		return fmt.Errorf("system: cannot reset to a structural fault (%s); build a new system", next.Description())
 	}
+	s.cfg.Injector = next
+	var drop noc.DropFunc
+	if next != nil {
+		drop = next.Drop
+	}
+	s.net.SetDrop(drop)
 	s.reset()
+	s.cfg.Obs.Reset()
 	return nil
 }
 
@@ -475,12 +496,14 @@ func (s *System) reset() {
 	s.net.Reset()
 	s.engine.Reset()
 	s.cores = s.cores[:0] // kept for Begin to rebind
+	s.finished = 0
 	s.midRunErrs = nil
 	s.probeOff, s.reconstructed = false, false
 	s.recovery = RecoveryReport{}
 	s.fpSum = 0
 	s.image = s.image[:0]
 	s.views = s.views[:0]
+	s.lineViews = s.lineViews[:0]
 }
 
 // Obs returns the event recorder the system was built with (nil if none).
@@ -556,11 +579,11 @@ func (s *System) Run(w workload.Workload) (*stats.Run, error) {
 	}
 	if cancelled {
 		return s.run, fmt.Errorf("%w at cycle %d (%d/%d cores finished)",
-			ErrCancelled, s.engine.Now(), s.doneCores(), tiles)
+			ErrCancelled, s.engine.Now(), s.finished, tiles)
 	}
 	if !finished && s.engine.Pending() > 0 {
 		return s.run, fmt.Errorf("%w (%d cycles, %d/%d cores finished)",
-			ErrCycleLimit, s.cfg.Limit, s.doneCores(), tiles)
+			ErrCycleLimit, s.cfg.Limit, s.finished, tiles)
 	}
 	return s.run, s.Finish()
 }
@@ -634,7 +657,7 @@ func (s *System) BeginOps(name string, ops [][]workload.Op) {
 		if c != nil {
 			c.restart(list)
 		} else {
-			c = NewCore(i, s.topo, s.ports[i], s.engine, s.cfg.ThinkTime, list, s.integrity)
+			c = NewCore(i, s.topo, s.ports[i], s.engine, s.cfg.ThinkTime, list, s.integrity, &s.finished)
 		}
 		s.cores = append(s.cores, c)
 		c.Start()
@@ -643,14 +666,7 @@ func (s *System) BeginOps(name string, ops [][]workload.Op) {
 
 // AllDone reports whether every core has finished its operation list.
 // Before Begin there are no cores and AllDone is vacuously true.
-func (s *System) AllDone() bool {
-	for _, c := range s.cores {
-		if !c.Done() {
-			return false
-		}
-	}
-	return true
-}
+func (s *System) AllDone() bool { return s.finished == len(s.cores) }
 
 // verifyQuiescent runs the end-of-run verification suite on a drained
 // system, as the last step of Finish: every live agent must be idle, no
@@ -757,7 +773,7 @@ func (e *DeadlockError) Error() string {
 // deterministic (node, address) order.
 func (s *System) deadlockError() *DeadlockError {
 	e := &DeadlockError{
-		DoneCores: s.doneCores(),
+		DoneCores: s.finished,
 		Cores:     s.cfg.Tiles(),
 		Cycle:     s.engine.Now(),
 	}
@@ -896,16 +912,6 @@ func put64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
-}
-
-func (s *System) doneCores() int {
-	n := 0
-	for _, c := range s.cores {
-		if c.Done() {
-			n++
-		}
-	}
-	return n
 }
 
 // tokenScrub writes every line any agent still holds state for, through

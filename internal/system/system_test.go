@@ -91,3 +91,68 @@ func TestDirCMPDeadlocksOnAnyLoss(t *testing.T) {
 		t.Fatalf("DirCMP survived a lost message: err=%v", err)
 	}
 }
+
+// TestAllDoneCountsFinishedCores: the count of finished cores behind
+// AllDone equals a scan of the cores after every event of a run, also
+// when a tile death kills a core, before or after the core finished.
+func TestAllDoneCountsFinishedCores(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Protocol
+		inj  fault.Injector
+		// killDone: the tile death kills a core that had finished.
+		killDone bool
+	}{
+		{"fault-free", FtDirCMP, nil, false},
+		{"lost GetX", FtDirCMP, fault.NewNthOfType(msg.GetX, 3), false},
+		{"tile death", FtDirCMP, fault.NewTileDeath(1, msg.GetX, 5), false},
+		{"late tile death", FtDirCMP, fault.NewTileDeath(0, msg.GetX, 152), true},
+		{"DirCMP tile death", DirCMP, fault.NewTileDeath(3, msg.GetS, 4), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(tc.p)
+			cfg.OpsPerCore = 40
+			cfg.Injector = tc.inj
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wasDone []bool
+			killedDone := false
+			check := func(step int) {
+				scan := 0
+				for i, c := range s.cores {
+					if c.Done() {
+						scan++
+					}
+					if c.Killed() && wasDone[i] {
+						killedDone = true
+					}
+					wasDone[i] = c.Done() && !c.Killed()
+				}
+				if s.finished != scan || s.AllDone() != (scan == len(s.cores)) {
+					t.Fatalf("event %d: %d cores counted finished, %d done by scan, AllDone %v",
+						step, s.finished, scan, s.AllDone())
+				}
+			}
+			if !s.AllDone() {
+				t.Fatal("AllDone is false before Begin")
+			}
+			s.Begin(workload.Uniform(64, 0.5))
+			wasDone = make([]bool, len(s.cores))
+			check(0)
+			step := 0
+			for s.engine.Step() {
+				step++
+				check(step)
+			}
+			_, tileDeath := tc.inj.(*fault.TileDeath)
+			if rcv := s.Recovery(); rcv.TileDeath != tileDeath || tileDeath && !s.cores[rcv.DeadTile].Killed() {
+				t.Fatalf("tile death armed %v, fired %v, killed no core", tileDeath, rcv.TileDeath)
+			}
+			if killedDone != tc.killDone {
+				t.Fatalf("the tile death killed a finished core: %v, want %v", killedDone, tc.killDone)
+			}
+		})
+	}
+}

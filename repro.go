@@ -438,63 +438,127 @@ func runResult(ctx context.Context, cfg Config, w workload.Workload, inj fault.I
 // with a run error too (coverage outcomes report them); s is nil only when
 // the system could not be built.
 func simulate(ctx context.Context, cfg Config, w workload.Workload, inj fault.Injector, rec *obs.Recorder) (s *system.System, run *stats.Run, err error) {
+	if s, err = newSystem(ctx, cfg, inj, rec); err != nil {
+		return nil, nil, err
+	}
+	run, err = runOn(ctx, s, w)
+	return s, run, err
+}
+
+// newSystem builds the system simulate runs: cfg converted, with inj,
+// ctx's cancellation and rec attached.
+func newSystem(ctx context.Context, cfg Config, inj fault.Injector, rec *obs.Recorder) (*system.System, error) {
 	sysCfg := cfg.toInternal()
 	sysCfg.Injector = inj
 	sysCfg.Cancel = ctx.Done()
 	sysCfg.Obs = rec
-	if s, err = system.New(sysCfg); err != nil {
-		return nil, nil, err
-	}
-	run, err = s.Run(w)
+	return system.New(sysCfg)
+}
+
+// runOn runs w on a built (or reset) system; a cancelled run's error wraps
+// ctx's cause.
+func runOn(ctx context.Context, s *system.System, w workload.Workload) (*stats.Run, error) {
+	run, err := s.Run(w)
 	if errors.Is(err, system.ErrCancelled) {
 		if cause := context.Cause(ctx); cause != nil {
 			err = fmt.Errorf("%v: %w", err, cause)
 		}
 	}
-	return s, run, err
+	return run, err
 }
 
-// coverageRun is the RunFunc of the coverage campaigns: one run of w under
-// the campaign's injector, reduced to a coverage.Outcome. Integrity
-// checking is forced on (the verdict depends on it). image adds the
-// per-line memory image the tile-death verdict compares; message-loss
-// campaigns judge the image hash alone and skip building it.
-func coverageRun(ctx context.Context, cfg Config, w workload.Workload, image bool) coverage.RunFunc {
+// coverageRing is the event ring of every coverage run: a small ring gives
+// deadlock dumps their last-event context without the cost of full event
+// retention.
+const coverageRing = 4096
+
+// lossWorker is one message-loss campaign worker's simulation: a system and
+// the event recorder wired into it, both reset between runs.
+type lossWorker struct {
+	sys *system.System
+	rec *obs.Recorder
+}
+
+// coverageRun is the RunFunc of the message-loss campaigns: one run of w
+// under the campaign's injector, reduced to a coverage.Outcome. Integrity
+// checking is forced on (the verdict depends on it).
+//
+// Each run takes a worker from a free list, resets its system and recorder
+// with the run's injector, runs and puts the worker back: the list holds
+// at most one worker per campaign worker (cfg.Parallelism), built on first
+// use. It is a buffered channel rather than a sync.Pool, which the GC may
+// empty, so how many systems a campaign builds does not depend on GC
+// timing. A reset system runs exactly as a fresh one (System.Reset), so
+// the outcomes are those of freshCoverageRun.
+func coverageRun(ctx context.Context, cfg Config, w workload.Workload) coverage.RunFunc {
+	cfg.CheckIntegrity = true
+	free := make(chan lossWorker, runner.Parallelism(cfg.Parallelism))
+	return func(inj fault.Injector) coverage.Outcome {
+		var wk lossWorker
+		select {
+		case wk = <-free:
+			if err := wk.sys.Reset(inj); err != nil {
+				free <- wk
+				return coverage.Outcome{Err: err.Error()}
+			}
+		default:
+			wk.rec = obs.NewRecorder(coverageRing)
+			var err error
+			if wk.sys, err = newSystem(ctx, cfg, inj, wk.rec); err != nil {
+				return coverage.Outcome{Err: err.Error()}
+			}
+		}
+		st, err := runOn(ctx, wk.sys, w)
+		out := coverageOutcome(wk.sys, st, wk.rec, err, false)
+		free <- wk
+		return out
+	}
+}
+
+// freshCoverageRun is coverageRun on a system built for each run, as the
+// structural-fault campaign needs: a tile or link death is wired into the
+// system when it is built, so such a system cannot be reset. image adds
+// the per-line memory image the tile-death verdict compares.
+func freshCoverageRun(ctx context.Context, cfg Config, w workload.Workload, image bool) coverage.RunFunc {
 	cfg.CheckIntegrity = true
 	return func(inj fault.Injector) coverage.Outcome {
-		// A small event ring gives deadlock dumps their last-event context
-		// without the cost of full event retention.
-		rec := obs.NewRecorder(4096)
+		rec := obs.NewRecorder(coverageRing)
 		s, st, err := simulate(ctx, cfg, w, inj, rec)
 		if s == nil {
 			return coverage.Outcome{Err: err.Error()}
 		}
-		out := coverage.Outcome{Cycles: st.Cycles}
-		if m := rec.Metrics(); m != nil {
-			out.FaultsInjected = m.FaultsInjected
-			out.FaultsRecovered = m.FaultsRecovered
-			out.RecoveryLatencyMax = m.RecoveryLatency.Max()
-			for _, k := range obs.AllTimeoutKinds() {
-				out.Timeouts[k] = m.TimeoutsByKind[k]
-			}
-		}
-		rcv := s.Recovery()
-		out.DeathDeclared = rcv.Declared
-		out.LinesUnrecoverable = rcv.LinesUnrecoverable
-		out.UnrecoverableAddrs = rcv.UnrecoverableAddrs
-		if rcv.Declared && rcv.ReconstructedCycle >= rcv.DeathCycle {
-			out.ReconstructLatency = rcv.ReconstructedCycle - rcv.DeathCycle
-		}
-		if err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		out.MemHash = s.MemoryImageHash()
-		if image {
-			out.Image = s.MemoryImage()
-		}
+		return coverageOutcome(s, st, rec, err, image)
+	}
+}
+
+// coverageOutcome reduces a finished coverage run to its Outcome. image
+// adds the per-line memory image; message-loss campaigns judge the image
+// hash alone and skip building it.
+func coverageOutcome(s *system.System, st *stats.Run, rec *obs.Recorder, err error, image bool) coverage.Outcome {
+	out := coverage.Outcome{Cycles: st.Cycles}
+	m := rec.Metrics()
+	out.FaultsInjected = m.FaultsInjected
+	out.FaultsRecovered = m.FaultsRecovered
+	out.RecoveryLatencyMax = m.RecoveryLatency.Max()
+	for _, k := range obs.AllTimeoutKinds() {
+		out.Timeouts[k] = m.TimeoutsByKind[k]
+	}
+	rcv := s.Recovery()
+	out.DeathDeclared = rcv.Declared
+	out.LinesUnrecoverable = rcv.LinesUnrecoverable
+	out.UnrecoverableAddrs = rcv.UnrecoverableAddrs
+	if rcv.Declared && rcv.ReconstructedCycle >= rcv.DeathCycle {
+		out.ReconstructLatency = rcv.ReconstructedCycle - rcv.DeathCycle
+	}
+	if err != nil {
+		out.Err = err.Error()
 		return out
 	}
+	out.MemHash = s.MemoryImageHash()
+	if image {
+		out.Image = s.MemoryImage()
+	}
+	return out
 }
 
 // CompareContext runs the same workload under both protocols on a
@@ -658,7 +722,7 @@ func CoverageContext(ctx context.Context, cfg Config, workloadName string, opt C
 	if err != nil {
 		return nil, err
 	}
-	rep, err := coverage.RunContext(ctx, coverageRun(ctx, cfg, w, false), coverage.Options{
+	rep, err := coverage.RunContext(ctx, coverageRun(ctx, cfg, w), coverage.Options{
 		Parallelism:        cfg.Parallelism,
 		MaxSlotsPerType:    opt.MaxSlotsPerType,
 		DoubleFaultSamples: opt.DoubleFaultSamples,
@@ -713,7 +777,7 @@ func TileDeathCoverageContext(ctx context.Context, cfg Config, workloadName stri
 	if opt.IncludeLinks {
 		links = meshLinks(cfg.MeshWidth, cfg.MeshHeight)
 	}
-	rep, err := coverage.RunStructuralContext(ctx, coverageRun(ctx, cfg, w, true), coverage.StructuralOptions{
+	rep, err := coverage.RunStructuralContext(ctx, freshCoverageRun(ctx, cfg, w, true), coverage.StructuralOptions{
 		Parallelism:     cfg.Parallelism,
 		MaxSlotsPerType: opt.MaxSlotsPerType,
 		Tiles:           cfg.MeshWidth * cfg.MeshHeight,

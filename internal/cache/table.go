@@ -160,3 +160,58 @@ func (t *Table[E]) ForEach(fn func(addr msg.Addr, e *E)) {
 		fn(le.addr, le.e)
 	}
 }
+
+// TableSnapshot holds a Table's contents for Restore: its live entries,
+// its freelist and a copy of every entry's value, live and free. The zero
+// value is an empty buffer; Snapshot reuses its storage.
+type TableSnapshot[E any] struct {
+	live []tableEntry[E]
+	free []*E
+	vals []E
+	peak int
+}
+
+// Snapshot copies the table's live entries, freelist, peak and the value
+// of every entry it ever created into s. clone copies one entry's value
+// from src into dst; it must copy what an entry's slices hold, reusing
+// dst's storage, so that neither copy shares a backing array with the
+// other (nil means a plain value copy, for entries without slices).
+func (t *Table[E]) Snapshot(s *TableSnapshot[E], clone func(dst, src *E)) {
+	s.live = append(s.live[:0], t.live...)
+	s.free = append(s.free[:0], t.free...)
+	if n := len(t.all); cap(s.vals) < n {
+		s.vals = append(s.vals[:cap(s.vals)], make([]E, n-cap(s.vals))...)
+	}
+	s.vals = s.vals[:len(t.all)]
+	for i, e := range t.all {
+		copyEntry(&s.vals[i], e, clone)
+	}
+	s.peak = t.peak
+}
+
+// Restore returns the table to snapshot s, taken from it with the same
+// clone: the entries live then are live again with their values then, and
+// the free ones are free with theirs. Entries created since go through the
+// reset hook and wait below the restored freelist, so Alloc hands out
+// exactly the entries it did after the snapshot before it reuses them.
+func (t *Table[E]) Restore(s *TableSnapshot[E], clone func(dst, src *E)) {
+	n := len(s.vals)
+	extra := t.all[n:]
+	for _, e := range extra {
+		t.reset(e)
+	}
+	for i, e := range t.all[:n] {
+		copyEntry(e, &s.vals[i], clone)
+	}
+	t.live = append(t.live[:0], s.live...)
+	t.free = append(append(t.free[:0], extra...), s.free...)
+	t.peak = s.peak
+}
+
+func copyEntry[E any](dst, src *E, clone func(dst, src *E)) {
+	if clone == nil {
+		*dst = *src
+		return
+	}
+	clone(dst, src)
+}

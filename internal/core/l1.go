@@ -149,6 +149,8 @@ type L1 struct {
 	// network does after a delivery; built once so a replay allocates
 	// nothing.
 	replayFwd func(arg any, _ uint64)
+
+	snap *l1Snapshot // Snapshot's buffer, built by the first Snapshot (snapshot.go)
 }
 
 var _ proto.L1Port = (*L1)(nil)

@@ -248,6 +248,8 @@ type L2 struct {
 	// victimFilter is the eviction predicate passed to cache.Array.Victim,
 	// built once so installing a fetched line does not allocate a closure.
 	victimFilter func(*cache.Line) bool
+
+	snap *l2Snapshot // Snapshot's buffer, built by the first Snapshot (snapshot.go)
 }
 
 var _ proto.Inspectable = (*L2)(nil)

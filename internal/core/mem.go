@@ -106,6 +106,8 @@ type Mem struct {
 	// sendDelayed is the prepared ScheduleCall callback for latency-delayed
 	// responses; built once so scheduling one allocates nothing.
 	sendDelayed func(arg any, tick uint64)
+
+	snap *memSnapshot // Snapshot's buffer, built by the first Snapshot (snapshot.go)
 }
 
 var _ proto.Inspectable = (*Mem)(nil)

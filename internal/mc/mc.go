@@ -12,13 +12,20 @@
 // message of each (source, destination, class) channel, preserving the
 // point-to-point ordering guarantee the protocols assume.
 //
-// States are explored breadth-first by re-execution: the engine's event
-// queue holds live closures and pooled objects, so instead of
-// snapshotting, the checker replays each decision prefix from the initial
-// state (every run is deterministic, so a prefix always reaches the same
-// state). Each worker keeps one system and reaches the initial state by
-// System.Reset, which returns it to exactly what system.New built, so a
-// path pays for no construction. Revisited states are pruned via a
+// States are explored breadth-first, one job per explored state: the job
+// replays the state's decision prefix once and forks its successors from
+// a snapshot. Each worker keeps one system. A job returns it to the
+// initial state by System.Reset, which restores exactly what system.New
+// built, so a path pays for no construction, and replays the prefix —
+// every run is deterministic, so a prefix always reaches the same state.
+// At the state's choice point it takes System.Snapshot, then evaluates the
+// successor decisions in order, calling System.Restore before each one
+// after the first. Restore copies the whole system state back into the
+// system that took the snapshot, in place, so the engine's queued events,
+// whose handlers and arguments point into that system, copy by value. The
+// frontier keeps a prefix tree of decisions (each node a parent state and
+// one decision) from which a job materialises its state's prefix, so no
+// path carries a schedule of its own. Revisited states are pruned via a
 // canonical fingerprint: System.StateFingerprint (every agent's interned
 // per-line protocol state + core progress + the memory image, from one
 // walk of each agent's lines) combined with the in-flight message
@@ -46,6 +53,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/coverage"
 	"repro/internal/msg"
@@ -180,6 +188,17 @@ type instance struct {
 	ch   scriptChooser
 	name string
 	ops  [][]workload.Op // read-only, shared by every instance of one exploration
+
+	// The explorer's per-worker buffers: prefix is the schedule a job
+	// replays, step the one decision of a successor, and steps the arenas
+	// the results of the frontier layers keep their successor decisions
+	// in, by layer parity. The jobs of the next layer read a layer's
+	// decisions, so an arena is emptied when the instance first serves the
+	// layer after that.
+	prefix []Action
+	step   [1]Action
+	steps  [2][]step
+	layer  int
 }
 
 // coreOps builds every core's operation list for cfg, as Begin would.
@@ -234,8 +253,10 @@ func (in *instance) stateHash() uint64 {
 }
 
 // scriptChooser replays a fixed decision prefix, then captures the next
-// choice point and halts. It is both the checker's re-execution vehicle
-// (prefix + capture) and the counterexample replayer (full schedule).
+// choice point and halts. It is the checker's re-execution vehicle (a
+// state's prefix + capture, or one successor decision from a restored
+// choice point + capture) and the counterexample replayer (full
+// schedule).
 type scriptChooser struct {
 	script   []Action
 	pos      int
@@ -275,13 +296,26 @@ type evalResult struct {
 	cycles    uint64
 }
 
-// evaluate executes one decision prefix on an instance in its initial
-// state and reports what it reached: a choice point (with the eligible
-// choices), a clean terminal state, or a violation.
+// outcome is what an exploration keeps of one evaluated successor for its
+// serial pass: the evaluation, with the successor decisions of the choice
+// point it reached, under the fault budget, in place of its choices.
+type outcome struct {
+	hash      uint64
+	steps     []step
+	violation *Violation
+	terminal  bool
+}
+
+// evaluate takes the decisions in actions from the instance's current
+// state — its initial state, or a choice point it halted at — and reports
+// what it reached: the next choice point (with the eligible choices, valid
+// until the instance's next evaluation), a clean terminal state, or a
+// violation.
 func evaluate(in *instance, cfg system.Config, base coverage.Outcome, actions []Action) (evalResult, error) {
 	ch := &in.ch // reused across paths, with its buffers
 	*ch = scriptChooser{script: actions, infos: ch.infos[:0], captured: ch.captured[:0]}
 	in.eng.SetChooser(ch)
+	in.eng.Resume()
 	runErr := in.eng.Run(cfg.Limit)
 	if ch.diverged != nil {
 		return evalResult{}, ch.diverged
@@ -298,7 +332,7 @@ func evaluate(in *instance, cfg system.Config, base coverage.Outcome, actions []
 	if ch.atPoint {
 		// Halted at the first choice point past the prefix.
 		res.hash = in.stateHash()
-		res.choices = append([]sim.Choice(nil), ch.captured...)
+		res.choices = ch.captured
 		return res, nil
 	}
 	if ch.pos < len(actions) {
@@ -359,11 +393,145 @@ func Explore(cfg system.Config, w workload.Workload, opt Options) (*Report, erro
 	return ExploreContext(context.Background(), cfg, w, opt)
 }
 
-// pathNode is one frontier entry: a decision prefix reaching a state not
-// yet evaluated.
+// pathNode is one explored state in the prefix tree of decisions the
+// exploration grows: the decision that reached it from its parent state
+// (nil for the initial state), its depth (the length of its decision
+// prefix) and the losses that prefix composes. A state's schedule is
+// materialised by walking up the tree (schedule), so the frontier holds no
+// per-path copy of it.
 type pathNode struct {
-	actions []Action
-	drops   int
+	parent *pathNode
+	step   step
+	depth  int32
+	drops  int32
+}
+
+// step is one decision in compact form: the choice index and whether the
+// message is lost.
+type step struct {
+	choice int32
+	drop   bool
+}
+
+func (s step) action() Action { return Action{Choice: int(s.choice), Drop: s.drop} }
+
+// schedule materialises the node's decision prefix into buf, grown if
+// needed, and returns it.
+func (n *pathNode) schedule(buf []Action) []Action {
+	buf = slices.Grow(buf[:0], int(n.depth))[:n.depth]
+	for p := n; p.parent != nil; p = p.parent {
+		buf[p.depth-1] = p.step.action()
+	}
+	return buf
+}
+
+// child is the node a decision leads to from n.
+func (n *pathNode) child(s step) pathNode {
+	c := pathNode{parent: n, step: s, depth: n.depth + 1, drops: n.drops}
+	if s.drop {
+		c.drops++
+	}
+	return c
+}
+
+// successors appends every decision that leaves a state with these
+// choices, reached with drops losses, under the fault budget: each choice
+// in order, delivered and then, where it can be lost and budget is left,
+// dropped.
+func successors(dst []step, choices []sim.Choice, drops int32, budget int) []step {
+	for ci, c := range choices {
+		dst = append(dst, step{choice: int32(ci)})
+		if c.CanDrop && int(drops) < budget {
+			dst = append(dst, step{choice: int32(ci), drop: true})
+		}
+	}
+	return dst
+}
+
+// expansion is one job of a frontier layer: an explored state and its
+// successor decisions, whose results the layer keeps from index first on.
+// The root job (node nil) evaluates the initial state itself, as its one
+// result.
+type expansion struct {
+	node  *pathNode
+	steps []step
+	first int
+}
+
+// results is how many results the job produces.
+func (x *expansion) results() int {
+	if x.node == nil {
+		return 1
+	}
+	return len(x.steps)
+}
+
+// expand runs one job on an instance in its initial state: it replays the
+// state's decision prefix once, snapshots the system at the state's choice
+// point, and takes each successor decision from there, restoring the
+// snapshot before every one after the first. Each outcome goes to out.
+func expand(in *instance, cfg system.Config, base coverage.Outcome, x *expansion, budget int, out []outcome) error {
+	if x.node == nil {
+		r, err := evaluate(in, cfg, base, nil)
+		out[0] = in.keep(r, 0, budget)
+		return err
+	}
+	in.prefix = x.node.schedule(in.prefix)
+	if _, err := evaluate(in, cfg, base, in.prefix); err != nil {
+		return err
+	}
+	if !in.ch.atPoint {
+		return fmt.Errorf("mc: replaying %d decisions reached no choice point — replay diverged", len(in.prefix))
+	}
+	if err := in.sys.Snapshot(); err != nil {
+		return err
+	}
+	for k, s := range x.steps {
+		if k > 0 {
+			if err := in.sys.Restore(); err != nil {
+				return err
+			}
+		}
+		in.step[0] = s.action()
+		r, err := evaluate(in, cfg, base, in.step[:])
+		if err != nil {
+			return err
+		}
+		drops := x.node.drops
+		if s.drop {
+			drops++
+		}
+		out[k] = in.keep(r, drops, budget)
+	}
+	return nil
+}
+
+// keep returns the outcome of r, reached with drops losses, its successor
+// decisions in the instance's arena for the layer.
+func (in *instance) keep(r evalResult, drops int32, budget int) outcome {
+	o := outcome{hash: r.hash, violation: r.violation, terminal: r.terminal}
+	if r.choices != nil {
+		a := &in.steps[in.layer%2]
+		n := len(*a)
+		*a = successors(*a, r.choices, drops, budget)
+		o.steps = (*a)[n:len(*a):len(*a)]
+	}
+	return o
+}
+
+// nodeArena hands out prefix-tree nodes from chunks that never move, so a
+// node's address stays valid for the whole exploration; chunks double from
+// 64 nodes up to 4,096.
+type nodeArena struct {
+	chunk []pathNode
+}
+
+func (a *nodeArena) put(n pathNode) *pathNode {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]pathNode, 0, min(max(2*cap(a.chunk), 64), 4096))
+	}
+	a.chunk = append(a.chunk, n)
+	return &a.chunk[len(a.chunk)-1]
 }
 
 // ExploreContext is Explore under a context: cancelling ctx aborts the
@@ -391,107 +559,129 @@ func ExploreContext(ctx context.Context, cfg system.Config, w workload.Workload,
 		BaselineMemHash: base.MemHash,
 	}
 
-	// Breadth-first frontier over decision prefixes: each layer's prefixes
-	// re-execute in parallel (runner returns results in submission order),
-	// then a serial pass dedups against the seen-state set and builds the
-	// next layer — so the result is byte-identical at any parallelism.
+	// Breadth-first frontier over explored states: each layer's jobs run
+	// in parallel, one job per state to expand, each writing the results
+	// of its successors to its own range of the layer's results. A serial
+	// pass then walks the results in job order, successor by successor,
+	// dedups them against the seen-state set and builds the next layer —
+	// so the result is byte-identical at any parallelism.
 	//
 	// Each worker takes an instance from the free list, restarts it, runs
-	// one path and puts it back: the list holds at most one instance per
+	// one job and puts it back: the list holds at most one instance per
 	// worker, built on first use. It is a buffered channel rather than a
 	// sync.Pool, which the GC may empty, so how many systems an
-	// exploration builds does not depend on GC timing.
+	// exploration builds does not depend on GC timing. The exploration's
+	// instances carry no event recorder, which a snapshot cannot roll
+	// back; Replay renders the counterexamples on the caller's cfg.
 	//
 	// Every core's operation list is built once here and shared, read
 	// only, by every worker's instance.
 	ops := coreOps(cfg, w)
+	explore := cfg
+	explore.Obs = nil
 	free := make(chan *instance, runner.Parallelism(opt.Parallelism))
-	path := func(actions []Action) (evalResult, error) {
+	job := func(x *expansion, out []outcome, layer int) error {
 		var in *instance
 		select {
 		case in = <-free:
 			if err := in.restart(); err != nil {
-				return evalResult{}, err
+				return err
 			}
 		default:
 			var err error
-			if in, err = newInstance(cfg, w, ops, nil); err != nil {
-				return evalResult{}, err
+			if in, err = newInstance(explore, w, ops, nil); err != nil {
+				return err
 			}
 		}
-		res, err := evaluate(in, cfg, base, actions)
+		if in.layer != layer {
+			in.layer = layer
+			in.steps[layer%2] = in.steps[layer%2][:0]
+		}
+		err := expand(in, explore, base, x, opt.FaultBudget, out)
 		free <- in
-		return res, err
+		return err
 	}
-	seen := make(map[uint64]bool)
-	frontier := []pathNode{{}}
-	stopped := false
-	for len(frontier) > 0 && !stopped {
+
+	// The layer's jobs and results, and the next layer's jobs, swapped
+	// each layer so their storage is reused.
+	var (
+		nodes          nodeArena
+		jobs, nextJobs = []expansion{{}}, []expansion(nil)
+		results        []outcome
+		total          = 1 // results of the layer's jobs
+		seen           = make(map[uint64]bool)
+		stopped        bool
+	)
+	for layer := 0; len(jobs) > 0 && !stopped; layer++ {
 		if err := context.Cause(ctx); err != nil {
 			return nil, err
 		}
-		results, err := runner.MapContext(ctx, opt.Parallelism, len(frontier), func(ctx context.Context, i int) (evalResult, error) {
-			return path(frontier[i].actions)
-		})
-		if err != nil {
+		results = slices.Grow(results[:0], total)[:total]
+		if _, err := runner.MapContext(ctx, opt.Parallelism, len(jobs), func(ctx context.Context, i int) (struct{}, error) {
+			x := &jobs[i]
+			return struct{}{}, job(x, results[x.first:x.first+x.results()], layer)
+		}); err != nil {
 			return nil, err
 		}
-		var next []pathNode
-		for i, r := range results {
-			node := frontier[i]
-			rep.Transitions++
-			// The remaining fault budget is part of the state identity:
-			// the same protocol state with budget left has successors the
-			// exhausted-budget copy lacks.
-			key := r.hash*0x100000001b3 ^ uint64(node.drops)
-			if seen[key] {
-				rep.StatesDeduped++
-				continue
-			}
-			seen[key] = true
-			rep.StatesExplored++
-			if len(node.actions) == 0 {
-				rep.InitialStateHash = r.hash
-			}
-			if len(node.actions) > rep.DeepestPath {
-				rep.DeepestPath = len(node.actions)
-			}
-			if node.drops > 0 {
-				rep.FaultStates++
-			}
-			if r.violation != nil {
-				v := *r.violation
-				v.Depth = len(node.actions)
-				v.Drops = node.drops
-				v.Schedule = node.actions
+		// A layer reaches at most one new state per result.
+		nextJobs, total = slices.Grow(nextJobs[:0], len(results)), 0
+	walk:
+		for i := range jobs {
+			x := &jobs[i]
+			for k := range x.results() {
+				r := &results[x.first+k]
+				var node pathNode // the initial state, for the root job
+				if x.node != nil {
+					node = x.node.child(x.steps[k])
+				}
+				rep.Transitions++
+				// The remaining fault budget is part of the state identity:
+				// the same protocol state with budget left has successors
+				// the exhausted-budget copy lacks.
+				key := r.hash*0x100000001b3 ^ uint64(node.drops)
+				if seen[key] {
+					rep.StatesDeduped++
+					continue
+				}
+				seen[key] = true
+				rep.StatesExplored++
+				depth := int(node.depth)
+				if depth == 0 {
+					rep.InitialStateHash = r.hash
+				}
+				rep.DeepestPath = max(rep.DeepestPath, depth)
+				if node.drops > 0 {
+					rep.FaultStates++
+				}
+				if r.violation != nil {
+					v := *r.violation
+					v.Depth, v.Drops = depth, int(node.drops)
+					v.Schedule = node.schedule(nil)
+					if r.terminal {
+						rep.TerminalStates++
+					}
+					rep.Violations = append(rep.Violations, v)
+					if len(rep.Violations) >= maxViolations {
+						stopped = true
+						break walk
+					}
+					continue
+				}
 				if r.terminal {
 					rep.TerminalStates++
+					continue
 				}
-				rep.Violations = append(rep.Violations, v)
-				if len(rep.Violations) >= maxViolations {
-					stopped = true
-					break
+				if depth >= maxDepth {
+					rep.DepthLimited++
+					continue
 				}
-				continue
-			}
-			if r.terminal {
-				rep.TerminalStates++
-				continue
-			}
-			if len(node.actions) >= maxDepth {
-				rep.DepthLimited++
-				continue
-			}
-			for ci, c := range r.choices {
-				next = append(next, pathNode{actions: appendAction(node.actions, Action{Choice: ci}), drops: node.drops})
-				if c.CanDrop && node.drops < opt.FaultBudget {
-					next = append(next, pathNode{actions: appendAction(node.actions, Action{Choice: ci, Drop: true}), drops: node.drops + 1})
-				}
+				nextJobs = append(nextJobs, expansion{node: nodes.put(node), steps: r.steps, first: total})
+				total += len(r.steps)
 			}
 		}
-		frontier = next
+		jobs, nextJobs = nextJobs, jobs
 		if opt.Progress != nil {
-			opt.Progress(rep.StatesExplored, len(frontier))
+			opt.Progress(rep.StatesExplored, total)
 		}
 	}
 	rep.Exhausted = !stopped && rep.DepthLimited == 0
@@ -507,13 +697,4 @@ func ExploreContext(ctx context.Context, cfg system.Config, w workload.Workload,
 		rep.Violations[i].Schedule = res.Schedule
 	}
 	return rep, nil
-}
-
-// appendAction copies prefix and appends a — frontier nodes share prefix
-// backing arrays, so append in place would alias sibling schedules.
-func appendAction(prefix []Action, a Action) []Action {
-	out := make([]Action, len(prefix)+1)
-	copy(out, prefix)
-	out[len(prefix)] = a
-	return out
 }

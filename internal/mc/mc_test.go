@@ -210,7 +210,9 @@ func TestStateHashPerturbation(t *testing.T) {
 }
 
 // TestExploreDeterministicAtAnyParallelism pins the byte-identical-at-any-j
-// guarantee: the full report must match between serial and parallel runs.
+// guarantee: the report must match between serial and parallel runs, on
+// DirCMP's counterexample at budget 1 and, field for field, on FtDirCMP's
+// exhaustive exploration at budget 2.
 func TestExploreDeterministicAtAnyParallelism(t *testing.T) {
 	cfg := mcConfig(system.DirCMP, 1)
 	r1, err := Explore(cfg, workload.Handoff(), Options{FaultBudget: 1, Parallelism: 1})
@@ -230,6 +232,27 @@ func TestExploreDeterministicAtAnyParallelism(t *testing.T) {
 		v1, v2 := r1.Violations[i], r2.Violations[i]
 		if v1.Kind != v2.Kind || v1.Err != v2.Err || v1.StateHash != v2.StateHash || len(v1.Schedule) != len(v2.Schedule) {
 			t.Fatalf("violation %d differs across parallelism: %+v vs %+v", i, v1, v2)
+		}
+	}
+
+	// A job expands one state, its successors forked from one snapshot, so
+	// the workers split a layer by parent state: at a real budget, the
+	// whole report must not depend on how.
+	ft := mcConfig(system.FtDirCMP, 2)
+	serial, err := Explore(ft, workload.Handoff(), Options{FaultBudget: 2, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !serial.Exhausted || serial.FaultStates == 0 {
+		t.Fatalf("FtDirCMP handoff at budget 2 explored nothing worth comparing: %+v", serial)
+	}
+	for _, j := range []int{2, 4} {
+		rep, err := Explore(ft, workload.Handoff(), Options{FaultBudget: 2, Parallelism: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, rep) {
+			t.Fatalf("FtDirCMP handoff at budget 2: %d workers changed the exploration:\n  -j1: %+v\n  -j%d: %+v", j, serial, j, rep)
 		}
 	}
 }

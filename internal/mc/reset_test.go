@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/coverage"
@@ -79,6 +80,7 @@ type pathEnd struct {
 	now      uint64
 	events   uint64
 	pending  int
+	flight   [2]uint64 // the network's in-flight sum and count
 	stats    string
 }
 
@@ -88,20 +90,23 @@ func endOf(t testing.TB, in *instance, cfg system.Config, base coverage.Outcome,
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := pathEnd{
-		terminal: r.terminal,
-		hash:     r.hash,
-		choices:  r.choices,
-		memHash:  in.sys.MemoryImageHash(),
-		now:      in.eng.Now(),
-		events:   in.eng.EventsExecuted(),
-		pending:  in.eng.Pending(),
-		stats:    in.sys.Stats().Report(),
-	}
+	e := pathEnd{terminal: r.terminal, hash: r.hash, choices: slices.Clone(r.choices)}
 	if r.violation != nil {
 		e.kind, e.err = r.violation.Kind, r.violation.Err
 	}
+	e.observe(in)
 	return e
+}
+
+// observe records the rest of what is observable where a path stops.
+func (e *pathEnd) observe(in *instance) {
+	e.memHash = in.sys.MemoryImageHash()
+	e.now = in.eng.Now()
+	e.events = in.eng.EventsExecuted()
+	e.pending = in.eng.Pending()
+	e.stats = in.sys.Stats().Report()
+	sum, count := in.net.InFlight()
+	e.flight = [2]uint64{sum, uint64(count)}
 }
 
 // checkResetMatchesFresh runs the first prefix on one system, resets it,

@@ -11,7 +11,10 @@
 // here: access latencies are charged by the controllers that own a Store.
 package memctrl
 
-import "repro/internal/msg"
+import (
+	"repro/internal/cache"
+	"repro/internal/msg"
+)
 
 // Store is a sparse line-granular memory image.
 type Store struct {
@@ -45,3 +48,20 @@ func (s *Store) ForEach(fn func(addr msg.Addr, p msg.Payload)) {
 
 // Len returns the number of lines written.
 func (s *Store) Len() int { return len(s.lines) }
+
+// StoreSnapshot holds a Store's lines for Restore. The zero value is an
+// empty buffer; Snapshot reuses its storage.
+type StoreSnapshot struct {
+	lines cache.MapSnapshot[msg.Addr, msg.Payload]
+}
+
+// Snapshot copies every line written so far into snap.
+func (s *Store) Snapshot(snap *StoreSnapshot) {
+	snap.lines.Take(s.lines)
+}
+
+// Restore returns the store to snapshot snap: the lines written then hold
+// their payloads then, and the rest read as zero-filled memory again.
+func (s *Store) Restore(snap *StoreSnapshot) {
+	snap.lines.Restore(s.lines)
+}

@@ -107,16 +107,25 @@ type Pool struct {
 	free       *Message // chained through Message.next
 	gets, news uint64   // counts not yet added to PoolStats
 	off        bool     // pooling disabled when the Pool was last reset
+
+	// held is set while a snapshot holds the Pool (Snapshot to Reset):
+	// Flush then keeps the messages, and drawn lists the ones Get took
+	// from the shared pool since the snapshot or the last Restore.
+	held  bool
+	drawn []*Message
 }
 
-// Reset reads the pooling setting. With pooling disabled the freelist is
-// dropped and Put discards, so every Get falls through to shared, which
-// allocates.
+// Reset reads the pooling setting and ends any snapshot's hold on the
+// Pool. With pooling disabled the freelist is dropped and Put discards, so
+// every Get falls through to shared, which allocates.
 func (p *Pool) Reset() {
 	p.off = poolingDisabled.Load()
 	if p.off {
 		p.free = nil
 	}
+	p.held = false
+	clear(p.drawn)
+	p.drawn = p.drawn[:0]
 }
 
 // Get returns a zeroed Message: the newest recycled one, else one from the
@@ -132,6 +141,9 @@ func (p *Pool) Get() *Message {
 	if miss {
 		p.news++
 	}
+	if p.held && !p.off {
+		p.drawn = append(p.drawn, m)
+	}
 	return m
 }
 
@@ -146,8 +158,19 @@ func (p *Pool) Put(m *Message) {
 }
 
 // Flush ends a run's use of the Pool: the free messages go to the shared
-// pool, for any simulation to reuse, and the counts to PoolStats.
+// pool, for any simulation to reuse, and the counts to PoolStats. While a
+// snapshot holds the Pool, Flush publishes the counts and keeps the
+// messages: one in flight at the snapshot may be free now and in flight
+// again after a Restore.
 func (p *Pool) Flush() {
+	if p.gets != 0 {
+		poolGets.Add(p.gets)
+		poolNews.Add(p.news)
+		p.gets, p.news = 0, 0
+	}
+	if p.held {
+		return
+	}
 	for m := p.free; m != nil; {
 		next := m.next
 		m.next = nil
@@ -155,9 +178,44 @@ func (p *Pool) Flush() {
 		m = next
 	}
 	p.free = nil
-	if p.gets != 0 {
-		poolGets.Add(p.gets)
-		poolNews.Add(p.news)
-		p.gets, p.news = 0, 0
+}
+
+// PoolSnapshot holds a Pool's freelist for Restore. The zero value is an
+// empty buffer; Snapshot reuses its storage.
+type PoolSnapshot struct {
+	free []*Message // the freelist, newest first
+}
+
+// Snapshot records the freelist into s and holds the Pool until its next
+// Reset: from now on every message the Pool takes in stays with it, so a
+// Restore can hand back all of them. The caller records the values of the
+// messages that are not free (those in flight or waiting in a queued
+// event) itself.
+func (p *Pool) Snapshot(s *PoolSnapshot) {
+	s.free = s.free[:0]
+	for m := p.free; m != nil; m = m.next {
+		s.free = append(s.free, m)
 	}
+	p.held = true
+	clear(p.drawn)
+	p.drawn = p.drawn[:0]
+}
+
+// Restore rebuilds the freelist of snapshot s, taken from this Pool since
+// its last Reset, with the messages taken from the shared pool since then
+// below it; s keeps those too, for the next Restore. Every message the
+// Pool took in since the snapshot is then either free or, having been
+// live at the snapshot, the caller's to rewrite. The PoolStats counts are
+// not rolled back.
+func (p *Pool) Restore(s *PoolSnapshot) {
+	s.free = append(s.free, p.drawn...)
+	clear(p.drawn)
+	p.drawn = p.drawn[:0]
+	var next *Message
+	for i := len(s.free) - 1; i >= 0; i-- {
+		m := s.free[i]
+		m.next = next
+		next = m
+	}
+	p.free = next
 }

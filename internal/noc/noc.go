@@ -223,6 +223,10 @@ type Network struct {
 	// message count twice.
 	flightSum   uint64
 	flightCount int
+
+	// snap is the buffer Snapshot copies the network into, built by the
+	// first Snapshot (snapshot.go).
+	snap *netSnapshot
 }
 
 // transit is the traversal state of one in-flight message in the simple

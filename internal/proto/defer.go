@@ -45,6 +45,39 @@ func (d *DeferredResults) Reset() {
 	d.free = append(d.free[:0], d.all...)
 }
 
+// DeferredSnapshot holds a DeferredResults' records for Restore: the
+// freelist and every record's value. The zero value is an empty buffer;
+// Snapshot reuses its storage.
+type DeferredSnapshot struct {
+	free []*deferred
+	vals []deferred
+}
+
+// Snapshot copies the freelist and the value of every record d ever built
+// into s. A record still scheduled is one a queued engine event points at.
+func (d *DeferredResults) Snapshot(s *DeferredSnapshot) {
+	s.free = append(s.free[:0], d.free...)
+	s.vals = s.vals[:0]
+	for _, r := range d.all {
+		s.vals = append(s.vals, *r)
+	}
+}
+
+// Restore returns d to snapshot s, taken from it: every record built by
+// then holds its value then, and the ones built since are cleared and
+// wait below the restored freelist. Restore it with the engine whose
+// events the scheduled records ride on.
+func (d *DeferredResults) Restore(s *DeferredSnapshot) {
+	extra := d.all[len(s.vals):]
+	for i := range s.vals {
+		*d.all[i] = s.vals[i]
+	}
+	for _, r := range extra {
+		*r = deferred{}
+	}
+	d.free = append(append(d.free[:0], extra...), s.free...)
+}
+
 // schedule carries v in a record from d to fn, delay cycles from now.
 func (d *DeferredResults) schedule(e *sim.Engine, delay uint64, fn func(any, uint64), v deferred) {
 	var r *deferred

@@ -106,6 +106,10 @@ type Engine struct {
 	halted        bool
 	headScratch   []channelHead
 	choiceScratch []Choice
+
+	// snap is the buffer Snapshot copies the queue into, built by the
+	// first Snapshot (snapshot.go).
+	snap *engineSnapshot
 }
 
 // NewEngine returns an empty engine at cycle 0.

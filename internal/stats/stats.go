@@ -179,6 +179,41 @@ func (r *Run) Reset() {
 	*r.Proto = Protocol{}
 }
 
+// RunSnapshot holds a Run's counters for Restore. The zero value is an
+// empty buffer; Snapshot reuses its storage.
+type RunSnapshot struct {
+	workload    string
+	cycles, ops uint64
+	net         Network
+	proto       Protocol
+}
+
+// Snapshot copies the run's name, cycle and operation counts and every
+// counter into s.
+func (r *Run) Snapshot(s *RunSnapshot) {
+	s.workload, s.cycles, s.ops = r.Workload, r.Cycles, r.Ops
+	n := r.Net
+	s.net.SentByType = append(s.net.SentByType[:0], n.SentByType...)
+	s.net.BytesByType = append(s.net.BytesByType[:0], n.BytesByType...)
+	s.net.DeliveredByType = append(s.net.DeliveredByType[:0], n.DeliveredByType...)
+	s.net.DroppedByType = append(s.net.DroppedByType[:0], n.DroppedByType...)
+	s.net.LatencyHist = n.LatencyHist
+	s.proto = *r.Proto
+}
+
+// Restore returns the run to snapshot s, taken from it. Net and Proto stay
+// the same pointers.
+func (r *Run) Restore(s *RunSnapshot) {
+	r.Workload, r.Cycles, r.Ops = s.workload, s.cycles, s.ops
+	n := r.Net
+	copy(n.SentByType, s.net.SentByType)
+	copy(n.BytesByType, s.net.BytesByType)
+	copy(n.DeliveredByType, s.net.DeliveredByType)
+	copy(n.DroppedByType, s.net.DroppedByType)
+	n.LatencyHist = s.net.LatencyHist
+	*r.Proto = s.proto
+}
+
 // MessageOverhead returns the relative increase in messages vs a baseline
 // run (1.30 means 30% more messages), the Figure 4 left axis.
 func (r *Run) MessageOverhead(base *Run) float64 {

@@ -197,6 +197,10 @@ type agent interface {
 	proto.Inspectable
 	Quiesced() bool
 	Reset()
+	// Snapshot and Restore copy what Reset returns to its initial value
+	// into the agent's own buffer and back (see System.Snapshot).
+	Snapshot()
+	Restore()
 }
 
 // System is a fully assembled simulation.
@@ -263,6 +267,11 @@ type System struct {
 	lineViews []agentView
 	lineAddr  msg.Addr
 	lineView  func(proto.LineView)
+
+	// snap is the system's share of its snapshot, built by the first
+	// Snapshot; nil or not taken, there is nothing to restore
+	// (snapshot.go).
+	snap *snapshot
 }
 
 // imageEntry is one owner view of a line: its address and version.
@@ -504,6 +513,9 @@ func (s *System) reset() {
 	s.image = s.image[:0]
 	s.views = s.views[:0]
 	s.lineViews = s.lineViews[:0]
+	if s.snap != nil {
+		s.snap.taken = false
+	}
 }
 
 // Obs returns the event recorder the system was built with (nil if none).

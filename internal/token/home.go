@@ -58,6 +58,8 @@ type Home struct {
 	spare       []*homeLine // dropped by Reset, for line to reuse
 
 	sendDelayed func(arg any, _ uint64) // sends a grant the storage latency delayed
+
+	snap *homeSnapshot // Snapshot's buffer, built by the first Snapshot (snapshot.go)
 }
 
 var _ proto.Inspectable = (*Home)(nil)

@@ -85,6 +85,8 @@ type L1 struct {
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
 	results proto.DeferredResults // hit completions and retries in flight
+
+	snap *l1Snapshot // Snapshot's buffer, built by the first Snapshot (snapshot.go)
 }
 
 // blockedEntry: we received the owner token and owe/await the backup

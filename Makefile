@@ -49,8 +49,12 @@ coverage-quick:
 # workload: each tile and each mesh link is killed at every enumerated
 # injection slot (victim × slot), with the extended verdict of
 # docs/COVERAGE.md § Structural faults; DirCMP deadlocks on every tile
-# death, naming the dead nodes.
+# death, naming the dead nodes. The campaign resets one system per worker
+# for every death, so the reuse differential test runs first with message
+# pooling off: every death of the same campaign, FtDirCMP and DirCMP, must
+# end on a reused worker exactly as on a fresh system.
 tile-check:
+	REPRO_NOPOOL=1 $(GO) test -run 'TestTileDeathReuseMatchesFresh' .
 	$(GO) run ./cmd/ftcheck -tile-death
 
 # mc-check runs the model-checking gate under the race detector: the
@@ -73,15 +77,16 @@ mc-check:
 # fuzz bytes, on every gate shape and protocol, where the second prefix
 # must end in exactly the same state, choices, verdict and memory image
 # on a system reset after the first as on a fresh system. It then fuzzes
-# the reset the loss campaigns use for 20 s: two decoded message-loss
-# slots run back to back on one system and recorder, and the second run
-# must end exactly as on a fresh system (error text, statistics, memory
-# image, metrics and retained events). Last it fuzzes System.Snapshot and
-# Restore for 20 s: a decoded prefix, on the gate shapes or on a longer
-# run whose tiny caches evict, is snapshotted at its choice point, and
-# every successor taken from a restore of it must end exactly as the
-# whole schedule replayed on a fresh system. CI runs it in the mc job,
-# beside sim-fuzz.
+# the reset the fault campaigns use for 20 s: two decoded slots, each a
+# message loss, a tile death (directory protocols) or a link death, run
+# back to back on one system and recorder, and the second run must end
+# exactly as on a fresh system (error text, statistics, memory image,
+# recovery report, metrics and retained events). Last it fuzzes
+# System.Snapshot and Restore for 20 s: a decoded prefix, on the gate
+# shapes or on a longer run whose tiny caches evict, is snapshotted at
+# its choice point, and every successor taken from a restore of it must
+# end exactly as the whole schedule replayed on a fresh system. CI runs
+# it in the mc job, beside sim-fuzz.
 mc-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResetMatchesFresh -fuzztime 20s ./internal/mc
 	$(GO) test -run '^$$' -fuzz FuzzLossResetMatchesFresh -fuzztime 20s ./internal/system

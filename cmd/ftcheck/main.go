@@ -42,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -442,15 +443,7 @@ func runTileDeath(ctx context.Context, cfg repro.Config, jsonPath string, progre
 	}
 
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeJSON(jsonPath, rep); err != nil {
 			return err
 		}
 		fmt.Printf("\nstructural coverage report written to %s\n", jsonPath)
@@ -480,15 +473,7 @@ func runInterleave(ctx context.Context, cfg repro.Config, budget int, jsonPath s
 	fmt.Print(doc.Text())
 
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := doc.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeJSON(jsonPath, doc); err != nil {
 			return err
 		}
 		fmt.Printf("\ninterleaving report written to %s (replay it with fttrace -replay)\n", jsonPath)
@@ -574,15 +559,7 @@ func runExhaustive(ctx context.Context, cfg repro.Config, doubles int, jsonPath 
 	}
 
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeJSON(jsonPath, rep); err != nil {
 			return err
 		}
 		fmt.Printf("\ncoverage report written to %s\n", jsonPath)
@@ -593,4 +570,17 @@ func runExhaustive(ctx context.Context, cfg repro.Config, doubles int, jsonPath 
 	}
 	fmt.Println("\nAll coverage checks passed.")
 	return nil
+}
+
+// writeJSON writes a report's JSON form to a new file at path.
+func writeJSON(path string, rep interface{ WriteJSON(io.Writer) error }) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/fault"
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -147,6 +148,60 @@ func TestDoubleFaultReissueRegression(t *testing.T) {
 	}
 }
 
+// freshCampaignRun is coverageRun without the reuse: every run builds a
+// fresh system and recorder. It is the reference a reused worker's runs
+// must match.
+func freshCampaignRun(ctx context.Context, cfg Config, w workload.Workload, image bool) coverage.RunFunc {
+	cfg.CheckIntegrity = true
+	return func(inj fault.Injector) coverage.Outcome {
+		rec := obs.NewRecorder(coverageRing)
+		s, st, err := simulate(ctx, cfg, w, inj, rec)
+		if s == nil {
+			return coverage.Outcome{Err: err.Error()}
+		}
+		return coverageOutcome(s, st, rec, err, image)
+	}
+}
+
+// recordRuns runs a campaign at parallelism 1 on run, through campaign,
+// and returns every run's Outcome in the order the campaign ran them.
+func recordRuns(t *testing.T, run coverage.RunFunc, campaign func(coverage.RunFunc) error) []coverage.Outcome {
+	t.Helper()
+	var outs []coverage.Outcome
+	record := func(inj fault.Injector) coverage.Outcome {
+		out := run(inj)
+		outs = append(outs, out)
+		return out
+	}
+	if err := campaign(record); err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// requireSameOutcomes fails unless every reused run's Outcome deep-equals
+// the fresh run's, and returns how many runs failed and how many of the
+// failures' error texts contain mark.
+func requireSameOutcomes(t *testing.T, reused, fresh []coverage.Outcome, mark string) (failed, marked int) {
+	t.Helper()
+	if len(reused) != len(fresh) {
+		t.Fatalf("the reused worker ran %d runs, fresh systems %d", len(reused), len(fresh))
+	}
+	for i := range fresh {
+		if fresh[i].Err != "" {
+			failed++
+		}
+		if strings.Contains(fresh[i].Err, mark) {
+			marked++
+		}
+		if !reflect.DeepEqual(reused[i], fresh[i]) {
+			t.Fatalf("run %d of %d on the reused worker:\n%+v\non a fresh system:\n%+v",
+				i, len(fresh), reused[i], fresh[i])
+		}
+	}
+	return failed, marked
+}
+
 // TestCoverageReuseMatchesFresh: a message-loss campaign runs every slot
 // on a campaign worker's one system and recorder, reset with the slot's
 // injector, and each run must reach exactly the Outcome a fresh system
@@ -176,43 +231,72 @@ func TestCoverageReuseMatchesFresh(t *testing.T) {
 			ctx := context.Background()
 			cfg := tc.cfg
 			cfg.Parallelism = 1
-			campaign := func(run coverage.RunFunc) []coverage.Outcome {
-				var outs []coverage.Outcome
-				record := func(inj fault.Injector) coverage.Outcome {
-					out := run(inj)
-					outs = append(outs, out)
-					return out
-				}
-				if _, err := coverage.RunContext(ctx, record, coverage.Options{
+			campaign := func(run coverage.RunFunc) error {
+				_, err := coverage.RunContext(ctx, run, coverage.Options{
 					Parallelism:        1,
 					DoubleFaultSamples: tc.doubles,
 					Seed:               1,
-				}); err != nil {
-					t.Fatal(err)
-				}
-				return outs
+				})
+				return err
 			}
-			reused := campaign(coverageRun(ctx, cfg, w))
-			fresh := campaign(freshCoverageRun(ctx, cfg, w, false))
-			if len(reused) != len(fresh) {
-				t.Fatalf("the reused worker ran %d runs, fresh systems %d", len(reused), len(fresh))
-			}
-			failed, dumps := 0, 0
-			for i := range fresh {
-				if fresh[i].Err != "" {
-					failed++
-				}
-				if strings.Contains(fresh[i].Err, " last=") {
-					dumps++
-				}
-				if !reflect.DeepEqual(reused[i], fresh[i]) {
-					t.Fatalf("run %d of %d on the reused worker:\n%+v\non a fresh system:\n%+v",
-						i, len(fresh), reused[i], fresh[i])
-				}
-			}
+			reused := recordRuns(t, coverageRun(ctx, cfg, w, false), campaign)
+			fresh := recordRuns(t, freshCampaignRun(ctx, cfg, w, false), campaign)
+			failed, dumps := requireSameOutcomes(t, reused, fresh, " last=")
 			t.Logf("%d runs, %d failed, %d naming last events, all equal", len(fresh), failed, dumps)
 			if tc.cfg.Protocol == DirCMP && dumps == 0 {
 				t.Fatal("no DirCMP deadlock dump names a last event: the event ring went unchecked")
+			}
+		})
+	}
+}
+
+// TestTileDeathReuseMatchesFresh: the structural campaign of the quick
+// golden, every tile and every mesh link killed at every enumerated slot,
+// runs each death on a campaign worker's one system and recorder, reset
+// with the death's injector, and each run must reach exactly the Outcome a
+// fresh system reaches, its per-line memory image and recovery fields
+// (declaration, reconstruction latency, unrecoverable lines) included.
+// Under DirCMP every tile death deadlocks, and the dump names the dead
+// nodes, so dead nodes, dead links, failure domains or halted controllers
+// left over from an earlier death would show in an Outcome.
+func TestTileDeathReuseMatchesFresh(t *testing.T) {
+	w, err := workload.ByName("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := quickCoverageConfig()
+	dir.Protocol = DirCMP
+	dir.CycleLimit = 5_000_000 // as ftcheck -tile-death
+	for _, cfg := range []Config{quickCoverageConfig(), dir} {
+		t.Run(cfg.Protocol.String(), func(t *testing.T) {
+			ctx := context.Background()
+			cfg.Parallelism = 1
+			campaign := func(run coverage.RunFunc) error {
+				_, err := coverage.RunStructuralContext(ctx, run, coverage.StructuralOptions{
+					Parallelism:  1,
+					Tiles:        cfg.MeshWidth * cfg.MeshHeight,
+					Links:        meshLinks(cfg.MeshWidth, cfg.MeshHeight),
+					VictimWrites: victimWriteSets(cfg, w),
+				})
+				return err
+			}
+			reused := recordRuns(t, coverageRun(ctx, cfg, w, true), campaign)
+			fresh := recordRuns(t, freshCampaignRun(ctx, cfg, w, true), campaign)
+			failed, dumps := requireSameOutcomes(t, reused, fresh, "dead nodes:")
+			declared, unrec := 0, 0
+			for _, out := range fresh {
+				if out.DeathDeclared {
+					declared++
+				}
+				unrec += out.LinesUnrecoverable
+			}
+			t.Logf("%d runs, %d failed, %d naming dead nodes, %d deaths declared, %d unrecoverable lines, all equal",
+				len(fresh), failed, dumps, declared, unrec)
+			switch {
+			case cfg.Protocol == DirCMP && dumps == 0:
+				t.Fatal("no DirCMP deadlock dump names the dead nodes: the dead set went unchecked")
+			case cfg.Protocol == FtDirCMP && (declared == 0 || unrec == 0):
+				t.Fatal("no FtDirCMP death was declared with unrecoverable lines: the recovery fields went unchecked")
 			}
 		})
 	}

@@ -54,90 +54,91 @@ type RecoveryReport struct {
 // structural fault was armed or none fired).
 func (s *System) Recovery() RecoveryReport { return s.recovery }
 
-// structuralFaults walks an injector (descending into Chains) and collects
-// the structural faults that need system-level arming.
-func structuralFaults(in fault.Injector) (tds []*fault.TileDeath, lds []*fault.LinkDeath) {
-	var walk func(fault.Injector)
-	walk = func(in fault.Injector) {
-		switch v := in.(type) {
-		case *fault.TileDeath:
-			tds = append(tds, v)
-		case *fault.LinkDeath:
-			lds = append(lds, v)
-		case *fault.Chain:
-			for _, inner := range v.Injectors() {
-				walk(inner)
-			}
+// structuralFaults collects the tile and link deaths an injector is or
+// chains and checks them against the system, with the error New and Reset
+// return for an invalid one. It changes nothing, so Reset calls it before
+// it resets anything and a refused injector leaves the system as it was.
+func (s *System) structuralFaults(in fault.Injector) (td *fault.TileDeath, lds []*fault.LinkDeath, err error) {
+	tds, lds := collectStructural(in, nil, nil)
+	for _, ld := range lds {
+		if a, b := ld.Link(); !s.net.Adjacent(a, b) {
+			return nil, nil, fmt.Errorf("system: link death %d-%d: routers are not adjacent in a %dx%d mesh",
+				a, b, s.cfg.MeshWidth, s.cfg.MeshHeight)
 		}
 	}
-	if in != nil {
-		walk(in)
+	switch {
+	case len(tds) == 0:
+		return nil, lds, nil
+	case len(tds) > 1:
+		return nil, nil, fmt.Errorf("system: at most one tile death per run (got %d)", len(tds))
+	case s.cfg.Protocol.tokenBased():
+		return nil, nil, fmt.Errorf("system: tile death requires a directory protocol, not %v", s.cfg.Protocol)
+	}
+	if t := tds[0].Tile(); t < 0 || t >= s.cfg.Tiles() {
+		return nil, nil, fmt.Errorf("system: tile death victim %d out of range [0,%d)", t, s.cfg.Tiles())
+	}
+	return tds[0], lds, nil
+}
+
+// collectStructural appends the tile and link deaths that in is, or
+// chains, to tds and lds.
+func collectStructural(in fault.Injector, tds []*fault.TileDeath, lds []*fault.LinkDeath) ([]*fault.TileDeath, []*fault.LinkDeath) {
+	switch v := in.(type) {
+	case *fault.TileDeath:
+		tds = append(tds, v)
+	case *fault.LinkDeath:
+		lds = append(lds, v)
+	case *fault.Chain:
+		for _, inner := range v.Injectors() {
+			tds, lds = collectStructural(inner, tds, lds)
+		}
 	}
 	return tds, lds
 }
 
-// structural reports whether an injector is, or chains, a structural fault.
-func structural(in fault.Injector) bool {
-	tds, lds := structuralFaults(in)
-	return len(tds)+len(lds) > 0
-}
-
-// armStructural wires any structural-fault injectors to the system: the
-// victim node sets, the kill callbacks, and (for FtDirCMP) the failure
-// detector and reconstruction trigger.
-func (s *System) armStructural() error {
-	tds, lds := structuralFaults(s.cfg.Injector)
-
+// armStructural wires checked structural faults (structuralFaults) to the
+// system: the victim node sets, the kill callbacks, and (for FtDirCMP) the
+// failure detector and reconstruction trigger. reset forgets the wiring.
+func (s *System) armStructural(td *fault.TileDeath, lds []*fault.LinkDeath) {
 	for _, ld := range lds {
 		a, b := ld.Link()
-		if !s.net.Adjacent(a, b) {
-			return fmt.Errorf("system: link death %d-%d: routers are not adjacent in a %dx%d mesh",
-				a, b, s.cfg.MeshWidth, s.cfg.MeshHeight)
-		}
 		link := uint64(a)<<32 | uint64(b)
 		ld.Arm(func() { s.engine.ScheduleCall(0, killLinkEvent, s, link) })
 	}
-
-	if len(tds) == 0 {
-		return nil
-	}
-	if len(tds) > 1 {
-		return fmt.Errorf("system: at most one tile death per run (got %d)", len(tds))
-	}
-	td := tds[0]
-	if s.cfg.Protocol.tokenBased() {
-		return fmt.Errorf("system: tile death requires a directory protocol, not %v", s.cfg.Protocol)
+	if td == nil {
+		return
 	}
 	t := td.Tile()
-	if t < 0 || t >= s.cfg.Tiles() {
-		return fmt.Errorf("system: tile death victim %d out of range [0,%d)", t, s.cfg.Tiles())
-	}
-	s.tileDeath = td
 	s.deadTile = t
 	s.deadNodes = map[msg.NodeID]bool{s.topo.L1(t): true, s.topo.L2(t): true}
 
 	if s.cfg.Protocol == FtDirCMP {
-		s.domains = proto.NewDomains(s.topo, func(tile int) {
+		s.setDomains(proto.NewDomains(s.topo, func(tile int) {
 			s.recovery.Declared = true
 			s.recovery.DeclaredCycle = s.engine.Now()
 			s.engine.ScheduleCall(0, reconstructEvent, s, 0)
-		})
-		for _, l1 := range s.l1s {
-			l1.SetDomains(s.domains)
-		}
-		for _, l2 := range s.l2s {
-			l2.SetDomains(s.domains)
-		}
-		for _, m := range s.memByID {
-			m.SetDomains(s.domains)
-		}
+		}))
 	}
 	td.Arm([]msg.NodeID{s.topo.L1(t), s.topo.L2(t)}, func() {
 		// Fired synchronously from inside a network Send; the kill runs as
 		// its own event so the in-progress handler finishes undisturbed.
 		s.engine.ScheduleCall(0, killTileEvent, s, 0)
 	})
-	return nil
+}
+
+// setDomains attaches the failure detector d (nil for none) to the system
+// and to every directory-protocol controller.
+func (s *System) setDomains(d *proto.Domains) {
+	s.domains = d
+	for _, l1 := range s.l1s {
+		l1.SetDomains(d)
+	}
+	for _, l2 := range s.l2s {
+		l2.SetDomains(d)
+	}
+	for _, m := range s.memByID {
+		m.SetDomains(d)
+	}
 }
 
 // The structural-fault events: arg is the *System; a link kill's tick

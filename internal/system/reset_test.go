@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -68,14 +69,17 @@ func TestResetRunMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestResetTakesLossRefusesStructural: Reset accepts a system built with a
-// message-loss injector or an event recorder, and installs a next
-// message-loss injector; a tile or link death, alone or inside a Chain, is
-// wired in by New, so Reset refuses it as the injector the system was
-// built with and as the next one, and leaves the system as it was.
-func TestResetTakesLossRefusesStructural(t *testing.T) {
-	loss := func() fault.Injector { return fault.NewRate(1000, 1) }
-	nth := func() fault.Injector { return fault.NewNthOfType(msg.GetX, 2) }
+// TestResetTakesWhatNewTakes: Reset takes any injector New takes and
+// refuses the ones New refuses. A tile or link death, alone or inside a
+// Chain, is accepted as the injector a system was built with and as the
+// next one, and a system reset to it runs as a fresh system built with it.
+// An injector New refuses, Reset refuses with New's error, leaving the
+// system and its injector as they were. On one system, a loss run after a
+// tile death and a reliable run after a link death each end as on a fresh
+// system, so no dead set, failure detector, halted controller or dead
+// link outlives its run.
+func TestResetTakesWhatNewTakes(t *testing.T) {
+	loss := func() fault.Injector { return fault.NewNthOfType(msg.GetX, 3) }
 	structural := map[string]func() fault.Injector{
 		"tile death":   func() fault.Injector { return fault.NewTileDeath(1, msg.GetX, 5) },
 		"link death":   func() fault.Injector { return fault.NewLinkDeath(0, 1, msg.GetX, 5) },
@@ -84,36 +88,105 @@ func TestResetTakesLossRefusesStructural(t *testing.T) {
 			return fault.NewChain(fault.NewChain(fault.NewLinkDeath(0, 2, msg.Data, 3)), loss())
 		},
 	}
-	build := func(inj fault.Injector, rec *obs.Recorder) *System {
+	w := workload.Suite()[0]
+	config := func(p Protocol, inj fault.Injector) Config {
+		cfg := smallConfig(p)
+		cfg.OpsPerCore = 60
+		cfg.Limit = 1_000_000 // DirCMP deadlocks on a tile death
+		cfg.Injector, cfg.Obs = inj, obs.NewRecorder(4096)
+		return cfg
+	}
+	build := func(cfg Config) *System {
 		t.Helper()
-		cfg := smallConfig(FtDirCMP)
-		cfg.Injector, cfg.Obs = inj, rec
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-
-	for _, s := range []*System{build(loss(), nil), build(nil, obs.NewRecorder(64)), build(nth(), obs.NewRecorder(64))} {
-		for _, next := range []fault.Injector{nil, loss(), nth(), fault.NewChain(loss(), nth())} {
-			if err := s.Reset(next); err != nil {
-				t.Errorf("Reset(%v) on a system with injector %v, recorder %v: %v", next, s.cfg.Injector, s.cfg.Obs != nil, err)
-			} else if s.cfg.Injector != next {
-				t.Errorf("Reset(%v) installed injector %v", next, s.cfg.Injector)
-			}
+	// reset resets s to a new mk() and runs w; the run must end as on a
+	// fresh system built with another.
+	reset := func(s *System, mk func() fault.Injector) {
+		t.Helper()
+		want := runLoss(build(config(s.cfg.Protocol, mk())), w)
+		next := mk()
+		desc := "no injector"
+		if next != nil {
+			desc = next.Description()
+		}
+		if err := s.Reset(next); err != nil {
+			t.Fatalf("Reset(%s) on a %v system: %v", desc, s.cfg.Protocol, err)
+		}
+		if s.cfg.Injector != next {
+			t.Fatalf("Reset(%s) installed injector %v", desc, s.cfg.Injector)
+		}
+		if got := runLoss(s, w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v after Reset(%s): %v\nfresh system: %v", s.cfg.Protocol, desc, got, want)
 		}
 	}
-	for name, mk := range structural {
-		if err := build(mk(), obs.NewRecorder(64)).Reset(nil); err == nil {
-			t.Errorf("Reset succeeded on a system built with a %s", name)
+	none := func() fault.Injector { return nil }
+
+	for _, p := range []Protocol{FtDirCMP, DirCMP} {
+		for name, mk := range structural {
+			t.Run(fmt.Sprintf("%v/%s", p, name), func(t *testing.T) {
+				// As the built injector, then as the next one: after a
+				// loss run and after a run under itself.
+				s := build(config(p, mk()))
+				runLoss(s, w)
+				reset(s, loss)
+				reset(s, mk)
+				reset(s, mk)
+				reset(s, none)
+			})
 		}
-		built := loss()
-		s := build(built, nil)
-		if err := s.Reset(mk()); err == nil {
-			t.Errorf("Reset to a %s succeeded", name)
-		} else if s.cfg.Injector != built {
-			t.Errorf("a refused Reset to a %s changed the injector to %v", name, s.cfg.Injector)
-		}
+		t.Run(fmt.Sprintf("%v/leftovers", p), func(t *testing.T) {
+			s := build(config(p, structural["tile death"]()))
+			runLoss(s, w)
+			reset(s, loss)
+			reset(s, structural["link death"])
+			reset(s, none)
+		})
+	}
+
+	invalid := []struct {
+		name string
+		p    Protocol
+		inj  func() fault.Injector
+	}{
+		{"non-adjacent link", FtDirCMP, func() fault.Injector {
+			return fault.NewChain(fault.NewLinkDeath(0, 1, msg.GetX, 5), fault.NewLinkDeath(0, 3, msg.GetX, 5))
+		}},
+		{"two tile deaths", FtDirCMP, func() fault.Injector {
+			return fault.NewChain(fault.NewTileDeath(1, msg.GetX, 5), fault.NewChain(fault.NewTileDeath(2, msg.GetS, 2)))
+		}},
+		{"victim out of range", DirCMP, func() fault.Injector { return fault.NewTileDeath(4, msg.GetX, 5) }},
+		{"tile death under TokenCMP", TokenCMP, func() fault.Injector { return fault.NewTileDeath(1, msg.TrGetX, 2) }},
+	}
+	for _, tc := range invalid {
+		t.Run("refuses/"+tc.name, func(t *testing.T) {
+			_, want := New(config(tc.p, tc.inj()))
+			if want == nil {
+				t.Fatalf("New took a %s", tc.name)
+			}
+			for _, built := range []func() fault.Injector{loss, structural["link death"]} {
+				// A system that has run under built must still show
+				// that run's end after the refused Reset, and its next
+				// Reset must still run as a fresh system.
+				inj := built()
+				s := build(config(tc.p, inj))
+				_, err := s.Run(w)
+				before := endOf(s, err)
+				if err := s.Reset(tc.inj()); err == nil || err.Error() != want.Error() {
+					t.Fatalf("Reset to a %s: %v, New's error: %v", tc.name, err, want)
+				}
+				if s.cfg.Injector != inj {
+					t.Fatalf("a refused Reset changed the injector to %v", s.cfg.Injector)
+				}
+				if after := endOf(s, err); !reflect.DeepEqual(after, before) {
+					t.Fatalf("a refused Reset changed the system: %v\nbefore it: %v", after, before)
+				}
+				reset(s, built)
+			}
+		})
 	}
 }

@@ -46,7 +46,8 @@ type snapshot struct {
 //
 // Snapshot refuses the systems it cannot roll back and leaves them as they
 // were: one with a fault injector, whose drop decisions are the
-// injector's own state (and a structural fault's wiring is New's), one
+// injector's own state (and a structural fault's wiring, which New and
+// Reset arm, is not recorded), one
 // with an event recorder (cfg.Obs or cfg.ExtraRecorder), whose output has
 // already left for its consumer, and one whose network runs the detailed
 // router model or has a dead link. The explorer sets none of these.

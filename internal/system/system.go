@@ -229,7 +229,6 @@ type System struct {
 	// domains is non-nil only for FtDirCMP runs with an armed TileDeath;
 	// deadNodes is the ground-truth dead set for any protocol.
 	domains       *proto.Domains
-	tileDeath     *fault.TileDeath
 	deadTile      int
 	deadNodes     map[msg.NodeID]bool
 	probeOff      bool
@@ -423,10 +422,12 @@ func New(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("system: unknown protocol %v", cfg.Protocol)
 	}
-	s.reset()
-	if err := s.armStructural(); err != nil {
+	td, lds, err := s.structuralFaults(cfg.Injector)
+	if err != nil {
 		return nil, err
 	}
+	s.reset()
+	s.armStructural(td, lds)
 	if cfg.Obs != nil {
 		for _, a := range s.agents {
 			if o, ok := a.(interface{ SetObserver(*obs.Recorder) }); ok {
@@ -466,15 +467,14 @@ func New(cfg Config) (*System, error) {
 // reset in place and stays wired to the system; cfg.ExtraRecorder belongs
 // to the caller and is not reset.
 //
-// A structural fault (TileDeath or LinkDeath, also inside a Chain) is
-// wired into the system by New, so Reset refuses a system built with one,
-// or a next injector that carries one, and leaves the system as it was.
+// next may be any injector New takes, a tile or link death (also inside a
+// Chain) included: Reset forgets the built injector's structural wiring
+// and arms next's as New does. An injector New would refuse, Reset refuses
+// with New's error, and leaves the system as it was.
 func (s *System) Reset(next fault.Injector) error {
-	if structural(s.cfg.Injector) {
-		return fmt.Errorf("system: cannot reset a system built with a structural fault (%s)", s.cfg.Injector.Description())
-	}
-	if structural(next) {
-		return fmt.Errorf("system: cannot reset to a structural fault (%s); build a new system", next.Description())
+	td, lds, err := s.structuralFaults(next)
+	if err != nil {
+		return err
 	}
 	s.cfg.Injector = next
 	var drop noc.DropFunc
@@ -483,12 +483,14 @@ func (s *System) Reset(next fault.Injector) error {
 	}
 	s.net.SetDrop(drop)
 	s.reset()
+	s.armStructural(td, lds)
 	s.cfg.Obs.Reset()
 	return nil
 }
 
-// reset is the one definition of the state New leaves a system in; New
-// calls it once everything is built, and Reset calls it again. The
+// reset is the one definition of the state New leaves a system in, before
+// armStructural wires in the injector's structural faults; New calls it
+// once everything is built, and Reset calls it again. The
 // controllers go first: their table hooks stop timers, which tells the
 // engine about the firings the engine reset then discards. The network
 // goes before the engine too: it reclaims the in-flight messages whose
@@ -507,6 +509,10 @@ func (s *System) reset() {
 	s.cores = s.cores[:0] // kept for Begin to rebind
 	s.finished = 0
 	s.midRunErrs = nil
+	if s.domains != nil {
+		s.setDomains(nil)
+	}
+	s.deadTile, s.deadNodes = 0, nil
 	s.probeOff, s.reconstructed = false, false
 	s.recovery = RecoveryReport{}
 	s.fpSum = 0

@@ -472,29 +472,31 @@ func runOn(ctx context.Context, s *system.System, w workload.Workload) (*stats.R
 // retention.
 const coverageRing = 4096
 
-// lossWorker is one message-loss campaign worker's simulation: a system and
-// the event recorder wired into it, both reset between runs.
-type lossWorker struct {
+// campaignWorker is one campaign worker's simulation: a system and the
+// event recorder wired into it, both reset between runs.
+type campaignWorker struct {
 	sys *system.System
 	rec *obs.Recorder
 }
 
-// coverageRun is the RunFunc of the message-loss campaigns: one run of w
-// under the campaign's injector, reduced to a coverage.Outcome. Integrity
-// checking is forced on (the verdict depends on it).
+// coverageRun is the RunFunc of the fault campaigns, message loss and
+// tile or link death alike: one run of w under the campaign's injector,
+// reduced to a coverage.Outcome. Integrity checking is forced on (the
+// verdict depends on it). image adds the per-line memory image the
+// tile-death verdict compares.
 //
 // Each run takes a worker from a free list, resets its system and recorder
 // with the run's injector, runs and puts the worker back: the list holds
 // at most one worker per campaign worker (cfg.Parallelism), built on first
 // use. It is a buffered channel rather than a sync.Pool, which the GC may
 // empty, so how many systems a campaign builds does not depend on GC
-// timing. A reset system runs exactly as a fresh one (System.Reset), so
-// the outcomes are those of freshCoverageRun.
-func coverageRun(ctx context.Context, cfg Config, w workload.Workload) coverage.RunFunc {
+// timing. A reset system runs exactly as a fresh one built with the same
+// injector (System.Reset), so the outcomes are those of fresh systems.
+func coverageRun(ctx context.Context, cfg Config, w workload.Workload, image bool) coverage.RunFunc {
 	cfg.CheckIntegrity = true
-	free := make(chan lossWorker, runner.Parallelism(cfg.Parallelism))
+	free := make(chan campaignWorker, runner.Parallelism(cfg.Parallelism))
 	return func(inj fault.Injector) coverage.Outcome {
-		var wk lossWorker
+		var wk campaignWorker
 		select {
 		case wk = <-free:
 			if err := wk.sys.Reset(inj); err != nil {
@@ -509,25 +511,9 @@ func coverageRun(ctx context.Context, cfg Config, w workload.Workload) coverage.
 			}
 		}
 		st, err := runOn(ctx, wk.sys, w)
-		out := coverageOutcome(wk.sys, st, wk.rec, err, false)
+		out := coverageOutcome(wk.sys, st, wk.rec, err, image)
 		free <- wk
 		return out
-	}
-}
-
-// freshCoverageRun is coverageRun on a system built for each run, as the
-// structural-fault campaign needs: a tile or link death is wired into the
-// system when it is built, so such a system cannot be reset. image adds
-// the per-line memory image the tile-death verdict compares.
-func freshCoverageRun(ctx context.Context, cfg Config, w workload.Workload, image bool) coverage.RunFunc {
-	cfg.CheckIntegrity = true
-	return func(inj fault.Injector) coverage.Outcome {
-		rec := obs.NewRecorder(coverageRing)
-		s, st, err := simulate(ctx, cfg, w, inj, rec)
-		if s == nil {
-			return coverage.Outcome{Err: err.Error()}
-		}
-		return coverageOutcome(s, st, rec, err, image)
 	}
 }
 
@@ -722,7 +708,7 @@ func CoverageContext(ctx context.Context, cfg Config, workloadName string, opt C
 	if err != nil {
 		return nil, err
 	}
-	rep, err := coverage.RunContext(ctx, coverageRun(ctx, cfg, w), coverage.Options{
+	rep, err := coverage.RunContext(ctx, coverageRun(ctx, cfg, w, false), coverage.Options{
 		Parallelism:        cfg.Parallelism,
 		MaxSlotsPerType:    opt.MaxSlotsPerType,
 		DoubleFaultSamples: opt.DoubleFaultSamples,
@@ -777,7 +763,7 @@ func TileDeathCoverageContext(ctx context.Context, cfg Config, workloadName stri
 	if opt.IncludeLinks {
 		links = meshLinks(cfg.MeshWidth, cfg.MeshHeight)
 	}
-	rep, err := coverage.RunStructuralContext(ctx, freshCoverageRun(ctx, cfg, w, true), coverage.StructuralOptions{
+	rep, err := coverage.RunStructuralContext(ctx, coverageRun(ctx, cfg, w, true), coverage.StructuralOptions{
 		Parallelism:     cfg.Parallelism,
 		MaxSlotsPerType: opt.MaxSlotsPerType,
 		Tiles:           cfg.MeshWidth * cfg.MeshHeight,
